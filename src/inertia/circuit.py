@@ -1,18 +1,23 @@
 """Gate-level simulation with explicit delay elements.
 
 A gate is a zero-delay truth table feeding one delay element; its name
-doubles as its output net.  Delays are either fixed shifts or the
-deterministic inertial transfer (memory parameters filter pulses shorter
-than the memory).  Feedback is legal only through delays that look back
-at least one tick, which makes the tick-by-tick fixed point unique; the
-simulator sweeps a padded tick range densely, so results are exact and
-bit-reproducible regardless of gate listing order.
+doubles as its output net.  Every delay is the deterministic inertial
+transfer driven by a BdcParams window pair (mu = m, delta = d): memories
+filter pulses shorter than the memory, and a fixed delay is the window
+with zero memory, a pure shift.  Feedback is legal only through delays
+that look back at least one tick, which makes the tick-by-tick fixed
+point unique.  The simulator works on switch lists: a gate's output can
+only move where its table output switched a window bound earlier, so
+cost follows the number of switches, not the tick distance, and results
+are exact and bit-reproducible regardless of gate listing order.
 
 Envelope propagation pushes lower/upper signal pairs through the same
 netlist conservatively (per-gate corner enumeration, no cross-net
 correlation), for acyclic netlists only.
 """
 
+import bisect
+import heapq
 from dataclasses import dataclass
 from itertools import product
 
@@ -26,26 +31,7 @@ class NetlistError(ValueError):
     """Structurally invalid netlist, stimuli or simulation request."""
 
 
-# -- delay models -----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FixedDelay:
-    """Pure shift by d ticks."""
-
-    d: int
-
-    def __post_init__(self):
-        if self.d < 0:
-            raise NetlistError(f"fixed delay must be >= 0, got {self.d}")
-
-    @property
-    def lookback(self) -> int:
-        return self.d
-
-    @property
-    def min_latency(self) -> int:
-        return self.d
+# -- delay model ----------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -59,33 +45,34 @@ class BridcDelay:
         require_cc(self.params)
 
     @property
-    def lookback(self) -> int:
-        return max(self.params.dr, self.params.df)
-
-    @property
     def min_latency(self) -> int:
         p = self.params
         return min(p.dr - p.mr, p.df - p.mf)
 
 
-DelayModel = FixedDelay | BridcDelay
+class FixedDelay(BridcDelay):
+    """Pure shift by d ticks: the window pair BdcParams(0, d, 0, d)."""
+
+    def __init__(self, d: int):
+        if d < 0:
+            raise NetlistError(f"fixed delay must be >= 0, got {d}")
+        super().__init__(BdcParams(0, d, 0, d))
+
+    @property
+    def d(self) -> int:
+        return self.params.dr
+
+    def __repr__(self):
+        return f"FixedDelay({self.d})"
 
 
-def classify_delay(model: DelayModel) -> str:
-    """'ideal' for pure shifts, 'inertial' when memory filters pulses."""
-    if isinstance(model, FixedDelay):
-        return "ideal"
-    p = model.params
-    return "inertial" if (p.mr > 0 or p.mf > 0) else "ideal"
-
-
-def delay_to_dict(model: DelayModel) -> dict:
+def delay_to_dict(model: BridcDelay) -> dict:
     if isinstance(model, FixedDelay):
         return {"kind": "fixed", "d": model.d}
     return {"kind": "bridc", **model.params.as_dict()}
 
 
-def delay_from_dict(obj: dict) -> DelayModel:
+def delay_from_dict(obj: dict) -> BridcDelay:
     kind = obj.get("kind")
     if kind == "fixed":
         return FixedDelay(int(obj["d"]))
@@ -108,7 +95,7 @@ class Gate:
     name: str
     inputs: tuple[str, ...]
     table: tuple[int, ...]
-    delay: DelayModel
+    delay: BridcDelay
 
     def __post_init__(self):
         if not isinstance(self.inputs, tuple):
@@ -168,9 +155,6 @@ class Netlist:
     @property
     def has_feedback(self) -> bool:
         return _find_cycle(self.gates, zero_latency_only=False) is not None
-
-    def gate_map(self) -> dict[str, Gate]:
-        return {g.name: g for g in self.gates}
 
 
 def _find_cycle(gates, zero_latency_only: bool) -> list[str] | None:
@@ -289,11 +273,17 @@ def _prehistory(n: Netlist, inputs: dict[str, Signal]) -> dict[str, int]:
 def simulate(
     n: Netlist, inputs: dict[str, Signal], horizon: tuple[Tick, Tick]
 ) -> dict[str, Signal]:
-    """Exact dense-tick simulation; returns every net restricted to horizon.
+    """Exact simulation; returns every net restricted to [lo, hi].
 
-    The sweep starts early enough that each gate's delay window is fed by
-    settled history, so the restriction to [lo, hi] is exact for any
-    horizon placement.
+    Each gate keeps the switch list of its zero-delay table output y.  A
+    rise of y at s can raise the output only at s + dr, a fall only at
+    s + df; these candidate ticks run in (tick, zero-latency topological
+    rank) order, so a gate reading a zero-latency driver sees that
+    driver's switch at the same tick first.  At a candidate tick t the
+    output rises (falls) when y held 1 (0) over [t - d, t - d + m].  Two
+    flips of y in one tick cancel, as a dense sweep never sees them.
+    Starting from the exact constant prehistory, the result does not
+    depend on where the horizon or the first stimulus lies.
     """
     lo, hi = horizon
     if lo > hi:
@@ -305,62 +295,51 @@ def simulate(
     if extra:
         raise NetlistError(f"stimuli for unknown inputs: {extra}")
 
-    warmup = sum(g.delay.lookback + 1 for g in n.gates) + 4
-    first_stim = min(
-        (s.switches[0] for s in inputs.values() if s.switches), default=lo
-    )
-    start = min(lo, first_stim) - warmup
-    size = hi - start + 1
-
     pre = _prehistory(n, inputs)
-    xs: dict[str, list[int]] = {
-        net: sig.values_on(start, hi) for net, sig in inputs.items()
-    }
-    for g in n.gates:
-        xs[g.name] = [0] * size
-    ys: dict[str, list[int | None]] = {g.name: [None] * size for g in n.gates}
-    y_pre = {g.name: g.eval_bits([pre[i] for i in g.inputs]) for g in n.gates}
-
     order = _topo_gates(n.gates, zero_latency_only=True)
+    readers: dict[str, list[int]] = {net: [] for net in pre}
+    for r, g in enumerate(order):
+        for net in set(g.inputs):
+            readers[net].append(r)
+    val = dict(pre)  # every net's value at the tick being processed
+    y = [pre[g.name] for g in order]  # the prehistory is a fixed point
+    y_sw: list[list[Tick]] = [[] for _ in order]
+    x_sw: dict[str, list[Tick]] = {net: [] for net in pre}
+    heap = [(t, -1, net) for net, s in inputs.items() for t in s.switches if t <= hi]
+    heapq.heapify(heap)
 
-    def yval(g: Gate, j: int) -> int:
-        if j < 0:
-            return y_pre[g.name]
-        cached = ys[g.name][j]
-        if cached is None:
-            cached = g.eval_bits([xs[i][j] for i in g.inputs])
-            ys[g.name][j] = cached
-        return cached
-
-    for i in range(size):
-        for g in order:
-            d = g.delay
-            if isinstance(d, FixedDelay):
-                xs[g.name][i] = yval(g, i - d.d)
-            else:
-                p = d.params
-                prev = xs[g.name][i - 1] if i > 0 else pre[g.name]
-                if prev == 0:
-                    rise = all(
-                        yval(g, j) for j in range(i - p.dr, i - p.dr + p.mr + 1)
-                    )
-                    xs[g.name][i] = 1 if rise else 0
-                else:
-                    fall = not any(
-                        yval(g, j) for j in range(i - p.df, i - p.df + p.mf + 1)
-                    )
-                    xs[g.name][i] = 0 if fall else 1
-        for g in n.gates:
-            yval(g, i)
+    while heap:
+        t, r, net = heapq.heappop(heap)
+        if r >= 0:
+            p = order[r].delay.params
+            level = 1 - val[net]
+            d, m = (p.dr, p.mr) if level else (p.df, p.mf)
+            ys = y_sw[r]
+            k = bisect.bisect_right(ys, t - d)
+            if pre[net] ^ (k & 1) != level or (k < len(ys) and ys[k] <= t - d + m):
+                continue
+        val[net] ^= 1
+        x_sw[net].append(t)
+        for h in readers[net]:
+            g = order[h]
+            bit = g.eval_bits([val[i] for i in g.inputs])
+            if bit == y[h]:
+                continue
+            y[h] = bit
+            ys = y_sw[h]
+            if ys and ys[-1] == t:
+                ys.pop()
+                continue
+            ys.append(t)
+            p = g.delay.params
+            c = t + (p.dr if bit else p.df)
+            if c <= hi:
+                heapq.heappush(heap, (c, h, g.name))
 
     out: dict[str, Signal] = {}
-    base = lo - start
-    for net, arr in xs.items():
-        initial = arr[base]
-        switches = [
-            start + j for j in range(base + 1, size) if arr[j] != arr[j - 1]
-        ]
-        out[net] = Signal(initial, tuple(switches))
+    for net, sw in x_sw.items():
+        k = bisect.bisect_right(sw, lo)
+        out[net] = Signal(pre[net] ^ (k & 1), tuple(sw[k:]))
     return out
 
 
@@ -418,12 +397,6 @@ def _table_envelope(g: Gate, envs: list[Envelope]) -> Envelope:
     return Envelope(Signal(lo0, tuple(lo_sw)), Signal(hi0, tuple(hi_sw)))
 
 
-def _delay_params(model: DelayModel) -> BdcParams:
-    if isinstance(model, FixedDelay):
-        return BdcParams(0, model.d, 0, model.d)
-    return model.params
-
-
 def envelope_propagate(
     n: Netlist, input_envelopes: dict[str, Envelope]
 ) -> dict[str, Envelope]:
@@ -445,7 +418,7 @@ def envelope_propagate(
     envs: dict[str, Envelope] = dict(input_envelopes)
     for g in _topo_gates(n.gates, zero_latency_only=False):
         stage = _table_envelope(g, [envs[i] for i in g.inputs])
-        p = _delay_params(g.delay)
+        p = g.delay.params
         envs[g.name] = Envelope(
             bdc_min_solution(stage.low, p), bdc_max_solution(stage.high, p)
         )

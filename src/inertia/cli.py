@@ -18,11 +18,8 @@ import sys
 from .circuit import NetlistError, netlist_from_dict, simulate
 from .conditions import (
     AicParams,
-    BdcParams,
     CondExpr,
     ConsistencyError,
-    FdcParams,
-    RicParams,
     aic_member,
     atom_from_dict,
     baidc_consistent,
@@ -74,18 +71,10 @@ def _load_json(text: str, what: str) -> dict:
     return obj
 
 
-_PARAM_TYPES = {
-    "fdc": FdcParams,
-    "bdc": BdcParams,
-    "aic": AicParams,
-    "ric": RicParams,
-}
-
-
 def _parse_params(kind: str, text: str):
     obj = _load_json(text, f"{kind} parameter")
     try:
-        return _PARAM_TYPES[kind].from_dict(obj)
+        return atom_from_dict({**obj, "kind": kind})
     except (KeyError, TypeError, ValueError) as exc:
         raise CliError(f"bad {kind} parameters: {exc}") from None
 

@@ -266,14 +266,6 @@ def free_tick_count(u: Signal, expr: CondExpr, grid: GridConfig) -> int:
     return sum(1 for i in range(ctx.n) if ctx.low[i] < ctx.high[i])
 
 
-def set_equal(a, b) -> bool:
-    return frozenset(a) == frozenset(b)
-
-
-def set_subset(a, b) -> bool:
-    return frozenset(a) <= frozenset(b)
-
-
 # -- inconsistency witnesses ------------------------------------------------
 
 

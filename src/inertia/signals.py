@@ -27,10 +27,6 @@ class Edge:
     at: Tick
     rising: bool
 
-    @property
-    def direction(self) -> str:
-        return "rising" if self.rising else "falling"
-
 
 @dataclass(frozen=True)
 class Signal:
@@ -66,10 +62,6 @@ class Signal:
         flips = bisect.bisect_right(self.switches, t)
         return self.initial ^ (flips & 1)
 
-    def left_limit(self, t: Tick) -> int:
-        """Value immediately before t; on the tick axis that is t - 1."""
-        return self.value_at(t - 1)
-
     def values_on(self, lo: Tick, hi: Tick) -> list[int]:
         """Dense values at every tick lo..hi inclusive."""
         if lo > hi:
@@ -88,10 +80,6 @@ class Signal:
     def final(self) -> int:
         """Value on the right tail, after the last switch."""
         return self.initial ^ (len(self.switches) & 1)
-
-    @property
-    def is_constant(self) -> bool:
-        return not self.switches
 
     @classmethod
     def const(cls, bit: int) -> "Signal":
@@ -135,11 +123,6 @@ class Signal:
             out.append(Edge(t, rising=(val == 0)))
             val ^= 1
         return out
-
-
-def make_signal(initial: int, switches) -> Signal:
-    """Validating constructor accepting any iterable of switch ticks."""
-    return Signal(initial, tuple(switches))
 
 
 def pointwise(fn, *signals: Signal) -> Signal:

@@ -1,0 +1,78 @@
+"""Dense tick-by-tick netlist simulation, kept as the test reference.
+
+This is the simulator the library shipped before the switch-list engine:
+it sweeps every tick from well before the first stimulus to the end of
+the horizon, evaluating each gate's recurrence directly (a fixed delay
+as a pure shift, any other delay through its rise/fall windows).  Its
+cost grows with the tick distance, so it is only run on small inputs.
+"""
+
+from inertia.circuit import FixedDelay, Gate, NetlistError, _prehistory, _topo_gates
+from inertia.signals import Signal
+
+
+def dense_simulate(n, inputs, horizon):
+    """Every net of `n` restricted to `horizon`, computed tick by tick."""
+    lo, hi = horizon
+    if lo > hi:
+        raise NetlistError(f"empty horizon [{lo}, {hi}]")
+    missing = [net for net in n.inputs if net not in inputs]
+    if missing:
+        raise NetlistError(f"missing stimuli for inputs: {missing}")
+    extra = [net for net in inputs if net not in n.inputs]
+    if extra:
+        raise NetlistError(f"stimuli for unknown inputs: {extra}")
+
+    lookback = [max(g.delay.params.dr, g.delay.params.df) for g in n.gates]
+    warmup = sum(b + 1 for b in lookback) + 4
+    first_stim = min(
+        (s.switches[0] for s in inputs.values() if s.switches), default=lo
+    )
+    start = min(lo, first_stim) - warmup
+    size = hi - start + 1
+
+    pre = _prehistory(n, inputs)
+    xs = {net: sig.values_on(start, hi) for net, sig in inputs.items()}
+    for g in n.gates:
+        xs[g.name] = [0] * size
+    ys = {g.name: [None] * size for g in n.gates}
+    y_pre = {g.name: g.eval_bits([pre[i] for i in g.inputs]) for g in n.gates}
+
+    order = _topo_gates(n.gates, zero_latency_only=True)
+
+    def yval(g: Gate, j: int) -> int:
+        if j < 0:
+            return y_pre[g.name]
+        cached = ys[g.name][j]
+        if cached is None:
+            cached = g.eval_bits([xs[i][j] for i in g.inputs])
+            ys[g.name][j] = cached
+        return cached
+
+    for i in range(size):
+        for g in order:
+            d = g.delay
+            if isinstance(d, FixedDelay):
+                xs[g.name][i] = yval(g, i - d.d)
+            else:
+                p = d.params
+                prev = xs[g.name][i - 1] if i > 0 else pre[g.name]
+                if prev == 0:
+                    rise = all(
+                        yval(g, j) for j in range(i - p.dr, i - p.dr + p.mr + 1)
+                    )
+                    xs[g.name][i] = 1 if rise else 0
+                else:
+                    fall = not any(
+                        yval(g, j) for j in range(i - p.df, i - p.df + p.mf + 1)
+                    )
+                    xs[g.name][i] = 0 if fall else 1
+        for g in n.gates:
+            yval(g, i)
+
+    out = {}
+    base = lo - start
+    for net, arr in xs.items():
+        switches = [start + j for j in range(base + 1, size) if arr[j] != arr[j - 1]]
+        out[net] = Signal(arr[base], tuple(switches))
+    return out

@@ -1,6 +1,14 @@
-"""Gate-level netlists: structure checks, dense simulation, envelopes."""
+"""Gate-level netlists: structure checks, simulation, envelopes.
+
+The switch-list simulator is played against the dense tick sweep in
+`dense_reference` on random small netlists.
+"""
+
+import random
 
 import pytest
+from dense_reference import dense_simulate
+from hypothesis import given, settings, strategies as st
 
 from inertia.circuit import (
     BridcDelay,
@@ -9,7 +17,6 @@ from inertia.circuit import (
     Gate,
     Netlist,
     NetlistError,
-    classify_delay,
     delay_from_dict,
     delay_to_dict,
     envelope_propagate,
@@ -54,12 +61,6 @@ def test_not_gate_with_windowed_delay_swallows_the_pulse():
 # -- delay models -------------------------------------------------------------
 
 
-def test_delay_classification():
-    assert classify_delay(FixedDelay(3)) == "ideal"
-    assert classify_delay(BridcDelay(BdcParams(1, 2, 1, 2))) == "inertial"
-    assert classify_delay(BridcDelay(BdcParams(0, 2, 0, 2))) == "ideal"
-
-
 def test_delay_validation():
     with pytest.raises(NetlistError):
         FixedDelay(-1)
@@ -77,7 +78,12 @@ def test_delay_dict_round_trip():
 def test_delay_latency_bounds():
     assert FixedDelay(3).min_latency == 3
     assert BridcDelay(BdcParams(2, 3, 1, 4)).min_latency == 1
-    assert BridcDelay(BdcParams(2, 3, 1, 4)).lookback == 4
+
+
+def test_fixed_delay_is_the_zero_memory_window():
+    assert FixedDelay(3).params == BdcParams(0, 3, 0, 3)
+    assert FixedDelay(3).d == 3
+    assert isinstance(FixedDelay(3), BridcDelay)
 
 
 # -- structural validation ------------------------------------------------------
@@ -170,10 +176,81 @@ def test_feedback_latch_holds_its_state():
     assert out["qb"] == Signal(1, (6,))
 
 
+def test_same_tick_flips_of_the_table_output_cancel():
+    # g and s both switch at 4, so q's table output rises and falls within
+    # that tick: a zero-width glitch that must not reach q
+    n = Netlist(
+        ("a", "s"),
+        (
+            Gate("g", ("a",), BUF, FixedDelay(1)),
+            Gate("q", ("g", "s"), AND, BridcDelay(BdcParams(1, 2, 1, 2))),
+        ),
+        ("q",),
+    )
+    stim = {"a": Signal(1, (4,)), "s": Signal(0, (2, 4, 5))}
+    assert simulate(n, stim, (0, 10))["q"] == Signal(0, (4, 6))
+    assert dense_simulate(n, stim, (0, 10))["q"] == Signal(0, (4, 6))
+
+
+def test_a_stimulus_far_before_the_horizon_costs_no_ticks():
+    n = single(Gate("y", ("a",), NOT, BridcDelay(BdcParams(1, 3, 1, 3))))
+    out = simulate(n, {"a": Signal(0, (-(10**12),))}, (0, 10))
+    assert out["y"] == Signal.const(0)
+    assert out["a"] == Signal.const(1)
+
+
 def test_unsettled_feedback_is_reported():
     ring = Netlist((), (Gate("y", ("y",), NOT, FixedDelay(1)),), ("y",))
     with pytest.raises(NetlistError):
         simulate(ring, {}, (0, 5))
+
+
+def random_delay(rng):
+    """Fixed (including 0) or a CC window pair, with mr == dr and
+    mf == df among the cases drawn."""
+    if rng.random() < 0.3:
+        return FixedDelay(rng.randint(0, 3))
+    dr, df = rng.randint(1, 4), rng.randint(1, 4)
+    mr = dr if rng.random() < 0.15 else rng.randint(0, dr - 1)
+    mf = df if rng.random() < 0.15 else rng.randint(0, df - 1)
+    return BridcDelay(BdcParams(mr, max(dr, df - mf), mf, max(df, dr - mr)))
+
+
+def random_circuit(rng):
+    """1-3 inputs and up to 5 gates of arity <= 3 reading any net, so
+    feedback loops (and rejected zero-delay cycles) occur."""
+    ins = [f"i{k}" for k in range(rng.randint(1, 3))]
+    names = [f"g{k}" for k in range(rng.randint(1, 5))]
+    gates = []
+    for name in names:
+        k = rng.randint(1, 3)
+        table = [rng.randint(0, 1) for _ in range(1 << k)]
+        reads = tuple(rng.choice(ins + names) for _ in range(k))
+        gates.append(Gate(name, reads, tuple(table), random_delay(rng)))
+    lo = rng.randint(-10, 10)
+    hi = lo + rng.randint(0, 20)
+    stim = {}
+    for i in ins:
+        times = rng.sample(range(lo - 8, hi + 1), rng.randint(0, 6))
+        stim[i] = Signal(rng.randint(0, 1), tuple(sorted(times)))
+    return Netlist(tuple(ins), tuple(gates), tuple(ins)), stim, (lo, hi)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(st.integers(0, 2**32))
+def test_simulation_matches_the_dense_reference(seed):
+    try:
+        n, stim, horizon = random_circuit(random.Random(seed))
+    except NetlistError:
+        return  # a zero-delay cycle: neither engine gets to run
+    case = f"{netlist_to_dict(n)} {stim} {horizon}"
+    try:
+        want = dense_simulate(n, stim, horizon)
+    except NetlistError:
+        with pytest.raises(NetlistError):
+            simulate(n, stim, horizon)
+        return
+    assert simulate(n, stim, horizon) == want, case
 
 
 # -- envelopes --------------------------------------------------------------------

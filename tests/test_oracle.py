@@ -18,8 +18,6 @@ from inertia.oracle import (
     find_empty_witness,
     free_tick_count,
     iter_solutions,
-    set_equal,
-    set_subset,
     solution_count,
 )
 from inertia.signals import Signal
@@ -118,11 +116,3 @@ def test_witness_at_the_hold_boundary_needs_a_pulse_train():
     w = find_empty_witness(expr, grid, 6)
     assert w == Signal(0, (0, 1, 6, 7, 12))
     assert solution_count(w, expr, grid) == 0
-
-
-def test_set_helpers():
-    a = [Signal(0, (0,)), Signal(1, ())]
-    b = [Signal(1, ()), Signal(0, (0,))]
-    assert set_equal(a, b)
-    assert set_subset([Signal(1, ())], a)
-    assert not set_subset(a, [Signal(1, ())])

@@ -13,7 +13,6 @@ from inertia.signals import (
     Signal,
     SignalError,
     forward_window_and,
-    make_signal,
     pointwise,
     window_and,
     window_or,
@@ -65,7 +64,7 @@ def test_switch_times_must_be_integers():
 
 def test_equality_and_hash_are_semantic():
     a = Signal(0, (0, 5))
-    b = make_signal(0, [0, 5])
+    b = Signal(0, [0, 5])
     assert a == b
     assert hash(a) == hash(b)
     assert a != Signal(1, (0, 5))
@@ -78,11 +77,9 @@ def test_list_switches_are_coerced_to_tuple():
 # -- evaluation ---------------------------------------------------------------
 
 
-def test_value_at_and_left_limit():
+def test_value_at():
     s = Signal(0, (0, 5))
     assert [s.value_at(t) for t in (-1, 0, 4, 5, 6)] == [0, 1, 1, 0, 0]
-    assert s.left_limit(0) == 0
-    assert s.left_limit(5) == 1
 
 
 def test_values_on_matches_value_at():
@@ -95,13 +92,11 @@ def test_values_on_matches_value_at():
 def test_final_and_constants():
     assert Signal(0, (0, 5)).final == 0
     assert Signal(0, (0,)).final == 1
-    assert Signal.const(1).is_constant
-    assert not Signal(1, (2,)).is_constant
+    assert Signal.const(1) == Signal(1, ())
 
 
 def test_edges():
     assert Signal(0, (0, 5)).edges() == [Edge(0, rising=True), Edge(5, rising=False)]
-    assert Signal(1, (3,)).edges()[0].direction == "falling"
     assert Signal.const(0).edges() == []
 
 
