@@ -3,8 +3,8 @@
 Subcommands map one-to-one onto the library layers: `check` and `solve`
 work with a single condition and waveform files, `consistent` and
 `algebra` are pure parameter arithmetic, `simulate` runs a netlist to
-VCD, and `oracle` exposes the brute-force enumerator plus the
-randomized law suites.
+VCD, and `oracle` exposes the brute-force enumerator, the exact
+emptiness decider and the randomized law suites.
 
 Exit codes: 0 when the queried property holds (or output was produced),
 1 when it fails, 2 on malformed input.
@@ -17,10 +17,8 @@ import sys
 
 from .circuit import NetlistError, netlist_from_dict, simulate
 from .conditions import (
-    AicParams,
     CondExpr,
     ConsistencyError,
-    aic_member,
     atom_from_dict,
     baidc_consistent,
     bdc_as_translation,
@@ -30,17 +28,14 @@ from .conditions import (
     bdc_is_deterministic,
     bdc_is_symmetrical,
     bdc_jointly_solvable,
-    bdc_lower,
     bdc_max_solution,
     bdc_min_solution,
     bdc_union_envelope,
-    bdc_upper,
     bridc_consistency_cases,
     bridc_consistent,
     bridc_det_output,
     cc_failures,
-    fdc_member,
-    ric_member,
+    violations,
 )
 from .oracle import GridConfig, HorizonError, enumerate_solutions, find_empty_witness
 from .signals import SignalError
@@ -132,38 +127,15 @@ def _cmd_check(args: argparse.Namespace) -> int:
             raise CliError(f"--input is required for {args.cond}")
         u = _load_wave(args.input, cfg, "input", args.input_name)
 
-    details: list[str] = []
-    if args.cond == "fdc":
-        holds = fdc_member(u, x, params.d)
-        if not holds:
-            details.append(f"output is not the input delayed by {params.d}")
-    elif args.cond == "bdc":
-        low_ok = bdc_lower(u, params).leq(x)
-        high_ok = x.leq(bdc_upper(u, params))
-        holds = low_ok and high_ok
-        if not low_ok:
-            details.append("lower window bound violated")
-        if not high_ok:
-            details.append("upper window bound violated")
-    elif args.cond == "aic":
-        holds = aic_member(x, params)
-        rise_only = aic_member(x, AicParams(params.delta_r, 0))
-        fall_only = aic_member(x, AicParams(0, params.delta_f))
-        if not rise_only:
-            details.append("hold after rise violated")
-        if not fall_only:
-            details.append("hold after fall violated")
-    else:
-        holds = ric_member(u, x, params)
-        if not holds:
-            details.append("an edge lacks its licensing input window")
+    details = violations(u, x, params)
+    holds = not details
     verdict = {
         "command": "check",
         "cond": args.cond,
         "params": params.as_dict(),
         "holds": holds,
     }
-    if details and not holds:
+    if details:
         verdict["detail"] = details
     _emit(verdict)
     return 0 if holds else 1
@@ -342,11 +314,9 @@ def _cmd_oracle_enumerate(args: argparse.Namespace) -> int:
 
 def _cmd_oracle_witness(args: argparse.Namespace) -> int:
     expr = _parse_atoms(args.atoms)
-    lo, hi = _parse_span(args.grid, "grid")
-    grid = GridConfig(lo, hi)
-    w = find_empty_witness(expr, grid, args.max_input_switches)
+    w = find_empty_witness(expr)
     if w is None:
-        print("no witness found: every candidate input admits a solution")
+        print("no witness found: every input admits an output")
         return 1
     _write_out(emit_waveforms({"u": w}), args.out)
     return 0
@@ -459,12 +429,10 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_config(enum)
     enum.set_defaults(func=_cmd_oracle_enumerate)
 
-    witness = osubs.add_parser("witness", help="search for an input with no solution")
-    witness.add_argument("--atoms", required=True, help="condition JSON (atom or list)")
-    witness.add_argument("--grid", required=True, help="LO:HI tick range")
-    witness.add_argument(
-        "--max-input-switches", type=int, default=6, help="input search bound"
+    witness = osubs.add_parser(
+        "witness", help="decide whether some input admits no output, and name one"
     )
+    witness.add_argument("--atoms", required=True, help="condition JSON (atom or list)")
     witness.add_argument("-o", "--out", help="write waveform here instead of stdout")
     witness.set_defaults(func=_cmd_oracle_witness)
 

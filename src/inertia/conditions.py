@@ -187,6 +187,20 @@ class CondExpr:
         for a in self.atoms:
             atom_kind(a)
 
+    @property
+    def reach(self) -> int:
+        """How many ticks back from t the atoms read the input to
+        constrain the output at t."""
+        back = 0
+        for a in self.atoms:
+            if isinstance(a, BdcParams):
+                back = max(back, a.dr, a.df)
+            elif isinstance(a, FdcParams):
+                back = max(back, a.d)
+            elif isinstance(a, RicParams):
+                back = max(back, a.delta_r, a.delta_f)
+        return back
+
     def as_dict(self) -> dict:
         return {"atoms": [atom_to_dict(a) for a in self.atoms]}
 
@@ -266,19 +280,31 @@ def ric_member(u: Signal, x: Signal, r: RicParams) -> bool:
     return falling_edges(x).leq(window_and(~u, r.delta_f, r.mu_f))
 
 
+def violations(u: Signal | None, x: Signal, atom: Atom) -> list[str]:
+    """The bounds of `atom` that x breaks for input u, one line each;
+    empty exactly when x is a member.  AIC does not read u (it may be
+    None there)."""
+    if isinstance(atom, FdcParams):
+        delayed = fdc_member(u, x, atom.d)
+        checks = [(delayed, f"output is not the input delayed by {atom.d}")]
+    elif isinstance(atom, BdcParams):
+        checks = [
+            (bdc_lower(u, atom).leq(x), "lower window bound violated"),
+            (x.leq(bdc_upper(u, atom)), "upper window bound violated"),
+        ]
+    elif isinstance(atom, AicParams):
+        # a zero hold always holds, so each half is checked on its own
+        checks = [
+            (aic_member(x, AicParams(atom.delta_r, 0)), "hold after rise violated"),
+            (aic_member(x, AicParams(0, atom.delta_f)), "hold after fall violated"),
+        ]
+    else:
+        checks = [(ric_member(u, x, atom), "an edge lacks its licensing input window")]
+    return [line for ok, line in checks if not ok]
+
+
 def cond_member(u: Signal, x: Signal, expr: CondExpr) -> bool:
-    for atom in expr.atoms:
-        if isinstance(atom, FdcParams):
-            ok = fdc_member(u, x, atom.d)
-        elif isinstance(atom, BdcParams):
-            ok = bdc_member(u, x, atom)
-        elif isinstance(atom, AicParams):
-            ok = aic_member(x, atom)
-        else:
-            ok = ric_member(u, x, atom)
-        if not ok:
-            return False
-    return True
+    return not any(violations(u, x, atom) for atom in expr.atoms)
 
 
 # -- canonical solutions ---------------------------------------------------

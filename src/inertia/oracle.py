@@ -1,26 +1,33 @@
 """Brute-force ground truth for delay-condition solution sets.
 
-Candidate outputs are enumerated over a bounded tick horizon by a
-depth-first scan of bit vectors; a candidate is constant outside the
-horizon, extending its two end bits.  Membership is decided from the
-defining per-tick inequalities, evaluated densely with prefix sums over
-the input's sampled values.  This module deliberately shares none of the
-run-based window code it is used to cross-check: only Signal plumbing
-(construction and pointwise sampling) is common.
+Every condition atom is a per-tick constraint on the output x that reads
+the input only through the window u(t - reach .. t), plus hold counters
+carried from earlier ticks.  `_tick_rule` states that constraint once per
+expression, as bitsets over the window's values, and two exact
+procedures read it:
 
-Exactness argument: every condition atom is a per-tick constraint whose
-windows reach at most `reach` ticks away.  Beyond the horizon plus a pad
-of reach + 1 ticks both the input and any candidate are constant, so the
-constraints repeat verbatim and checking the padded range decides them
-for all time.  Edge-triggered constraints are vacuous outside the
-horizon because candidates cannot switch there.
+* Grid enumeration.  Candidate outputs are bit vectors on a bounded tick
+  horizon, constant outside it (extending their two end bits).  The DFS
+  enumerator and the counting DP slide the window over the input's
+  sampled values.  Beyond the horizon plus reach + 1 ticks both the
+  input and any candidate are constant, so the constraints repeat
+  verbatim and checking that range decides them for all time;
+  edge-triggered constraints are vacuous outside the horizon because
+  candidates cannot switch there.
+* The emptiness decider `find_empty_witness`, a breadth-first search
+  over all inputs that either returns a shortest input admitting no
+  output or proves that every input admits one.
+
+This module deliberately shares none of the run-based window code it is
+used to cross-check: only Signal plumbing (construction and pointwise
+sampling) is common.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator
 
 from .conditions import (
-    AicParams,
     BdcParams,
     CondExpr,
     FdcParams,
@@ -29,6 +36,8 @@ from .conditions import (
 from .signals import Signal, Tick
 
 MAX_SPAN = 80
+MAX_REACH = 12  # the tick tables have 2**(MAX_REACH + 1) entries
+MAX_SEARCH_STATES = 100_000
 
 
 class HorizonError(ValueError):
@@ -58,33 +67,61 @@ class GridConfig:
             raise HorizonError("max_switches must be >= 0 or None")
 
 
-class _DenseInput:
-    """u sampled on a range wide enough for every window query."""
+@lru_cache(maxsize=None)
+def _windows_with_bit(reach: int) -> tuple[int, ...]:
+    """Entry k: the bitset of windows whose bit k is 1."""
+    return tuple(
+        sum(1 << w for w in range(1 << (reach + 1)) if w >> k & 1)
+        for k in range(reach + 1)
+    )
 
-    def __init__(self, u: Signal, lo: Tick, hi: Tick):
-        self.base = lo
-        vals = u.values_on(lo, hi)
-        pre = [0]
-        for v in vals:
-            pre.append(pre[-1] + v)
-        self.pre = pre
-        self.size = len(vals)
 
-    def all_one(self, a: Tick, b: Tick) -> bool:
-        i, j = a - self.base, b - self.base + 1
-        return self.pre[j] - self.pre[i] == j - i
+@lru_cache(maxsize=256)
+def _tick_rule(expr: CondExpr) -> tuple[int, int, int, int, int, int, int]:
+    """Every atom's constraint on the output x at one tick t, stated once:
+    (reach, may0, may1, rise, fall, rise_hold, fall_hold).
 
-    def all_zero(self, a: Tick, b: Tick) -> bool:
-        i, j = a - self.base, b - self.base + 1
-        return self.pre[j] - self.pre[i] == 0
+    Bit w of the bitsets may0, may1, rise and fall says, for the input
+    window w that holds u(t - k) in bit k for k = 0..reach, whether x(t)
+    may be 0, x(t) may be 1, x may rise at t and x may fall at t.  After
+    a rise x stays 1 for rise_hold more ticks, after a fall 0 for
+    fall_hold.
+    """
+    reach = expr.reach
+    if reach > MAX_REACH:
+        raise HorizonError(
+            f"condition reads the input {reach} ticks back, limit is {MAX_REACH}"
+        )
+    ones = _windows_with_bit(reach)
+    every = (1 << (1 << (reach + 1))) - 1
 
-    def at(self, t: Tick) -> int:
-        i = t - self.base
-        return self.pre[i + 1] - self.pre[i]
+    def held(d: int, m: int, v: int) -> int:
+        """The windows in which u(t - d .. t - d + m) is all v."""
+        out = every
+        for k in range(d - m, d + 1):
+            out &= ones[k] if v else every ^ ones[k]
+        return out
+
+    may0 = may1 = rise = fall = every
+    rise_hold = fall_hold = 0
+    for a in expr.atoms:
+        if isinstance(a, BdcParams):
+            may0 &= ~held(a.dr, a.mr, 1)
+            may1 &= ~held(a.df, a.mf, 0)
+        elif isinstance(a, FdcParams):
+            may0 &= ~held(a.d, 0, 1)
+            may1 &= ~held(a.d, 0, 0)
+        elif isinstance(a, RicParams):
+            rise &= held(a.delta_r, a.mu_r, 1)
+            fall &= held(a.delta_f, a.mu_f, 0)
+        else:
+            rise_hold = max(rise_hold, a.delta_r)
+            fall_hold = max(fall_hold, a.delta_f)
+    return reach, may0, may1, rise, fall, rise_hold, fall_hold
 
 
 class _Prepared:
-    """Per-(input, expression, grid) constraint tables for the DFS."""
+    """Per-(input, expression, grid) constraint tables for the DFS and DP."""
 
     def __init__(self, u: Signal, expr: CondExpr, grid: GridConfig):
         if u.switches and not (grid.lo <= u.switches[0] <= u.switches[-1] <= grid.hi):
@@ -92,68 +129,28 @@ class _Prepared:
                 f"input switches {list(u.switches)} leave the grid "
                 f"[{grid.lo}, {grid.hi}]"
             )
+        r, may0, may1, rise, fall, self.rise_hold, self.fall_hold = _tick_rule(expr)
         lo, hi = grid.lo, grid.hi
         self.lo, self.hi = lo, hi
-        self.n = hi - lo + 1
+        self.n = n = hi - lo + 1
         self.max_switches = grid.max_switches
 
-        bdcs = [a for a in expr.atoms if isinstance(a, BdcParams)]
-        fdcs = [a for a in expr.atoms if isinstance(a, FdcParams)]
-        rics = [a for a in expr.atoms if isinstance(a, RicParams)]
-        aics = [a for a in expr.atoms if isinstance(a, AicParams)]
-
-        reach = 0
-        for p in bdcs:
-            reach = max(reach, p.dr, p.df)
-        for f in fdcs:
-            reach = max(reach, f.d)
-        for r in rics:
-            reach = max(reach, r.delta_r, r.delta_f)
-        pad = reach + 1
-        dense = _DenseInput(u, lo - pad - reach, hi + pad)
-
-        def bounds_at(t: Tick) -> tuple[int, int]:
-            low, high = 0, 1
-            for p in bdcs:
-                if dense.all_one(t - p.dr, t - p.dr + p.mr):
-                    low = 1
-                if dense.all_zero(t - p.df, t - p.df + p.mf):
-                    high = 0
-            for f in fdcs:
-                bit = dense.at(t - f.d)
-                low = max(low, bit)
-                high = min(high, bit)
-            return low, high
-
-        self.low = [0] * self.n
-        self.high = [0] * self.n
-        for i in range(self.n):
-            self.low[i], self.high[i] = bounds_at(lo + i)
-
-        head0 = head1 = tail0 = tail1 = True
-        for t in range(lo - pad, lo):
-            low, high = bounds_at(t)
-            head0 = head0 and low == 0
-            head1 = head1 and high == 1
-        for t in range(hi + 1, hi + pad + 1):
-            low, high = bounds_at(t)
-            tail0 = tail0 and low == 0
-            tail1 = tail1 and high == 1
-        self.head_ok = (head0, head1)
-        self.tail_ok = (tail0, tail1)
-
-        self.rise_ok = [True] * self.n
-        self.fall_ok = [True] * self.n
-        for i in range(1, self.n):
-            t = lo + i
-            for r in rics:
-                if not dense.all_one(t - r.delta_r, t - r.delta_r + r.mu_r):
-                    self.rise_ok[i] = False
-                if not dense.all_zero(t - r.delta_f, t - r.delta_f + r.mu_f):
-                    self.fall_ok[i] = False
-
-        self.rise_hold = max((a.delta_r for a in aics), default=0)
-        self.fall_hold = max((a.delta_f for a in aics), default=0)
+        # Windows at ticks lo - 1 .. hi + r + 1.  u is constant before lo,
+        # so the first window is the one of every earlier tick, and the
+        # last is the one of every later tick.
+        full = (1 << (r + 1)) - 1
+        wins = []
+        w = 0
+        for v in u.values_on(lo - 1 - r, hi + r + 1):
+            w = (w << 1 | v) & full
+            wins.append(w)
+        head, body, tail = wins[r], wins[r + 1 : r + 1 + n], wins[r + 1 + n :]
+        self.low = [1 - (may0 >> w & 1) for w in body]
+        self.high = [may1 >> w & 1 for w in body]
+        self.rise_ok = [rise >> w & 1 for w in body]
+        self.fall_ok = [fall >> w & 1 for w in body]
+        self.head_ok = (may0 >> head & 1, may1 >> head & 1)
+        self.tail_ok = tuple(all(m >> w & 1 for w in tail) for m in (may0, may1))
 
 
 def iter_solutions(u: Signal, expr: CondExpr, grid: GridConfig) -> Iterator[Signal]:
@@ -266,115 +263,63 @@ def free_tick_count(u: Signal, expr: CondExpr, grid: GridConfig) -> int:
     return sum(1 for i in range(ctx.n) if ctx.low[i] < ctx.high[i])
 
 
-# -- inconsistency witnesses ------------------------------------------------
+# -- emptiness decider -------------------------------------------------------
 
 
-def _pulse_trains(anchor: Tick, last: Tick, max_switches: int) -> Iterator[Signal]:
-    """Deterministic pool of candidate inputs: pulse trains anchored at
-    `anchor`, switches within [anchor, last], smallest first, both
-    polarities."""
-    if last < anchor:
-        return
-    room = last - anchor
+def find_empty_witness(expr: CondExpr) -> Signal | None:
+    """A shortest input that admits no output, or None when every input
+    admits one.
 
-    def emit(times: tuple[Tick, ...]) -> Iterator[Signal]:
-        yield Signal(0, times)
-        yield Signal(1, times)
-
-    for w in range(1, min(10, room) + 1):
-        yield from emit((anchor, anchor + w))
-    if max_switches >= 4:
-        top = min(6, room)
-        for span in range(3, 3 * top + 1):
-            for w1 in range(1, top + 1):
-                for g in range(1, top + 1):
-                    w2 = span - w1 - g
-                    if not 1 <= w2 <= top:
-                        continue
-                    t = anchor
-                    times = (t, t + w1, t + w1 + g, t + w1 + g + w2)
-                    if times[-1] <= last:
-                        yield from emit(times)
-    if max_switches >= 6:
-        top = min(4, room)
-        for total in range(5, 5 * top + 1):
-            for w1 in range(1, top + 1):
-                for g1 in range(1, top + 1):
-                    for w2 in range(1, top + 1):
-                        for g2 in range(1, top + 1):
-                            w3 = total - w1 - g1 - w2 - g2
-                            if not 1 <= w3 <= top:
-                                continue
-                            t = anchor
-                            times = (
-                                t,
-                                t + w1,
-                                t + w1 + g1,
-                                t + w1 + g1 + w2,
-                                t + w1 + g1 + w2 + g2,
-                                t + w1 + g1 + w2 + g2 + w3,
-                            )
-                            if times[-1] <= last:
-                                yield from emit(times)
-
-
-def _squeeze_trains(expr: CondExpr, anchor: Tick, last: Tick) -> Iterator[Signal]:
-    """Parameter-directed candidates: trains of minimal forcing pulses.
-
-    A window pair forces one output switch per input pulse of width
-    mr + 1 separated by gaps of width mf + 1, so repeating that shape and
-    then parking the input drains whatever slack an output-hold
-    constraint might otherwise hide in.  Emitted per window atom, both
-    polarities, shortest trains first.
+    Breadth-first search over all inputs, one tick at a time from tick 0,
+    after either constant prehistory.  A search state pairs the last
+    `reach` input bits with the outputs still possible after them: for
+    each output value, the fewest ticks it is still forced to hold, or
+    -1 when no admissible output sits at that value.  An output with
+    fewer forced ticks can do whatever one with more can, so the least
+    count stands for all.  The states are finite, so the search either
+    reaches an empty output set, whose input is returned, or closes,
+    which proves that none is reachable.  A set that never empties
+    leaves an output for every input: once the input settles, some
+    surviving output can hold its value for good.
     """
+    reach, may0, may1, rise, fall, rise_hold, fall_hold = _tick_rule(expr)
+    keep = (1 << reach) - 1
     seen = set()
-    room = last - anchor
-    for a in expr.atoms:
-        if not isinstance(a, BdcParams):
-            continue
-        for first, second, init in (
-            (a.mr + 1, a.mf + 1, 0),
-            (a.mf + 1, a.mr + 1, 1),
-        ):
-            period = first + second
-            for k in range(1, room // period + 1):
-                times = []
-                t = anchor
-                for _ in range(k):
-                    times.append(t)
-                    times.append(t + first)
-                    t += period
-                times.append(t)
-                sig = Signal(init, tuple(times))
-                if sig not in seen:
-                    seen.add(sig)
-                    yield sig
-
-
-def find_empty_witness(
-    expr: CondExpr, grid: GridConfig, max_input_switches: int = 6
-) -> Signal | None:
-    """Search for an input whose solution set on the grid is empty.
-
-    Inputs are drawn from the parameter-directed squeeze trains and then
-    a deterministic pool of pulse trains with at most
-    `max_input_switches` switches; the first witness is returned, or
-    None when every candidate admits a solution.
-    """
-    reach = 0
-    for a in expr.atoms:
-        if isinstance(a, BdcParams):
-            reach = max(reach, a.dr, a.df)
-        elif isinstance(a, FdcParams):
-            reach = max(reach, a.d)
-        elif isinstance(a, RicParams):
-            reach = max(reach, a.delta_r, a.delta_f)
-    anchor = max(0, grid.lo)
-    last = grid.hi - reach - 1
-    for u in _squeeze_trains(expr, anchor, last):
-        if solution_count(u, expr, grid) == 0:
-            return u
-    for u in _pulse_trains(anchor, last, max_input_switches):
-        if solution_count(u, expr, grid) == 0:
-            return u
+    frontier = []  # (state, prehistory value then the input bit of each tick)
+    for c in (0, 1):
+        w = (keep << 1 | 1) * c
+        root = (w & keep, 0 if may0 >> w & 1 else -1, 0 if may1 >> w & 1 else -1)
+        if root[1:] == (-1, -1):
+            return Signal(c, ())
+        if root not in seen:
+            seen.add(root)
+            frontier.append((root, (c,)))
+    while frontier:
+        if len(seen) > MAX_SEARCH_STATES:
+            raise HorizonError(
+                f"emptiness search passed {MAX_SEARCH_STATES} states; "
+                f"the condition's reach or holds are too large"
+            )
+        nxt = []
+        for (win, k0, k1), path in frontier:
+            for bit in (0, 1):
+                w = win << 1 | bit
+                ok0, ok1 = may0 >> w & 1, may1 >> w & 1
+                # stay at a value, one forced tick less; or switch from a
+                # value that is free to leave, and start its hold
+                n0 = k0 - (k0 > 0) if ok0 and k0 >= 0 else -1
+                n1 = k1 - (k1 > 0) if ok1 and k1 >= 0 else -1
+                if ok0 and k1 == 0 and fall >> w & 1:
+                    n0 = fall_hold if n0 < 0 else min(n0, fall_hold)
+                if ok1 and k0 == 0 and rise >> w & 1:
+                    n1 = rise_hold if n1 < 0 else min(n1, rise_hold)
+                if n0 < 0 and n1 < 0:
+                    path += (bit,)  # path[t] is the input at tick t - 1
+                    switches = [t - 1 for t in range(1, len(path)) if path[t] != path[t - 1]]
+                    return Signal(path[0], tuple(switches))
+                child = (w & keep, n0, n1)
+                if child not in seen:
+                    seen.add(child)
+                    nxt.append((child, path + (bit,)))
+        frontier = nxt
     return None

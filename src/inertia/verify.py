@@ -1,10 +1,13 @@
 """Randomized and sweep-based verification of the delay-condition laws.
 
-Every check pits the closed-form algebra against the brute-force grid
-oracle: decision procedures must agree with enumerated solution sets in
-both directions, and claimed witnesses must actually be found.  Checks
-are deterministic for a given seed and return a CheckReport with one
-entry per failure; nothing is ever sampled from the code under test.
+Every check pits the closed-form algebra against the brute-force oracle:
+decision procedures must agree with enumerated solution sets in both
+directions.  Consistency criteria (CC, joint solvability, the hold and
+licensing criteria) are checked against the oracle's exact emptiness
+decider, and every input it names as admitting no output is confirmed
+empty by the counting DP.  Checks are deterministic for a given seed and
+return a CheckReport with one entry per failure; nothing is ever sampled
+from the code under test.
 
 Where full solution sets are materialized, samplers redraw instances
 whose undetermined-tick budget would make enumeration explode; bounds
@@ -45,7 +48,6 @@ from .conditions import (
 )
 from .oracle import (
     GridConfig,
-    _pulse_trains,
     find_empty_witness,
     free_tick_count,
     iter_solutions,
@@ -147,9 +149,38 @@ def _take(iterator, k: int) -> list:
     return out
 
 
-def _witness_grid(total_reach: int) -> GridConfig:
-    width = min(32, 2 * total_reach + 8)
-    return GridConfig(-2, -2 + width)
+def _pulse_trains(last: int):
+    """Probe inputs: one pulse, then two, starting at tick 0 and ending
+    by `last`, shortest first, both polarities."""
+
+    def emit(times: tuple[int, ...]):
+        yield Signal(0, times)
+        yield Signal(1, times)
+
+    for w in range(1, min(10, last) + 1):
+        yield from emit((0, w))
+    top = min(6, last)
+    for span in range(3, min(3 * top, last) + 1):
+        for w1 in range(1, top + 1):
+            for g in range(1, top + 1):
+                if 1 <= span - w1 - g <= top:
+                    yield from emit((0, w1, w1 + g, span))
+
+
+def _check_decider(rep: CheckReport, expr: CondExpr, solvable: bool, what: str) -> None:
+    """The exact decider agrees with the closed form `solvable`, and the
+    counting DP finds no output for any witness it returns."""
+    w = find_empty_witness(expr)
+    if w is None:
+        if not solvable:
+            rep.fail(f"{what}: closed form says unsolvable, yet every input has an output")
+        return
+    if solvable:
+        rep.fail(f"{what}: closed form says solvable, yet u={w} admits no output")
+    first, last = (w.switches[0], w.switches[-1]) if w.switches else (0, 0)
+    grid = GridConfig(first - 1, last + expr.reach + 1)
+    if solution_count(w, expr, grid) != 0:
+        rep.fail(f"{what}: witness u={w} has outputs on [{grid.lo}, {grid.hi}]")
 
 
 # -- existence and canonical bounds ------------------------------------------
@@ -157,7 +188,8 @@ def _witness_grid(total_reach: int) -> GridConfig:
 
 def check_existence_bounds(trials: int | None = None, seed: int = 0) -> CheckReport:
     """Consistent parameters admit solutions bracketed by the canonical
-    min/max; inconsistent parameters admit an input with no solution."""
+    min/max; for inconsistent parameters the decider finds an input with
+    no solution."""
     trials = 200 if trials is None else trials
     rng = Random(seed)
     rep = CheckReport("t1", trials)
@@ -193,9 +225,7 @@ def check_existence_bounds(trials: int | None = None, seed: int = 0) -> CheckRep
     converse = max(50, trials // 4)
     for trial in range(converse):
         p = _rand_bdc(rng, 6, cc=False)
-        wgrid = _witness_grid(p.dr + p.df)
-        if find_empty_witness(CondExpr((p,)), wgrid, 4) is None:
-            rep.fail(f"inconsistent p={p}: no empty-set input found")
+        _check_decider(rep, CondExpr((p,)), cc_holds(p), f"p={p}")
     rep.trials = trials + converse
     rep.info["redraws"] = redraws
     rep.seconds = time.monotonic() - t0
@@ -250,12 +280,7 @@ def check_intersection(trials: int | None = None, seed: int = 1) -> CheckReport:
             elif not joint:
                 rep.fail(f"trial {trial}: merged {r} admits nothing on u={u}")
         elif not bdc_jointly_solvable(p, q):
-            wgrid = _witness_grid(p.dr + p.df + q.dr + q.df)
-            if find_empty_witness(both, wgrid, 4) is None:
-                rep.fail(
-                    f"trial {trial}: no separating input for {p} and {q} "
-                    f"despite crossed bounds"
-                )
+            _check_decider(rep, both, False, f"trial {trial}: {p} and {q}")
         else:
             # Solvable everywhere, yet refused: the candidate bounds must
             # genuinely disagree with the joint bounds on some input.
@@ -269,7 +294,7 @@ def check_intersection(trials: int | None = None, seed: int = 1) -> CheckReport:
                 continue  # no in-range tuple can even state the boxes
             cand = BdcParams(mr2, dr2, mf2, df2)
             found = False
-            for u2 in _take(_pulse_trains(0, 8, 4), 80):
+            for u2 in _take(_pulse_trains(8), 80):
                 low, high = _joint_bounds(u2, p, q)
                 if low != bdc_lower(u2, cand) or high != bdc_upper(u2, cand):
                     found = True
@@ -320,7 +345,7 @@ def check_union_envelope(trials: int | None = None, seed: int = 2) -> CheckRepor
         else:
             # strictness must show up on some input
             found = False
-            for u2 in _take(_pulse_trains(0, 10, 6), 90):
+            for u2 in _take(_pulse_trains(10), 90):
                 if free_tick_count(u2, CondExpr((env,)), grid) > 14:
                     continue
                 for y in iter_solutions(u2, CondExpr((env,)), grid):
@@ -403,7 +428,7 @@ def check_inclusion(trials: int | None = None, seed: int = 4) -> CheckReport:
                 continue
         else:
             found = False
-            candidates = [u] + _take(_pulse_trains(0, 10, 4), 40)
+            candidates = [u] + _take(_pulse_trains(10), 40)
             for u2 in candidates:
                 if free_tick_count(u2, CondExpr((p,)), grid) > 12:
                     continue
@@ -477,7 +502,7 @@ def check_symmetry(trials: int | None = None, seed: int = 6) -> CheckReport:
                         break
         else:
             found = False
-            for u in pool + _take(_pulse_trains(0, 10, 4), 40):
+            for u in pool + _take(_pulse_trains(10), 40):
                 if free_tick_count(u, CondExpr((p,)), grid) > 12:
                     continue
                 for x in iter_solutions(u, CondExpr((p,)), grid):
@@ -580,50 +605,18 @@ def check_composition(trials: int | None = None, seed: int = 7) -> CheckReport:
 
 def check_hold_consistency(trials: int | None = None, seed: int = 8) -> CheckReport:
     """Bounded delay plus output holds is solvable iff the holds fit the
-    memories; otherwise some input admits nothing."""
-    per_combo = 2 if trials is None else max(1, trials // 1000)
-    rng = Random(seed)
+    memories, decided exactly on every combination with parameters up
+    to 4.  The sweep is exhaustive: `trials` and `seed` are ignored."""
     rep = CheckReport("baidc", 0)
     t0 = time.monotonic()
     combos = 0
-    cache: dict[BdcParams, list[Signal]] = {}
     for p in _sweep_bdc(4):
-        reach = max(p.dr, p.df)
-        grid = GridConfig(-3, 21)
         for er in range(5):
             for ef in range(5):
                 a = AicParams(er, ef)
                 combos += 1
-                expected = er + ef <= p.mr + p.mf
-                if baidc_consistent(p, a) != expected:
-                    rep.fail(f"decider disagrees on p={p}, a={a}")
-                expr = CondExpr((p, a))
-                if expected:
-                    pool = [
-                        Signal(0, (0, 9 + reach)),
-                        Signal(0, (0, 3, 6, 9)),
-                    ] + [_rand_signal(rng, 4, 0, 9) for _ in range(per_combo)]
-                    for u in pool:
-                        if solution_count(u, expr, grid) == 0:
-                            rep.fail(f"solvable p={p}, a={a} empty on u={u}")
-                else:
-                    # squeeze trains may need several forcing cycles
-                    wgrid = GridConfig(-2, 58)
-                    hit = None
-                    for w in cache.get(p, []):
-                        if (
-                            w.switches
-                            and w.switches[-1] <= wgrid.hi
-                            and solution_count(w, expr, wgrid) == 0
-                        ):
-                            hit = w
-                            break
-                    if hit is None:
-                        hit = find_empty_witness(expr, wgrid, 6)
-                        if hit is not None:
-                            cache.setdefault(p, []).append(hit)
-                    if hit is None:
-                        rep.fail(f"unsolvable p={p}, a={a}: no witness found")
+                solvable = baidc_consistent(p, a)
+                _check_decider(rep, CondExpr((p, a)), solvable, f"p={p}, a={a}")
     rep.trials = combos
     rep.seconds = time.monotonic() - t0
     return rep
@@ -696,27 +689,15 @@ def check_relative_implies_absolute(
 def check_relative_consistency(
     trials: int | None = None, seed: int = 11
 ) -> CheckReport:
-    """The four-regime test decides solvability of bounded delay plus
-    edge licensing; sweeps must exercise every regime."""
-    per_combo = 2 if trials is None else max(1, trials // 10_000)
-    rng = Random(seed)
+    """The four-regime test and the exact criterion for bounded delay plus
+    edge licensing, against the decider on every combination with
+    parameters up to 4; sweeps must exercise every regime.  The sweep is
+    exhaustive: `trials` and `seed` are ignored."""
     rep = CheckReport("t45", 0)
     t0 = time.monotonic()
     fired = {"b.i": 0, "b.ii": 0, "b.iii": 0, "b.iv": 0}
     combos = 0
-    wgrid = GridConfig(-2, 34)
     for p in _sweep_bdc(4, cc=None):
-        p_consistent = cc_holds(p)
-        reach = max(p.dr, p.df)
-        grid = GridConfig(-3, 21)
-        base_witness = None
-        if not p_consistent:
-            # one witness per inconsistent base: its empty window set stays
-            # empty after conjoining edge atoms, whatever they are
-            base_witness = find_empty_witness(CondExpr((p,)), wgrid, 6)
-            if base_witness is None:
-                rep.fail(f"inconsistent base {p}: no witness found")
-        cache: list[Signal] = []
         for r in _sweep_ric(4):
             combos += 1
             cases = bridc_consistency_cases(p, r)
@@ -726,29 +707,7 @@ def check_relative_consistency(
             if cases and not solvable:
                 rep.fail(f"regime fired outside the criterion: p={p}, r={r}")
                 continue
-            if solvable:
-                expr = CondExpr((p, r))
-                pool = [Signal(0, (0, 9 + reach))] + [
-                    _rand_signal(rng, 4, 0, 9) for _ in range(per_combo)
-                ]
-                for u in pool:
-                    if solution_count(u, expr, grid) == 0:
-                        rep.fail(f"solvable p={p}, r={r} empty on u={u}")
-            elif p_consistent:
-                expr = CondExpr((p, r))
-                hit = None
-                for k, w in enumerate(cache):
-                    if solution_count(w, expr, wgrid) == 0:
-                        hit = w
-                        if k:
-                            cache.insert(0, cache.pop(k))
-                        break
-                if hit is None:
-                    hit = find_empty_witness(expr, wgrid, 6)
-                    if hit is not None:
-                        cache.insert(0, hit)
-                if hit is None:
-                    rep.fail(f"unsolvable p={p}, r={r}: no witness found")
+            _check_decider(rep, CondExpr((p, r)), solvable, f"p={p}, r={r}")
     for c, n in fired.items():
         if n == 0:
             rep.fail(f"regime {c} never fired in the sweep")

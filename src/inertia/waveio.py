@@ -12,6 +12,7 @@ name.  Negative ticks are handled by shifting all timestamps by a
 documented offset (VCD time must not be negative).
 """
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -20,6 +21,10 @@ from .signals import Signal, Tick
 
 class WaveParseError(ValueError):
     """Malformed waveform text or run configuration."""
+
+
+# the units a VCD $timescale may state
+_TIME_UNIT = re.compile(r"(1|10|100) ?(s|ms|us|ns|ps|fs)")
 
 
 @dataclass(frozen=True)
@@ -31,6 +36,11 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if not _TIME_UNIT.fullmatch(self.time_unit):
+            raise WaveParseError(
+                f"time_unit must be 1, 10 or 100 followed by s, ms, us, ns, ps "
+                f"or fs, got {self.time_unit!r}"
+            )
         if self.resolution < 1:
             raise WaveParseError(f"resolution must be >= 1, got {self.resolution}")
 

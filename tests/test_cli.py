@@ -10,7 +10,11 @@ import sys
 
 import pytest
 
+from inertia import oracle
 from inertia.cli import SEED_ENV, main
+from inertia.conditions import BdcParams, CondExpr
+from inertia.oracle import GridConfig, solution_count
+from inertia.waveio import parse_waveforms
 
 
 def run(capsys, *argv):
@@ -218,6 +222,45 @@ def test_check_bdc(capsys, tmp_path):
     assert "lower window bound violated" in v["detail"]
 
 
+@pytest.mark.parametrize(
+    "cond, params, u_text, x_text, detail",
+    [
+        ("fdc", '{"d": 2}', "u 0 0 5", "x 0 2 8", ["output is not the input delayed by 2"]),
+        (
+            "bdc", '{"mr": 1, "dr": 3, "mf": 1, "df": 3}', "u 0 0 5", "x 1 0",
+            ["lower window bound violated", "upper window bound violated"],
+        ),
+        ("aic", '{"deltar": 3, "deltaf": 0}', None, "x 0 0 2", ["hold after rise violated"]),
+        ("aic", '{"deltar": 0, "deltaf": 3}', None, "x 0 0 2 3", ["hold after fall violated"]),
+        (
+            "aic", '{"deltar": 3, "deltaf": 3}', None, "x 0 0 2 3",
+            ["hold after rise violated", "hold after fall violated"],
+        ),
+        (
+            "ric", '{"mur": 0, "deltar": 1, "muf": 0, "deltaf": 1}', "u 0 5", "x 0 0",
+            ["an edge lacks its licensing input window"],
+        ),
+    ],
+)
+def test_check_names_every_violated_bound(
+    capsys, tmp_path, cond, params, u_text, x_text, detail
+):
+    argv = ["check", "--cond", cond, "--params", params]
+    if u_text is not None:
+        argv += ["--input", wave_file(tmp_path, "u.wave", u_text + "\n")]
+    argv += ["--output", wave_file(tmp_path, "x.wave", x_text + "\n")]
+    code, out, _err = run(capsys, *argv)
+    assert code == 1
+    expected = {
+        "command": "check",
+        "cond": cond,
+        "detail": detail,
+        "holds": False,
+        "params": json.loads(params),
+    }
+    assert out == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+
+
 def test_check_bdc_requires_input(capsys, tmp_path):
     x = wave_file(tmp_path, "x.wave", "x 0 3 8\n")
     code, _out, err = run(
@@ -303,6 +346,21 @@ def test_simulate_emits_stable_vcd(capsys, tmp_path):
     assert "\n#3\n1#" in first.read_text(encoding="utf-8")
 
 
+def test_simulate_rejects_a_time_unit_the_vcd_cannot_state(capsys, tmp_path):
+    netlist = wave_file(tmp_path, "net.json", NETLIST)
+    stim = wave_file(tmp_path, "stim.wave", "a 0 0\nb 0 1\n")
+    cfg = wave_file(tmp_path, "run.cfg", "time_unit = 1ns $end $var wire 1 ! x $end\n")
+    target = tmp_path / "out.vcd"
+    code, _out, err = run(
+        capsys,
+        "simulate", "--netlist", netlist, "--stimuli", stim,
+        "--horizon", "0:10", "--config", cfg, "-o", str(target),
+    )
+    assert code == 2
+    assert "time_unit" in err
+    assert not target.exists()
+
+
 def test_simulate_rejects_bad_horizon(capsys, tmp_path):
     netlist = wave_file(tmp_path, "net.json", NETLIST)
     stim = wave_file(tmp_path, "stim.wave", "a 0 0\nb 0 1\n")
@@ -331,14 +389,13 @@ def test_oracle_enumerate(capsys, tmp_path):
 
 
 def test_oracle_witness_found(capsys):
-    code, out, _err = run(
-        capsys,
-        "oracle", "witness",
-        "--atoms", '{"kind": "bdc", "mr": 0, "dr": 3, "mf": 0, "df": 2}',
-        "--grid=-2:14",
-    )
+    atoms = '{"kind": "bdc", "mr": 0, "dr": 3, "mf": 0, "df": 2}'
+    code, out, _err = run(capsys, "oracle", "witness", "--atoms", atoms)
     assert code == 0
-    assert out.startswith("u 0 ")
+    assert out == "u 1 0\n"
+    u = parse_waveforms(out)["u"]
+    expr = CondExpr((BdcParams(0, 3, 0, 2),))
+    assert solution_count(u, expr, GridConfig(-2, 14)) == 0
 
 
 def test_oracle_witness_not_found(capsys):
@@ -346,10 +403,27 @@ def test_oracle_witness_not_found(capsys):
         capsys,
         "oracle", "witness",
         "--atoms", '{"kind": "bdc", "mr": 1, "dr": 2, "mf": 1, "df": 2}',
-        "--grid=-2:14",
     )
     assert code == 1
     assert "no witness found" in out
+
+
+def test_oracle_witness_refuses_a_reach_past_the_table_limit(capsys):
+    atoms = '{"kind": "bdc", "mr": 0, "dr": 13, "mf": 0, "df": 2}'
+    code, _out, err = run(capsys, "oracle", "witness", "--atoms", atoms)
+    assert code == 2
+    assert "13 ticks back, limit is 12" in err
+
+
+def test_oracle_witness_refuses_a_search_past_the_state_limit(capsys, monkeypatch):
+    monkeypatch.setattr(oracle, "MAX_SEARCH_STATES", 1000)
+    atoms = (
+        '[{"kind": "bdc", "mr": 8, "dr": 8, "mf": 8, "df": 8},'
+        ' {"kind": "aic", "deltar": 100, "deltaf": 100}]'
+    )
+    code, _out, err = run(capsys, "oracle", "witness", "--atoms", atoms)
+    assert code == 2
+    assert "passed 1000 states" in err
 
 
 def test_oracle_verify_reports_a_summary(capsys):

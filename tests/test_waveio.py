@@ -65,6 +65,22 @@ def test_parse_config():
     assert parse_config("") == RunConfig()
 
 
+@pytest.mark.parametrize("unit", ["1s", "10 ms", "100us", "1 fs"])
+def test_config_accepts_every_vcd_time_unit(unit):
+    assert parse_config(f"time_unit = {unit}\n").time_unit == unit
+
+
+@pytest.mark.parametrize(
+    "line", ["time_unit = 2ns", "time_unit = 1000ps", "time_unit = ns", "time_unit = 1NS",
+             "time_unit = 1ns $end $var wire 1 ! x $end", "time_unit ="]
+)
+def test_config_rejects_time_units_a_vcd_cannot_state(line):
+    with pytest.raises(WaveParseError, match="time_unit"):
+        parse_config(line + "\n")
+    with pytest.raises(WaveParseError, match="time_unit"):
+        RunConfig(time_unit="1ns\n$end")
+
+
 def test_config_rejects_unknown_keys_and_bad_values():
     with pytest.raises(WaveParseError):
         parse_config("speed = 9\n")
