@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .conditions import BdcParams, bdc_max_solution, bdc_min_solution, require_cc
-from .signals import Signal, Tick
+from .signals import Signal, Tick, switch_walk
 
 MAX_GATE_ARITY = 8
 
@@ -73,6 +73,8 @@ def delay_to_dict(model: BridcDelay) -> dict:
 
 
 def delay_from_dict(obj: dict) -> BridcDelay:
+    if not isinstance(obj, dict):
+        raise NetlistError(f"a delay must be an object, got {obj!r}")
     kind = obj.get("kind")
     if kind == "fixed":
         return FixedDelay(int(obj["d"]))
@@ -229,17 +231,19 @@ def netlist_to_dict(n: Netlist) -> dict:
     }
 
 
+def _gate_from_dict(g: dict) -> Gate:
+    name = str(g["name"])
+    try:
+        table = tuple(int(v) for v in g["table"])
+        delay = delay_from_dict(g["delay"])
+    except ValueError as exc:  # bad numbers, delay bounds or kind
+        raise NetlistError(f"gate {name!r}: {exc}") from None
+    return Gate(name, tuple(str(i) for i in g["inputs"]), table, delay)
+
+
 def netlist_from_dict(obj: dict) -> Netlist:
     try:
-        gates = tuple(
-            Gate(
-                name=str(g["name"]),
-                inputs=tuple(str(i) for i in g["inputs"]),
-                table=tuple(int(v) for v in g["table"]),
-                delay=delay_from_dict(g["delay"]),
-            )
-            for g in obj["gates"]
-        )
+        gates = tuple(_gate_from_dict(g) for g in obj["gates"])
         return Netlist(
             inputs=tuple(str(i) for i in obj["inputs"]),
             gates=gates,
@@ -365,29 +369,19 @@ class Envelope:
 def _table_envelope(g: Gate, envs: list[Envelope]) -> Envelope:
     """Corner enumeration: extremes of the table over all input bit
     combinations consistent with the input envelopes, per segment."""
+    k = len(envs)
     sigs = [e.low for e in envs] + [e.high for e in envs]
-    times = sorted(set().union(*(s.switches for s in sigs)))
 
-    def extremes(t: Tick | None) -> tuple[int, int]:
-        ranges = []
-        for e in envs:
-            if t is None:
-                a, b = e.low.initial, e.high.initial
-            else:
-                a, b = e.low.value_at(t), e.high.value_at(t)
-            ranges.append(range(a, b + 1))
-        lo_v, hi_v = 1, 0
-        for combo in product(*ranges):
-            v = g.eval_bits(combo)
-            lo_v = min(lo_v, v)
-            hi_v = max(hi_v, v)
-        return lo_v, hi_v
+    def extremes(bits) -> tuple[int, int]:
+        ranges = [range(a, b + 1) for a, b in zip(bits[:k], bits[k:])]
+        vals = {g.eval_bits(combo) for combo in product(*ranges)}
+        return min(vals), max(vals)
 
-    lo0, hi0 = extremes(None)
+    lo0, hi0 = extremes([s.initial for s in sigs])
     lo_sw, hi_sw = [], []
     lo_val, hi_val = lo0, hi0
-    for t in times:
-        lv, hv = extremes(t)
+    for t, bits in switch_walk(*sigs):
+        lv, hv = extremes(bits)
         if lv != lo_val:
             lo_sw.append(t)
             lo_val = lv

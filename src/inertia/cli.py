@@ -464,7 +464,7 @@ def main(argv: list[str] | None = None) -> int:
         NetlistError,
         HorizonError,
         ConsistencyError,
-        ValueError,
+        UnicodeDecodeError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

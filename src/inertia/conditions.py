@@ -20,7 +20,7 @@ BDC + RIC) are expressed.
 
 from dataclasses import dataclass
 
-from .signals import Signal, Tick, forward_window_and, window_and, window_or
+from .signals import Signal, Tick, forward_window_and, switch_walk, window_and, window_or
 
 
 class ConsistencyError(ValueError):
@@ -62,22 +62,6 @@ class BdcParams:
             raise ValueError(f"need 0 <= mr <= dr, got mr={self.mr} dr={self.dr}")
         if not (0 <= self.mf <= self.df):
             raise ValueError(f"need 0 <= mf <= df, got mf={self.mf} df={self.df}")
-
-    @property
-    def rise_upper(self) -> int:
-        return self.dr
-
-    @property
-    def rise_lower(self) -> int:
-        return self.df - self.mf
-
-    @property
-    def fall_upper(self) -> int:
-        return self.df
-
-    @property
-    def fall_lower(self) -> int:
-        return self.dr - self.mr
 
     def as_dict(self) -> dict:
         return {"mr": self.mr, "dr": self.dr, "mf": self.mf, "df": self.df}
@@ -513,8 +497,7 @@ def bridc_det_output(u: Signal, p: BdcParams) -> Signal:
     fall_cmd = window_and(~u, p.df, p.mf)
     val = u.initial
     out = []
-    for t in sorted(set(rise_cmd.switches) | set(fall_cmd.switches)):
-        rise, fall = rise_cmd.value_at(t), fall_cmd.value_at(t)
+    for t, (rise, fall) in switch_walk(rise_cmd, fall_cmd):
         assert not (rise and fall), "rise and fall windows overlap under CC"
         if val == 0 and rise:
             out.append(t)

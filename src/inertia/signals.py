@@ -7,6 +7,11 @@ total and exact: with integer window offsets, both operands of any
 pointwise inequality are again tick-aligned step signals, so checking at
 ticks decides the inequality everywhere.
 
+Kernels that read several signals at once (`pointwise` and the Boolean
+operators, `Signal.leq`, and elsewhere the deterministic inertial
+transfer and envelope corners) share one merged walk, `switch_walk`,
+whose cost follows the number of switches, not the tick distance.
+
 All operations are pure; Signal instances are immutable and hashable.
 """
 
@@ -18,14 +23,6 @@ Tick = int
 
 class SignalError(ValueError):
     """Malformed signal construction or operator argument."""
-
-
-@dataclass(frozen=True)
-class Edge:
-    """A value change: rising (0 -> 1) or falling (1 -> 0) at a tick."""
-
-    at: Tick
-    rising: bool
 
 
 @dataclass(frozen=True)
@@ -111,25 +108,44 @@ class Signal:
         """Pointwise self(t) <= other(t) at every tick."""
         if self.initial > other.initial:
             return False
-        for t in sorted(set(self.switches) | set(other.switches)):
-            if self.value_at(t) > other.value_at(t):
+        for _t, (a, b) in switch_walk(self, other):
+            if a > b:
                 return False
         return True
 
-    def edges(self) -> list[Edge]:
-        out = []
-        val = self.initial
-        for t in self.switches:
-            out.append(Edge(t, rising=(val == 0)))
-            val ^= 1
-        return out
+
+def switch_walk(*signals: Signal):
+    """Walk several signals' switch lists together, in tick order.
+
+    Yields (t, bits) once for every tick t at which some operand
+    switches; bits[i] is the value of signals[i] from t up to the next
+    yielded tick.  Before the first yield every operand holds its
+    `initial`.  Operands switching at the same tick yield one step.
+    """
+    k = len(signals)
+    # t * k + i orders by tick, then operand; the switch lists are
+    # already sorted runs, so the sort only merges them
+    codes = [t * k + i for i, s in enumerate(signals) for t in s.switches]
+    if not codes:
+        return
+    codes.sort()
+    bits = [s.initial for s in signals]
+    base = codes[0] - codes[0] % k  # t * k for the tick being collected
+    for code in codes:
+        i = code - base
+        if i >= k:  # the first switch of a later tick
+            yield base // k, tuple(bits)
+            i = code % k
+            base = code - i
+        bits[i] ^= 1
+    yield base // k, tuple(bits)
 
 
 def pointwise(fn, *signals: Signal) -> Signal:
     """Combine signals with a bit function applied at every tick.
 
     Exact: the result can only change where some operand switches, so it
-    is evaluated once per merged switch time.
+    is evaluated once per step of `switch_walk`.
     """
     if not signals:
         raise SignalError("pointwise needs at least one signal")
@@ -138,8 +154,8 @@ def pointwise(fn, *signals: Signal) -> Signal:
         raise SignalError(f"combiner must return 0 or 1, got {initial!r}")
     switches = []
     val = initial
-    for t in sorted(set().union(*(s.switches for s in signals))):
-        new = fn(*(s.value_at(t) for s in signals))
+    for t, bits in switch_walk(*signals):
+        new = fn(*bits)
         if new != val:
             switches.append(t)
             val = new

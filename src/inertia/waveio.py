@@ -155,15 +155,17 @@ def emit_vcd(signals: dict[str, Signal], cfg: RunConfig = RunConfig()) -> str:
     lines.append("$upscope $end")
     lines.append("$enddefinitions $end")
     lines.append("$dumpvars")
-    for name in names:
-        lines.append(f"{signals[name].value_at(start - 1)}{ids[name]}")
+    for name in names:  # start - 1 precedes every switch
+        lines.append(f"{signals[name].initial}{ids[name]}")
     lines.append("$end")
 
     changes: dict[Tick, list[str]] = {}
     for name in names:  # sorted, so same-tick changes come out name-sorted
         sig = signals[name]
+        val = sig.initial
         for t in sig.switches:
-            changes.setdefault(t, []).append(f"{sig.value_at(t)}{ids[name]}")
+            val ^= 1
+            changes.setdefault(t, []).append(f"{val}{ids[name]}")
     for t in sorted(changes):
         lines.append(f"#{t + offset}")
         lines.extend(changes[t])

@@ -372,6 +372,54 @@ def test_simulate_rejects_bad_horizon(capsys, tmp_path):
     assert "expected LO:HI" in err
 
 
+def _netlist_with_delay(delay):
+    obj = json.loads(NETLIST)
+    obj["gates"][0]["delay"] = delay
+    return json.dumps(obj)
+
+
+@pytest.mark.parametrize(
+    "delay",
+    [
+        {"kind": "bridc", "mr": "x", "dr": 2, "mf": 0, "df": 2},
+        {"kind": "bridc", "mr": 3, "dr": 2, "mf": 0, "df": 2},
+        3,
+    ],
+)
+def test_simulate_names_the_gate_with_a_bad_delay(capsys, tmp_path, delay):
+    netlist = wave_file(tmp_path, "net.json", _netlist_with_delay(delay))
+    stim = wave_file(tmp_path, "stim.wave", "a 0 0\nb 0 1\n")
+    code, _out, err = run(
+        capsys,
+        "simulate", "--netlist", netlist, "--stimuli", stim, "--horizon", "0:10",
+    )
+    assert code == 2
+    assert "gate 'y'" in err
+
+
+def test_simulate_rejects_a_file_that_is_not_utf8(capsys, tmp_path):
+    netlist = wave_file(tmp_path, "net.json", NETLIST)
+    stim = tmp_path / "stim.wave"
+    stim.write_bytes(b"a 0 \xff\n")
+    code, _out, err = run(
+        capsys,
+        "simulate", "--netlist", netlist, "--stimuli", str(stim), "--horizon", "0:10",
+    )
+    assert code == 2
+    assert "utf-8" in err
+
+
+def test_an_internal_value_error_is_not_reported_as_bad_input(tmp_path, monkeypatch):
+    def broken(*_args):
+        raise ValueError("internal fault")
+
+    monkeypatch.setattr("inertia.cli.simulate", broken)
+    netlist = wave_file(tmp_path, "net.json", NETLIST)
+    stim = wave_file(tmp_path, "stim.wave", "a 0 0\nb 0 1\n")
+    with pytest.raises(ValueError, match="internal fault"):
+        main(["simulate", "--netlist", netlist, "--stimuli", stim, "--horizon", "0:10"])
+
+
 # -- oracle ---------------------------------------------------------------------
 
 

@@ -6,6 +6,7 @@ bottom pin down behavior that a naive parameter arithmetic gets wrong.
 """
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from inertia.conditions import (
     AicParams,
@@ -265,6 +266,39 @@ def test_bridc_det_output_examples():
     assert bridc_det_output(Signal(0, (0, 3)), p) == Signal(0, (2, 5))
     assert bridc_det_output(Signal(0, (0, 1)), p) == Signal.const(0)
     assert bridc_det_output(U, BdcParams(0, 3, 0, 3)) == U.translate(3)
+
+
+@st.composite
+def consistent_bdc(draw):
+    dr, df = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    p = BdcParams(draw(st.integers(0, dr)), dr, draw(st.integers(0, df)), df)
+    assume(cc_holds(p))
+    return p
+
+
+@st.composite
+def pulse_inputs(draw):
+    """Inputs with short pulses and gaps, constant ones included."""
+    times = draw(st.lists(st.integers(-16, 16), unique=True, max_size=8))
+    return Signal(draw(st.integers(0, 1)), tuple(sorted(times)))
+
+
+def dense_det(u, p, lo, hi):
+    """The recurrence of bridc_det_output's docstring, tick by tick."""
+    val, out = u.initial, []
+    for t in range(lo, hi + 1):
+        if val == 0 and all(u.value_at(t - p.dr + j) for j in range(p.mr + 1)):
+            val = 1
+        elif val == 1 and not any(u.value_at(t - p.df + j) for j in range(p.mf + 1)):
+            val = 0
+        out.append(val)
+    return out
+
+
+@given(pulse_inputs(), consistent_bdc())
+def test_bridc_det_output_matches_the_dense_recurrence(u, p):
+    # before tick -16 nothing has switched, and after 16 + 4 nothing can
+    assert bridc_det_output(u, p).values_on(-20, 30) == dense_det(u, p, -20, 30)
 
 
 # -- regressions: where the naive formulas break -----------------------------------

@@ -31,6 +31,7 @@ from inertia.oracle import (
     solution_count,
 )
 from inertia.signals import Signal
+from inertia import verify
 
 U = Signal(0, (0, 5))
 P = BdcParams(1, 3, 1, 3)
@@ -181,3 +182,25 @@ def test_decider_agrees_with_the_counting_dp():
         for u in SMALL_INPUTS:
             assert solution_count(u, expr, grid) > 0, (expr, u)
     assert min(seen.values()) >= 15, seen
+
+
+# -- law suites that sweep a fixed set --------------------------------------------
+
+
+@pytest.mark.parametrize("name, trials", [("t14c", 5), ("t14f", 500)])
+def test_parameter_sweeps_ignore_the_trial_count(name, trials, monkeypatch):
+    def run(count):
+        inputs = []
+        for fn in ("solution_count", "free_tick_count"):
+            real = getattr(verify, fn)
+            monkeypatch.setattr(
+                verify, fn, lambda u, *a, real=real: inputs.append(u) or real(u, *a)
+            )
+        rep = verify.run_check(name, count)
+        monkeypatch.undo()
+        return rep, inputs
+
+    (default, seen), (overridden, seen_overridden) = run(None), run(trials)
+    assert default.trials == 155  # every consistent combination up to 4
+    assert (overridden.trials, overridden.failures) == (default.trials, default.failures)
+    assert seen_overridden == seen

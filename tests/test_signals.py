@@ -5,15 +5,18 @@ at every tick, so the run-arithmetic implementation never gets to define
 its own truth.
 """
 
+import operator
+from functools import reduce
+
 import pytest
 from hypothesis import given, strategies as st
 
 from inertia.signals import (
-    Edge,
     Signal,
     SignalError,
     forward_window_and,
     pointwise,
+    switch_walk,
     window_and,
     window_or,
 )
@@ -26,6 +29,18 @@ def signals(draw, lo=-16, hi=16, max_switches=6):
         st.lists(st.integers(lo, hi), unique=True, max_size=max_switches)
     )
     return Signal(initial, tuple(sorted(times)))
+
+
+@st.composite
+def operands(draw, min_k=1, max_k=3):
+    """Signals whose switches come from one shared pool of ticks, so
+    operands often switch at the same tick; any of them may be constant."""
+    pool = draw(st.lists(st.integers(-16, 16), unique=True, min_size=1, max_size=6))
+    out = []
+    for _ in range(draw(st.integers(min_k, max_k))):
+        times = draw(st.lists(st.sampled_from(pool), unique=True, max_size=len(pool)))
+        out.append(Signal(draw(st.integers(0, 1)), tuple(sorted(times))))
+    return out
 
 
 offsets = st.integers(-4, 6)
@@ -95,11 +110,6 @@ def test_final_and_constants():
     assert Signal.const(1) == Signal(1, ())
 
 
-def test_edges():
-    assert Signal(0, (0, 5)).edges() == [Edge(0, rising=True), Edge(5, rising=False)]
-    assert Signal.const(0).edges() == []
-
-
 # -- Boolean algebra ----------------------------------------------------------
 
 
@@ -149,6 +159,40 @@ def test_pointwise_and_agrees_with_dense_evaluation(a, b):
     c = a & b
     for t in range(-20, 21):
         assert c.value_at(t) == (a.value_at(t) & b.value_at(t))
+
+
+@given(operands())
+def test_switch_walk_steps_at_every_switch_tick_with_every_value(ops):
+    steps = list(switch_walk(*ops))
+    assert [t for t, _bits in steps] == sorted({t for s in ops for t in s.switches})
+    for t, bits in steps:
+        assert bits == tuple(s.value_at(t) for s in ops)
+
+
+COMBINERS = {
+    "and": lambda *bits: reduce(operator.and_, bits),
+    "or": lambda *bits: reduce(operator.or_, bits),
+    "xor": lambda *bits: reduce(operator.xor, bits),
+    "majority": lambda *bits: int(2 * sum(bits) > len(bits)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COMBINERS))
+@given(operands())
+def test_pointwise_matches_dense_evaluation(name, ops):
+    fn = COMBINERS[name]
+    out = pointwise(fn, *ops)
+    for t in range(-20, 21):
+        assert out.value_at(t) == fn(*(s.value_at(t) for s in ops))
+
+
+@given(operands(2, 2))
+def test_leq_matches_dense_comparison(ops):
+    a, b = ops
+    # the random pair mostly fails; the bracketed pairs always hold
+    for low, high in ((a, b), (b, a), (a, a | b), (a & b, b), (a, a)):
+        dense = all(low.value_at(t) <= high.value_at(t) for t in range(-20, 21))
+        assert low.leq(high) == dense
 
 
 # -- sliding windows ----------------------------------------------------------
