@@ -21,7 +21,13 @@ import heapq
 from dataclasses import dataclass
 from itertools import product
 
-from .conditions import BdcParams, bdc_max_solution, bdc_min_solution, require_cc
+from .conditions import (
+    BdcParams,
+    bdc_max_solution,
+    bdc_min_solution,
+    json_int,
+    require_cc,
+)
 from .signals import Signal, Tick, switch_walk
 
 MAX_GATE_ARITY = 8
@@ -77,7 +83,7 @@ def delay_from_dict(obj: dict) -> BridcDelay:
         raise NetlistError(f"a delay must be an object, got {obj!r}")
     kind = obj.get("kind")
     if kind == "fixed":
-        return FixedDelay(int(obj["d"]))
+        return FixedDelay(json_int(obj["d"], "d"))
     if kind == "bridc":
         return BridcDelay(BdcParams.from_dict(obj))
     raise NetlistError(f"unknown delay kind in {obj!r}")
@@ -234,7 +240,7 @@ def netlist_to_dict(n: Netlist) -> dict:
 def _gate_from_dict(g: dict) -> Gate:
     name = str(g["name"])
     try:
-        table = tuple(int(v) for v in g["table"])
+        table = tuple(json_int(v, "a table entry") for v in g["table"])
         delay = delay_from_dict(g["delay"])
     except ValueError as exc:  # bad numbers, delay bounds or kind
         raise NetlistError(f"gate {name!r}: {exc}") from None

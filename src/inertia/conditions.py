@@ -30,6 +30,14 @@ class ConsistencyError(ValueError):
 # -- parameter tuples ------------------------------------------------------
 
 
+def json_int(value, key: str) -> int:
+    """A value read from JSON as an exact integer: floats, bools and
+    strings are refused rather than truncated or coerced."""
+    if type(value) is not int:
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class FdcParams:
     """Fixed transmission delay of d ticks."""
@@ -45,7 +53,7 @@ class FdcParams:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "FdcParams":
-        return cls(int(obj["d"]))
+        return cls(json_int(obj["d"], "d"))
 
 
 @dataclass(frozen=True)
@@ -68,7 +76,7 @@ class BdcParams:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "BdcParams":
-        return cls(int(obj["mr"]), int(obj["dr"]), int(obj["mf"]), int(obj["df"]))
+        return cls(*(json_int(obj[k], k) for k in ("mr", "dr", "mf", "df")))
 
 
 @dataclass(frozen=True)
@@ -89,7 +97,7 @@ class AicParams:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "AicParams":
-        return cls(int(obj["deltar"]), int(obj["deltaf"]))
+        return cls(*(json_int(obj[k], k) for k in ("deltar", "deltaf")))
 
 
 @dataclass(frozen=True)
@@ -121,9 +129,7 @@ class RicParams:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "RicParams":
-        return cls(
-            int(obj["mur"]), int(obj["deltar"]), int(obj["muf"]), int(obj["deltaf"])
-        )
+        return cls(*(json_int(obj[k], k) for k in ("mur", "deltar", "muf", "deltaf")))
 
 
 Atom = FdcParams | BdcParams | AicParams | RicParams

@@ -38,6 +38,7 @@ from .signals import Signal, Tick
 MAX_SPAN = 80
 MAX_REACH = 12  # the tick tables have 2**(MAX_REACH + 1) entries
 MAX_SEARCH_STATES = 100_000
+MAX_ENUMERATED = 100_000
 
 
 class HorizonError(ValueError):
@@ -201,7 +202,13 @@ def iter_solutions(u: Signal, expr: CondExpr, grid: GridConfig) -> Iterator[Sign
 
 
 def enumerate_solutions(u: Signal, expr: CondExpr, grid: GridConfig) -> list[Signal]:
-    """All admissible outputs on the grid, in deterministic order."""
+    """All admissible outputs on the grid, in deterministic order.  The
+    set is counted first and refused above MAX_ENUMERATED members."""
+    count = solution_count(u, expr, grid)
+    if count > MAX_ENUMERATED:
+        raise HorizonError(
+            f"the grid has {count} solutions, limit is {MAX_ENUMERATED} to list"
+        )
     return list(iter_solutions(u, expr, grid))
 
 

@@ -157,6 +157,8 @@ def pointwise(fn, *signals: Signal) -> Signal:
     for t, bits in switch_walk(*signals):
         new = fn(*bits)
         if new != val:
+            if new not in (0, 1):
+                raise SignalError(f"combiner must return 0 or 1, got {new!r}")
             switches.append(t)
             val = new
     return Signal(initial, tuple(switches))

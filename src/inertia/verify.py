@@ -13,10 +13,15 @@ Where full solution sets are materialized, samplers redraw instances
 whose undetermined-tick budget would make enumeration explode; bounds
 stay inside the documented desk-scale parameter ranges and redraw counts
 are reported.
+
+Suites are run through `run_check`, which times every suite into the
+report's `seconds` and applies its defaults: a trial count or seed left
+at None takes the suite's own signature default.
 """
 
 import time
 from dataclasses import dataclass, field
+from itertools import islice, product
 from random import Random
 
 from .conditions import (
@@ -108,22 +113,23 @@ def _rand_signal(rng: Random, max_switches: int, t0: int, t1: int) -> Signal:
     return Signal(rng.randint(0, 1), times)
 
 
+def _window_pairs(pmax: int):
+    """Every (rise, fall) pair of windows (m, d) with 0 <= m <= d <= pmax,
+    rise bound outermost, then rise memory, fall bound, fall memory."""
+    windows = [(m, d) for d in range(pmax + 1) for m in range(d + 1)]
+    return product(windows, repeat=2)
+
+
 def _sweep_bdc(pmax: int, cc: bool | None = True):
-    for dr in range(pmax + 1):
-        for mr in range(dr + 1):
-            for df in range(pmax + 1):
-                for mf in range(df + 1):
-                    p = BdcParams(mr, dr, mf, df)
-                    if cc is None or cc_holds(p) == cc:
-                        yield p
+    for (mr, dr), (mf, df) in _window_pairs(pmax):
+        p = BdcParams(mr, dr, mf, df)
+        if cc is None or cc_holds(p) == cc:
+            yield p
 
 
 def _sweep_ric(pmax: int):
-    for er in range(pmax + 1):
-        for ur in range(er + 1):
-            for ef in range(pmax + 1):
-                for uf in range(ef + 1):
-                    yield RicParams(ur, er, uf, ef)
+    for (ur, er), (uf, ef) in _window_pairs(pmax):
+        yield RicParams(ur, er, uf, ef)
 
 
 def _u_pool(rng: Random, span: int, n_random: int, max_switches: int = 4):
@@ -138,15 +144,6 @@ def _u_pool(rng: Random, span: int, n_random: int, max_switches: int = 4):
     for _ in range(n_random):
         pool.append(_rand_signal(rng, max_switches, 0, span))
     return pool
-
-
-def _take(iterator, k: int) -> list:
-    out = []
-    for x in iterator:
-        out.append(x)
-        if len(out) >= k:
-            break
-    return out
 
 
 def _pulse_trains(last: int):
@@ -165,6 +162,21 @@ def _pulse_trains(last: int):
             for g in range(1, top + 1):
                 if 1 <= span - w1 - g <= top:
                     yield from emit((0, w1, w1 + g, span))
+
+
+def _some_solution(probes, p: BdcParams, grid: GridConfig, budget: int, bad):
+    """The first (u, x) with bad(u, x), where u runs over the probes with
+    at most `budget` free ticks under p and x over u's solutions on the
+    grid; None when there is none."""
+    expr = CondExpr((p,))
+    hits = (
+        (u, x)
+        for u in probes
+        if free_tick_count(u, expr, grid) <= budget
+        for x in iter_solutions(u, expr, grid)
+        if bad(u, x)
+    )
+    return next(hits, None)
 
 
 def _check_decider(rep: CheckReport, expr: CondExpr, solvable: bool, what: str) -> None:
@@ -186,14 +198,12 @@ def _check_decider(rep: CheckReport, expr: CondExpr, solvable: bool, what: str) 
 # -- existence and canonical bounds ------------------------------------------
 
 
-def check_existence_bounds(trials: int | None = None, seed: int = 0) -> CheckReport:
+def check_existence_bounds(trials: int = 200, seed: int = 0) -> CheckReport:
     """Consistent parameters admit solutions bracketed by the canonical
     min/max; for inconsistent parameters the decider finds an input with
     no solution."""
-    trials = 200 if trials is None else trials
     rng = Random(seed)
     rep = CheckReport("t1", trials)
-    t0 = time.monotonic()
     grid = GridConfig(-2, 22)
     redraws = 0
     for trial in range(trials):
@@ -207,28 +217,24 @@ def check_existence_bounds(trials: int | None = None, seed: int = 0) -> CheckRep
         hi_sol = bdc_max_solution(u, p)
         count = 0
         saw_min = saw_max = False
-        bad = False
         for x in iter_solutions(u, CondExpr((p,)), grid):
             count += 1
             if not (lo_sol.leq(x) and x.leq(hi_sol)):
                 rep.fail(f"trial {trial}: {x} outside bracket, p={p}, u={u}")
-                bad = True
                 break
             saw_min = saw_min or x == lo_sol
             saw_max = saw_max or x == hi_sol
-        if bad:
-            continue
-        if count == 0:
-            rep.fail(f"trial {trial}: empty solution set for consistent p={p}, u={u}")
-        elif not (saw_min and saw_max):
-            rep.fail(f"trial {trial}: canonical bound not enumerated, p={p}, u={u}")
+        else:
+            if count == 0:
+                rep.fail(f"trial {trial}: empty solution set for consistent p={p}, u={u}")
+            elif not (saw_min and saw_max):
+                rep.fail(f"trial {trial}: canonical bound not enumerated, p={p}, u={u}")
     converse = max(50, trials // 4)
     for trial in range(converse):
         p = _rand_bdc(rng, 6, cc=False)
         _check_decider(rep, CondExpr((p,)), cc_holds(p), f"p={p}")
     rep.trials = trials + converse
     rep.info["redraws"] = redraws
-    rep.seconds = time.monotonic() - t0
     return rep
 
 
@@ -254,14 +260,12 @@ def _joint_bounds(u: Signal, p: BdcParams, q: BdcParams):
     return bdc_lower(u, p) | bdc_lower(u, q), bdc_upper(u, p) & bdc_upper(u, q)
 
 
-def check_intersection(trials: int | None = None, seed: int = 1) -> CheckReport:
+def check_intersection(trials: int = 100, seed: int = 1) -> CheckReport:
     """Returned parameters realize the conjunction exactly.  When the
     merge is refused, the oracle confirms why: either some input has no
     common output at all, or the joint bounds match no single tuple."""
-    trials = 100 if trials is None else trials
     rng = Random(seed)
     rep = CheckReport("t14a", trials)
-    t0 = time.monotonic()
     grid = GridConfig(-2, 18)
     redraws = 0
     for trial in range(trials):
@@ -293,29 +297,23 @@ def check_intersection(trials: int | None = None, seed: int = 1) -> CheckReport:
             if mr2 < 0 or mf2 < 0:
                 continue  # no in-range tuple can even state the boxes
             cand = BdcParams(mr2, dr2, mf2, df2)
-            found = False
-            for u2 in _take(_pulse_trains(8), 80):
-                low, high = _joint_bounds(u2, p, q)
-                if low != bdc_lower(u2, cand) or high != bdc_upper(u2, cand):
-                    found = True
-                    break
-            if not found:
+            if not any(
+                _joint_bounds(v, p, q) != (bdc_lower(v, cand), bdc_upper(v, cand))
+                for v in islice(_pulse_trains(8), 80)
+            ):
                 rep.fail(
                     f"trial {trial}: {p}, {q} refused but candidate {cand} "
                     f"matches the joint bounds on every probe"
                 )
     rep.info["redraws"] = redraws
-    rep.seconds = time.monotonic() - t0
     return rep
 
 
-def check_union_envelope(trials: int | None = None, seed: int = 2) -> CheckReport:
+def check_union_envelope(trials: int = 100, seed: int = 2) -> CheckReport:
     """The envelope is consistent, contains both families, and is exactly
     the union iff one family already includes the other."""
-    trials = 100 if trials is None else trials
     rng = Random(seed)
     rep = CheckReport("t14b", trials)
-    t0 = time.monotonic()
     grid = GridConfig(-2, 18)
     redraws = 0
     for trial in range(trials):
@@ -344,22 +342,13 @@ def check_union_envelope(trials: int | None = None, seed: int = 2) -> CheckRepor
                 )
         else:
             # strictness must show up on some input
-            found = False
-            for u2 in _take(_pulse_trains(10), 90):
-                if free_tick_count(u2, CondExpr((env,)), grid) > 14:
-                    continue
-                for y in iter_solutions(u2, CondExpr((env,)), grid):
-                    if not bdc_member(u2, y, p) and not bdc_member(u2, y, q):
-                        found = True
-                        break
-                if found:
-                    break
-            if not found:
-                rep.fail(
-                    f"trial {trial}: envelope {env} of {p}, {q} never strict"
-                )
+            def in_neither(v, y):
+                return not bdc_member(v, y, p) and not bdc_member(v, y, q)
+
+            probes = islice(_pulse_trains(10), 90)
+            if not _some_solution(probes, env, grid, 14, in_neither):
+                rep.fail(f"trial {trial}: envelope {env} of {p}, {q} never strict")
     rep.info["redraws"] = redraws
-    rep.seconds = time.monotonic() - t0
     return rep
 
 
@@ -370,11 +359,9 @@ def check_determinism(trials: int | None = None, seed: int = 3) -> CheckReport:
     inputs: `trials` is ignored."""
     rng = Random(seed)
     rep = CheckReport("t14c", 0)
-    t0 = time.monotonic()
     grid = GridConfig(-2, 16)
-    combos = 0
     for p in _sweep_bdc(4):
-        combos += 1
+        rep.trials += 1
         expect = p.mr == 0 and p.mf == 0
         if bdc_is_deterministic(p) != expect:
             rep.fail(f"decider disagrees with memory test on {p}")
@@ -402,65 +389,46 @@ def check_determinism(trials: int | None = None, seed: int = 3) -> CheckReport:
                 nondet_seen = nondet_seen or count > 1
         if not expect and not nondet_seen:
             rep.fail(f"nondeterministic {p}: every sampled input gave one solution")
-    rep.trials = combos
-    rep.seconds = time.monotonic() - t0
     return rep
 
 
-def check_inclusion(trials: int | None = None, seed: int = 4) -> CheckReport:
+def check_inclusion(trials: int = 100, seed: int = 4) -> CheckReport:
     """The parameter chains decide set inclusion, witnessed both ways."""
-    trials = 100 if trials is None else trials
     rng = Random(seed)
     rep = CheckReport("t14d", trials)
-    t0 = time.monotonic()
     grid = GridConfig(-2, 18)
     redraws = 0
     for trial in range(trials):
         p, q, u, rd = _draw_pair(rng, grid, 4, 12)
         redraws += rd
+
+        def escapes(v, x):
+            return not bdc_member(v, x, q)
+
         if bdc_includes(p, q):
-            ok = True
-            for x in iter_solutions(u, CondExpr((p,)), grid):
-                if not bdc_member(u, x, q):
-                    rep.fail(f"trial {trial}: {x} in Sol({p}) but not Sol({q}), u={u}")
-                    ok = False
-                    break
-            if not ok:
-                continue
+            if hit := _some_solution([u], p, grid, 12, escapes):
+                rep.fail(f"trial {trial}: {hit[1]} in Sol({p}) but not Sol({q}), u={u}")
         else:
-            found = False
-            candidates = [u] + _take(_pulse_trains(10), 40)
-            for u2 in candidates:
-                if free_tick_count(u2, CondExpr((p,)), grid) > 12:
-                    continue
-                for x in iter_solutions(u2, CondExpr((p,)), grid):
-                    if not bdc_member(u2, x, q):
-                        found = True
-                        break
-                if found:
-                    break
-            if not found:
+            probes = [u, *islice(_pulse_trains(10), 40)]
+            if not _some_solution(probes, p, grid, 12, escapes):
                 rep.fail(
                     f"trial {trial}: inclusion denied for {p} <= {q} "
                     f"but no escaping member found"
                 )
     rep.info["redraws"] = redraws
-    rep.seconds = time.monotonic() - t0
     return rep
 
 
-def check_time_invariance(trials: int | None = None, seed: int = 5) -> CheckReport:
+def check_time_invariance(trials: int = 100, seed: int = 5) -> CheckReport:
     """Membership commutes with translating input and output together."""
-    trials = 100 if trials is None else trials
     rng = Random(seed)
     rep = CheckReport("t14e", trials)
-    t0 = time.monotonic()
     grid = GridConfig(-2, 18)
     for trial in range(trials):
         p, _q, u, _rd = _draw_pair(rng, grid, 4, 12)
         k = rng.randint(-4, 4)
         uk = u.translate(k)
-        for x in _take(iter_solutions(u, CondExpr((p,)), grid), 6):
+        for x in islice(iter_solutions(u, CondExpr((p,)), grid), 6):
             if not bdc_member(uk, x.translate(k), p):
                 rep.fail(f"trial {trial}: member lost under shift {k}: p={p}, u={u}")
         for _ in range(6):
@@ -475,7 +443,6 @@ def check_time_invariance(trials: int | None = None, seed: int = 5) -> CheckRepo
         r = RicParams(rng.randint(0, er), er, rng.randint(0, ef), ef)
         if ric_member(u, y, r) != ric_member(uk, y.translate(k), r):
             rep.fail(f"trial {trial}: edge condition not shift-invariant on {y}")
-    rep.seconds = time.monotonic() - t0
     return rep
 
 
@@ -485,11 +452,9 @@ def check_symmetry(trials: int | None = None, seed: int = 6) -> CheckReport:
     two sampled inputs each: `trials` is ignored."""
     rng = Random(seed)
     rep = CheckReport("t14f", 0)
-    t0 = time.monotonic()
     grid = GridConfig(-2, 18)
-    combos = 0
     for p in _sweep_bdc(4):
-        combos += 1
+        rep.trials += 1
         sym = bdc_is_symmetrical(p)
         if sym != (p.dr == p.df and p.mr == p.mf):
             rep.fail(f"symmetry decider wrong on {p}")
@@ -498,38 +463,27 @@ def check_symmetry(trials: int | None = None, seed: int = 6) -> CheckReport:
             for u in pool:
                 if free_tick_count(u, CondExpr((p,)), grid) > 12:
                     continue
-                for x in _take(iter_solutions(u, CondExpr((p,)), grid), 48):
+                for x in islice(iter_solutions(u, CondExpr((p,)), grid), 48):
                     if not bdc_member(~u, ~x, p):
                         rep.fail(f"symmetric {p}: duality fails for u={u}, x={x}")
                         break
         else:
-            found = False
-            for u in pool + _take(_pulse_trains(10), 40):
-                if free_tick_count(u, CondExpr((p,)), grid) > 12:
-                    continue
-                for x in iter_solutions(u, CondExpr((p,)), grid):
-                    if not bdc_member(~u, ~x, p):
-                        found = True
-                        break
-                if found:
-                    break
-            if not found:
+            probes = [*pool, *islice(_pulse_trains(10), 40)]
+            if not _some_solution(
+                probes, p, grid, 12, lambda v, x: not bdc_member(~v, ~x, p)
+            ):
                 rep.fail(f"asymmetric {p}: no duality violation found")
-    rep.trials = combos
-    rep.seconds = time.monotonic() - t0
     return rep
 
 
-def check_composition(trials: int | None = None, seed: int = 7) -> CheckReport:
+def check_composition(trials: int = 100, seed: int = 7) -> CheckReport:
     """Chained solutions satisfy the summed parameters, the summed
     condition's extremal solutions factor back through the stages, and a
     memoryless stage makes the containment an equality.  The containment
     must also show up as strict somewhere: a candidate can meet the
     summed windows while no intermediate signal splits it into stages."""
-    trials = 100 if trials is None else trials
     rng = Random(seed)
     rep = CheckReport("t14g", trials)
-    t0 = time.monotonic()
     grid = GridConfig(-2, 16)
     redraws = 0
     equal_seen = 0
@@ -598,7 +552,6 @@ def check_composition(trials: int | None = None, seed: int = 7) -> CheckReport:
     rep.info["redraws"] = redraws
     rep.info["equal"] = equal_seen
     rep.info["strict"] = strict_seen
-    rep.seconds = time.monotonic() - t0
     return rep
 
 
@@ -610,27 +563,18 @@ def check_hold_consistency(trials: int | None = None, seed: int = 8) -> CheckRep
     memories, decided exactly on every combination with parameters up
     to 4.  The sweep is exhaustive: `trials` and `seed` are ignored."""
     rep = CheckReport("baidc", 0)
-    t0 = time.monotonic()
-    combos = 0
-    for p in _sweep_bdc(4):
-        for er in range(5):
-            for ef in range(5):
-                a = AicParams(er, ef)
-                combos += 1
-                solvable = baidc_consistent(p, a)
-                _check_decider(rep, CondExpr((p, a)), solvable, f"p={p}, a={a}")
-    rep.trials = combos
-    rep.seconds = time.monotonic() - t0
+    for p, er, ef in product(_sweep_bdc(4), range(5), range(5)):
+        a = AicParams(er, ef)
+        rep.trials += 1
+        _check_decider(rep, CondExpr((p, a)), baidc_consistent(p, a), f"p={p}, a={a}")
     return rep
 
 
-def check_hold_serial(trials: int | None = None, seed: int = 9) -> CheckReport:
+def check_hold_serial(trials: int = 50, seed: int = 9) -> CheckReport:
     """A chain of two held bounded delays satisfies the summed bounded
     delay with the second stage's holds."""
-    trials = 50 if trials is None else trials
     rng = Random(seed)
     rep = CheckReport("baidc-serial", trials)
-    t0 = time.monotonic()
     grid = GridConfig(-3, 18)
     for trial in range(trials):
         while True:
@@ -646,8 +590,8 @@ def check_hold_serial(trials: int | None = None, seed: int = 9) -> CheckReport:
         u = _rand_signal(rng, 3, 0, 6)
         comp = bdc_compose(p, q)
         checked = 0
-        for x in _take(iter_solutions(u, CondExpr((p, a)), grid), 30):
-            for y in _take(iter_solutions(x, CondExpr((q, b)), grid), 30):
+        for x in islice(iter_solutions(u, CondExpr((p, a)), grid), 30):
+            for y in islice(iter_solutions(x, CondExpr((q, b)), grid), 30):
                 checked += 1
                 if not bdc_member(u, y, comp) or not aic_member(y, b):
                     rep.fail(
@@ -656,7 +600,6 @@ def check_hold_serial(trials: int | None = None, seed: int = 9) -> CheckReport:
                     )
         if checked == 0:
             rep.fail(f"trial {trial}: no chained outputs at all (u={u}, p={p}, q={q})")
-    rep.seconds = time.monotonic() - t0
     return rep
 
 
@@ -664,13 +607,11 @@ def check_hold_serial(trials: int | None = None, seed: int = 9) -> CheckReport:
 
 
 def check_relative_implies_absolute(
-    trials: int | None = None, seed: int = 10
+    trials: int = 100, seed: int = 10
 ) -> CheckReport:
     """Edge-licensing windows force the mapped output holds."""
-    trials = 100 if trials is None else trials
     rng = Random(seed)
     rep = CheckReport("t42", trials)
-    t0 = time.monotonic()
     grid = GridConfig(-3, 9)
     for trial in range(trials):
         while True:
@@ -684,7 +625,6 @@ def check_relative_implies_absolute(
             if not aic_member(x, a):
                 rep.fail(f"trial {trial}: {x} meets edges of r={r} but not holds {a}")
                 break
-    rep.seconds = time.monotonic() - t0
     return rep
 
 
@@ -696,37 +636,30 @@ def check_relative_consistency(
     parameters up to 4; sweeps must exercise every regime.  The sweep is
     exhaustive: `trials` and `seed` are ignored."""
     rep = CheckReport("t45", 0)
-    t0 = time.monotonic()
     fired = {"b.i": 0, "b.ii": 0, "b.iii": 0, "b.iv": 0}
-    combos = 0
-    for p in _sweep_bdc(4, cc=None):
-        for r in _sweep_ric(4):
-            combos += 1
-            cases = bridc_consistency_cases(p, r)
-            for c in cases:
-                fired[c] += 1
-            solvable = bridc_consistent(p, r)
-            if cases and not solvable:
-                rep.fail(f"regime fired outside the criterion: p={p}, r={r}")
-                continue
-            _check_decider(rep, CondExpr((p, r)), solvable, f"p={p}, r={r}")
+    for p, r in product(_sweep_bdc(4, cc=None), _sweep_ric(4)):
+        rep.trials += 1
+        cases = bridc_consistency_cases(p, r)
+        for c in cases:
+            fired[c] += 1
+        solvable = bridc_consistent(p, r)
+        if cases and not solvable:
+            rep.fail(f"regime fired outside the criterion: p={p}, r={r}")
+            continue
+        _check_decider(rep, CondExpr((p, r)), solvable, f"p={p}, r={r}")
     for c, n in fired.items():
         if n == 0:
             rep.fail(f"regime {c} never fired in the sweep")
-    rep.trials = combos
     rep.info["regimes"] = dict(sorted(fired.items()))
-    rep.seconds = time.monotonic() - t0
     return rep
 
 
-def check_det_transfer(trials: int | None = None, seed: int = 12) -> CheckReport:
+def check_det_transfer(trials: int = 200, seed: int = 12) -> CheckReport:
     """With windows equal to memories the condition has exactly one
     solution: the recurrence output.  Zero memory reproduces the pure
     shift; short pulses are swallowed."""
-    trials = 200 if trials is None else trials
     rng = Random(seed)
     rep = CheckReport("t47", trials)
-    t0 = time.monotonic()
     grid = GridConfig(-3, 21)
     for trial in range(trials):
         if trial % 5 == 4:
@@ -737,7 +670,7 @@ def check_det_transfer(trials: int | None = None, seed: int = 12) -> CheckReport
         u = _rand_signal(rng, 5, 0, 12)
         r = RicParams(p.mr, p.dr, p.mf, p.df)
         det = bridc_det_output(u, p)
-        sols = _take(iter_solutions(u, CondExpr((p, r)), grid), 3)
+        sols = list(islice(iter_solutions(u, CondExpr((p, r)), grid), 3))
         if sols != [det]:
             rep.fail(
                 f"trial {trial}: oracle set {sols} != recurrence {det} "
@@ -760,7 +693,6 @@ def check_det_transfer(trials: int | None = None, seed: int = 12) -> CheckReport
         if det.final != 0:
             rep.fail(f"pulse trial {trial}: output stuck high for p={p}")
     rep.trials = trials + pulses
-    rep.seconds = time.monotonic() - t0
     return rep
 
 
@@ -784,12 +716,16 @@ THEOREM_CHECKS = {
 
 
 def run_check(name: str, trials: int | None = None, seed: int | None = None) -> CheckReport:
+    """Run one suite, timed; `trials` or `seed` left at None takes the
+    suite's own default."""
     try:
         fn = THEOREM_CHECKS[name]
     except KeyError:
         raise ValueError(
             f"unknown theorem {name!r}; choose from {', '.join(sorted(THEOREM_CHECKS))}"
         ) from None
-    if seed is None:
-        return fn(trials)
-    return fn(trials, seed)
+    given = {k: v for k, v in (("trials", trials), ("seed", seed)) if v is not None}
+    t0 = time.monotonic()
+    rep = fn(**given)
+    rep.seconds = time.monotonic() - t0
+    return rep

@@ -138,6 +138,17 @@ def test_netlist_dict_round_trip():
     assert netlist_from_dict(d) == n
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [("delay", {"kind": "fixed", "d": 1.5}), ("table", [0.7, 1.2]), ("table", [False, True])],
+)
+def test_netlist_from_dict_refuses_numbers_that_are_not_integers(key, value):
+    d = netlist_to_dict(single(Gate("y", ("a",), BUF, FixedDelay(1))))
+    d["gates"][0][key] = value
+    with pytest.raises(NetlistError, match="gate 'y'.*must be an integer"):
+        netlist_from_dict(d)
+
+
 # -- simulation ------------------------------------------------------------------
 
 

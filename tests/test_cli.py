@@ -49,6 +49,14 @@ def test_consistent_cc_fail_lists_violations(capsys):
     assert v["violations"] == ["df >= dr - mr fails (2 >= 3 - 0)"]
 
 
+def test_consistent_refuses_a_parameter_that_is_not_an_integer(capsys):
+    code, _out, err = run(
+        capsys, "consistent", "--cond", "cc", "--params", '{"mr":1.9,"dr":2,"mf":1,"df":2}'
+    )
+    assert code == 2
+    assert "mr must be an integer, got 1.9" in err
+
+
 def test_consistent_baidc(capsys):
     code, v = verdict(
         capsys,
@@ -383,6 +391,7 @@ def _netlist_with_delay(delay):
     [
         {"kind": "bridc", "mr": "x", "dr": 2, "mf": 0, "df": 2},
         {"kind": "bridc", "mr": 3, "dr": 2, "mf": 0, "df": 2},
+        {"kind": "fixed", "d": 1.5},
         3,
     ],
 )
@@ -434,6 +443,24 @@ def test_oracle_enumerate(capsys, tmp_path):
     assert code == 0
     assert "4 solutions" in err
     assert len(out.strip().splitlines()) == 4
+
+
+def test_oracle_enumerate_refuses_a_grid_with_too_many_solutions(
+    capsys, tmp_path, monkeypatch
+):
+    # every one of the 81 ticks is free: listing 2**81 outputs never ends
+    def listing(*_args):
+        raise AssertionError("enumerate started listing before counting")
+
+    monkeypatch.setattr(oracle, "iter_solutions", listing)
+    u = wave_file(tmp_path, "u.wave", "u 0\n")
+    code, _out, err = run(
+        capsys,
+        "oracle", "enumerate", "--atoms", '{"kind":"aic","deltar":0,"deltaf":0}',
+        "--input", u, "--grid", "0:80",
+    )
+    assert code == 2
+    assert f"{2**81} solutions" in err
 
 
 def test_oracle_witness_found(capsys):

@@ -78,6 +78,12 @@ def test_atom_dict_round_trip(atom):
     assert atom_from_dict(atom_to_dict(atom)) == atom
 
 
+@pytest.mark.parametrize("value", [1.9, 1.0, True, "1"])
+def test_atom_from_dict_refuses_values_that_are_not_integers(value):
+    with pytest.raises(ValueError, match="mr must be an integer"):
+        atom_from_dict({"kind": "bdc", "mr": value, "dr": 2, "mf": 1, "df": 2})
+
+
 def test_bdc_json_keys():
     assert BdcParams(1, 2, 3, 4).as_dict() == {"mr": 1, "dr": 2, "mf": 3, "df": 4}
     assert RicParams(1, 2, 3, 4).as_dict() == {

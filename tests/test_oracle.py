@@ -187,6 +187,15 @@ def test_decider_agrees_with_the_counting_dp():
 # -- law suites that sweep a fixed set --------------------------------------------
 
 
+def test_run_check_applies_the_suite_defaults_and_times_the_suite():
+    default, explicit = verify.run_check("t14e"), verify.run_check("t14e", 100, 5)
+    assert (default.trials, default.failures, default.info) == (
+        explicit.trials, explicit.failures, explicit.info
+    )
+    assert default.trials == 100
+    assert default.seconds > 0
+
+
 @pytest.mark.parametrize("name, trials", [("t14c", 5), ("t14f", 500)])
 def test_parameter_sweeps_ignore_the_trial_count(name, trials, monkeypatch):
     def run(count):

@@ -152,6 +152,8 @@ def test_pointwise_rejects_bad_combiners():
         pointwise(lambda: 0)
     with pytest.raises(SignalError):
         pointwise(lambda a: 2, Signal.const(0))
+    with pytest.raises(SignalError, match="got 2"):  # checked past the first tick
+        pointwise(lambda a: 2 * a, Signal(0, (1, 3)))
 
 
 @given(signals(), signals())
