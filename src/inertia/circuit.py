@@ -349,7 +349,7 @@ def simulate(
     out: dict[str, Signal] = {}
     for net, sw in x_sw.items():
         k = bisect.bisect_right(sw, lo)
-        out[net] = Signal(pre[net] ^ (k & 1), tuple(sw[k:]))
+        out[net] = Signal._trusted(pre[net] ^ (k & 1), tuple(sw[k:]))
     return out
 
 

@@ -339,6 +339,8 @@ def _resolve_seed(args: argparse.Namespace, cfg: RunConfig | None) -> int | None
 def _cmd_oracle_verify(args: argparse.Namespace) -> int:
     cfg = _load_config(args.config)
     seed = _resolve_seed(args, cfg)
+    if args.trials is not None and args.trials < 1:
+        raise CliError(f"--trials must be at least 1, got {args.trials}")
     report = run_check(args.theorem, args.trials, seed)
     print(report.summary())
     for failure in report.failures:

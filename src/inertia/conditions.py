@@ -18,9 +18,10 @@ CondExpr conjoins atoms, which is how inertial conditions (BDC + AIC,
 BDC + RIC) are expressed.
 """
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
-from .signals import Signal, Tick, forward_window_and, switch_walk, window_and, window_or
+from .signals import Signal, switch_walk, window_and, window_or
 
 
 class ConsistencyError(ValueError):
@@ -226,16 +227,6 @@ def require_cc(p: BdcParams) -> None:
 # -- membership predicates -------------------------------------------------
 
 
-def rising_edges(x: Signal) -> Signal:
-    """Indicator signal: 1 exactly at ticks where x rises."""
-    return x & ~x.translate(1)
-
-
-def falling_edges(x: Signal) -> Signal:
-    """Indicator signal: 1 exactly at ticks where x falls."""
-    return ~x & x.translate(1)
-
-
 def fdc_member(u: Signal, x: Signal, d: int) -> bool:
     """x is the fixed-delay image of u: x(t) = u(t - d)."""
     if d < 0:
@@ -257,17 +248,32 @@ def bdc_member(u: Signal, x: Signal, p: BdcParams) -> bool:
 
 
 def aic_member(x: Signal, a: AicParams) -> bool:
-    """Every rise of x holds 1 for delta_r ticks, every fall holds 0 for delta_f."""
-    if not rising_edges(x).leq(forward_window_and(x, a.delta_r)):
-        return False
-    return falling_edges(x).leq(forward_window_and(~x, a.delta_f))
+    """Every rise of x holds 1 for delta_r ticks, every fall holds 0 for delta_f.
+
+    A run-length test: the gap from a rise to the next switch must be at
+    least delta_r + 1 ticks, from a fall at least delta_f + 1.
+    """
+    sw = x.switches
+    # switches alternate rise/fall, starting with a rise when x starts at 0
+    first, second = (a.delta_r, a.delta_f) if x.initial == 0 else (a.delta_f, a.delta_r)
+    return all(b - t > first for t, b in zip(sw[::2], sw[1::2])) and all(
+        b - t > second for t, b in zip(sw[1::2], sw[2::2])
+    )
 
 
 def ric_member(u: Signal, x: Signal, r: RicParams) -> bool:
-    """Edges of x only where u held the matching value over the past window."""
-    if not rising_edges(x).leq(window_and(u, r.delta_r, r.mu_r)):
-        return False
-    return falling_edges(x).leq(window_and(~u, r.delta_f, r.mu_f))
+    """Edges of x only where u held the matching value over the past window:
+    a rise at t needs u == 1 on [t - delta_r, t - delta_r + mu_r], a fall
+    u == 0 on [t - delta_f, t - delta_f + mu_f]."""
+    us = u.switches
+    level = x.initial
+    for t in x.switches:
+        level ^= 1
+        d, m = (r.delta_r, r.mu_r) if level else (r.delta_f, r.mu_f)
+        k = bisect_right(us, t - d)  # u's switches up to the window start
+        if u.initial ^ (k & 1) != level or (k < len(us) and us[k] <= t - d + m):
+            return False
+    return True
 
 
 def violations(u: Signal | None, x: Signal, atom: Atom) -> list[str]:
@@ -511,4 +517,4 @@ def bridc_det_output(u: Signal, p: BdcParams) -> Signal:
         elif val == 1 and fall:
             out.append(t)
             val = 0
-    return Signal(u.initial, tuple(out))
+    return Signal._trusted(u.initial, tuple(out))

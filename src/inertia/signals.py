@@ -31,7 +31,9 @@ class Signal:
 
     `initial` is the value on (-inf, switches[0]); each switch flips the
     value.  Canonical form (strictly increasing switch times, no empty
-    flips) is enforced on construction, so `==` and hashing are semantic.
+    flips) is enforced on construction, so `==` and hashing are semantic;
+    only kernels whose switches are canonical by construction skip the
+    check, through `_trusted`.
     """
 
     initial: int
@@ -49,6 +51,15 @@ class Signal:
             if prev is not None and t <= prev:
                 raise SignalError(f"switch times must strictly increase ({prev} then {t})")
             prev = t
+
+    @classmethod
+    def _trusted(cls, initial: int, switches: tuple[Tick, ...]) -> "Signal":
+        """A Signal built without the canonical-form check, for kernels
+        whose switch tuple is strictly increasing by construction."""
+        s = object.__new__(cls)
+        object.__setattr__(s, "initial", initial)
+        object.__setattr__(s, "switches", switches)
+        return s
 
     def __repr__(self):
         return f"Signal({self.initial}, {list(self.switches)})"
@@ -85,15 +96,16 @@ class Signal:
     # -- Boolean algebra and ordering ------------------------------------
 
     def complement(self) -> "Signal":
-        return Signal(1 - self.initial, self.switches)
+        return Signal._trusted(1 - self.initial, self.switches)
 
     __invert__ = complement
 
     def translate(self, d: Tick) -> "Signal":
         """Time shift: result(t) == self(t - d)."""
+        _require_int(d, "shift")
         if d == 0:
             return self
-        return Signal(self.initial, tuple(t + d for t in self.switches))
+        return Signal._trusted(self.initial, tuple([t + d for t in self.switches]))
 
     def __and__(self, other: "Signal") -> "Signal":
         return pointwise(lambda a, b: a & b, self, other)
@@ -161,7 +173,7 @@ def pointwise(fn, *signals: Signal) -> Signal:
                 raise SignalError(f"combiner must return 0 or 1, got {new!r}")
             switches.append(t)
             val = new
-    return Signal(initial, tuple(switches))
+    return Signal._trusted(initial, tuple(switches))
 
 
 # -- sliding windows ------------------------------------------------------
@@ -210,7 +222,20 @@ def _runs_to_signal(runs, level: int) -> Signal:
             switches.append(a)
         if b is not None:
             switches.append(b)
-    return Signal(initial, tuple(switches))
+    return Signal._trusted(initial, tuple(switches))
+
+
+def _require_int(value, what: str) -> None:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise SignalError(f"{what} must be an integer, got {value!r}")
+
+
+def _window(s: Signal, level: int, d: Tick, m: Tick) -> Signal:
+    _require_int(d, "window offset")
+    _require_int(m, "window width")
+    if m < 0:
+        raise SignalError(f"window width must be >= 0, got {m}")
+    return _runs_to_signal(_shrink_runs(_level_runs(s, level), d, m), level)
 
 
 def window_and(s: Signal, d: Tick, m: Tick) -> Signal:
@@ -218,9 +243,7 @@ def window_and(s: Signal, d: Tick, m: Tick) -> Signal:
 
     With m == 0 this degenerates to a pure shift by d.
     """
-    if m < 0:
-        raise SignalError(f"window width must be >= 0, got {m}")
-    return _runs_to_signal(_shrink_runs(_level_runs(s, 1), d, m), 1)
+    return _window(s, 1, d, m)
 
 
 def window_or(s: Signal, d: Tick, m: Tick) -> Signal:
@@ -229,13 +252,9 @@ def window_or(s: Signal, d: Tick, m: Tick) -> Signal:
     Dual of window_and: the result is 0 exactly where the whole window
     sits inside a 0-run of s.
     """
-    if m < 0:
-        raise SignalError(f"window width must be >= 0, got {m}")
-    return _runs_to_signal(_shrink_runs(_level_runs(s, 0), d, m), 0)
+    return _window(s, 0, d, m)
 
 
 def forward_window_and(s: Signal, hold: Tick) -> Signal:
     """t -> AND of s over the look-ahead ticks [t, t + hold]."""
-    if hold < 0:
-        raise SignalError(f"hold must be >= 0, got {hold}")
-    return _runs_to_signal(_shrink_runs(_level_runs(s, 1), 0, hold), 1)
+    return _window(s, 1, 0, hold)

@@ -724,6 +724,8 @@ def run_check(name: str, trials: int | None = None, seed: int | None = None) -> 
         raise ValueError(
             f"unknown theorem {name!r}; choose from {', '.join(sorted(THEOREM_CHECKS))}"
         ) from None
+    if trials is not None and trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     given = {k: v for k, v in (("trials", trials), ("seed", seed)) if v is not None}
     t0 = time.monotonic()
     rep = fn(**given)

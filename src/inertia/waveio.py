@@ -4,7 +4,10 @@ Waveform text is one signal per line: `name initial t1 t2 ... tn` with
 strictly increasing switch times.  Times may be decimals only when the
 run config sets a resolution that maps them to whole ticks; anything that
 does not land on a tick is rejected rather than rounded.  `#` starts a
-comment.
+comment.  A time that is a plain ASCII integer is read with int(); any
+other form Fraction reads (`_` digit groups, non-ASCII digits, `a/b`,
+decimals, exponents of at most 4 digits) goes through Fraction.  A tick
+may have at most 4300 digits, the most Python writes back as text.
 
 VCD output is emission-only and deterministic: no timestamps of the run,
 identifiers assigned in sorted name order, same-tick changes sorted by
@@ -12,6 +15,7 @@ name.  Negative ticks are handled by shifting all timestamps by a
 documented offset (VCD time must not be negative).
 """
 
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -68,9 +72,30 @@ def parse_config(text: str) -> RunConfig:
     return RunConfig(**fields)
 
 
+# a plain ASCII integer: int() would also take `_` and non-ASCII digits,
+# which stay on the Fraction path
+_INT_TOKEN = re.compile(r"[+-]?[0-9]+", re.ASCII)
+# a line's times when every one is a plain ASCII integer
+_INT_TIMES = re.compile(r"[+-]?[0-9]+(?:[ \t]+[+-]?[0-9]+)*", re.ASCII)
+# the exponent of a decimal token, digits grouped by `_` as Fraction allows
+_EXPONENT = re.compile(r"[eE][+-]?(\d+(?:_\d+)*)\Z")
+MAX_EXPONENT_DIGITS = 4
+# Python writes ints of at most 4300 digits as text by default, so every
+# accepted tick can be written back out
+MAX_TICK_DIGITS = 4300
+_TICK_LIMIT = 10**MAX_TICK_DIGITS
+
+
 def _parse_tick(token: str, resolution: int, ln: int) -> Tick:
+    exponent = _EXPONENT.search(token)
+    # 1e2000000 would make Fraction build a 2,000,001-digit number
+    if exponent and len(exponent[1].replace("_", "")) > MAX_EXPONENT_DIGITS:
+        raise WaveParseError(
+            f"line {ln}: time {token!r} has an exponent of more than "
+            f"{MAX_EXPONENT_DIGITS} digits"
+        )
     try:
-        value = Fraction(token)
+        value = int(token) if _INT_TOKEN.fullmatch(token) else Fraction(token)
     except (ValueError, ZeroDivisionError):
         raise WaveParseError(f"line {ln}: bad time {token!r}") from None
     scaled = value * resolution
@@ -78,7 +103,23 @@ def _parse_tick(token: str, resolution: int, ln: int) -> Tick:
         raise WaveParseError(
             f"line {ln}: time {token} does not land on a tick at resolution {resolution}"
         )
-    return int(scaled)
+    tick = int(scaled)
+    if not -_TICK_LIMIT < tick < _TICK_LIMIT:
+        raise WaveParseError(
+            f"line {ln}: time {token!r} is a tick of more than {MAX_TICK_DIGITS} digits"
+        )
+    return tick
+
+
+def _parse_times(text: str, resolution: int, ln: int) -> tuple[Tick, ...]:
+    """The switch times of one line: at resolution 1 a line of plain ASCII
+    integers is read in one go, anything else token by token."""
+    if resolution == 1 and _INT_TIMES.fullmatch(text):
+        try:
+            return tuple(map(int, text.split()))
+        except ValueError:  # past int()'s digit limit; _parse_tick names the token
+            pass
+    return tuple([_parse_tick(tok, resolution, ln) for tok in text.split()])
 
 
 def parse_waveforms(text: str, resolution: int = 1) -> dict[str, Signal]:
@@ -88,7 +129,7 @@ def parse_waveforms(text: str, resolution: int = 1) -> dict[str, Signal]:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        parts = line.split()
+        parts = line.split(None, 2)
         if len(parts) < 2:
             raise WaveParseError(f"line {ln}: expected `name initial [times...]`")
         name = parts[0]
@@ -96,13 +137,13 @@ def parse_waveforms(text: str, resolution: int = 1) -> dict[str, Signal]:
             raise WaveParseError(f"line {ln}: duplicate signal {name!r}")
         if parts[1] not in ("0", "1"):
             raise WaveParseError(f"line {ln}: initial value must be 0 or 1")
-        times = [_parse_tick(tok, resolution, ln) for tok in parts[2:]]
-        for a, b in zip(times, times[1:]):
-            if b <= a:
-                raise WaveParseError(
-                    f"line {ln}: switch times must strictly increase ({a} then {b})"
-                )
-        out[name] = Signal(int(parts[1]), tuple(times))
+        times = _parse_times(parts[2] if len(parts) > 2 else "", resolution, ln)
+        if not all(map(operator.lt, times, times[1:])):
+            a, b = next((a, b) for a, b in zip(times, times[1:]) if b <= a)
+            raise WaveParseError(
+                f"line {ln}: switch times must strictly increase ({a} then {b})"
+            )
+        out[name] = Signal._trusted(int(parts[1]), times)
     return out
 
 

@@ -261,6 +261,8 @@ def test_simulation_matches_the_dense_reference(seed):
         with pytest.raises(NetlistError):
             simulate(n, stim, horizon)
         return
+    # want is built by the validating constructor, so equality also shows
+    # that simulate's unchecked outputs are canonical
     assert simulate(n, stim, horizon) == want, case
 
 

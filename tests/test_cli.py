@@ -7,6 +7,7 @@ or output was produced, 1 means it fails, 2 means malformed input.
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -269,6 +270,18 @@ def test_check_names_every_violated_bound(
     assert out == json.dumps(expected, indent=2, sort_keys=True) + "\n"
 
 
+def test_check_refuses_a_long_exponent_at_once(capsys, tmp_path):
+    x = wave_file(tmp_path, "w.wave", "u 0 1e2000000\n")
+    t0 = time.perf_counter()
+    code, out, err = run(
+        capsys, "check", "--cond", "aic", "--params", '{"deltar":1,"deltaf":1}',
+        "--output", x,
+    )
+    assert time.perf_counter() - t0 < 0.1
+    assert (code, out) == (2, "")
+    assert err == "error: line 1: time '1e2000000' has an exponent of more than 4 digits\n"
+
+
 def test_check_bdc_requires_input(capsys, tmp_path):
     x = wave_file(tmp_path, "x.wave", "x 0 3 8\n")
     code, _out, err = run(
@@ -507,6 +520,15 @@ def test_oracle_verify_reports_a_summary(capsys):
     )
     assert code == 0
     assert out.startswith("t14e: PASS (5 trials")
+
+
+@pytest.mark.parametrize("trials", ["-3", "0"])
+def test_oracle_verify_refuses_a_trial_count_below_one(capsys, trials):
+    code, out, err = run(
+        capsys, "oracle", "verify", "--theorem", "t14e", "--trials", trials
+    )
+    assert (code, out) == (2, "")
+    assert err == f"error: --trials must be at least 1, got {trials}\n"
 
 
 def test_oracle_verify_seed_env(capsys, monkeypatch):

@@ -6,7 +6,7 @@ bottom pin down behavior that a naive parameter arithmetic gets wrong.
 """
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from inertia.conditions import (
     AicParams,
@@ -304,7 +304,66 @@ def dense_det(u, p, lo, hi):
 @given(pulse_inputs(), consistent_bdc())
 def test_bridc_det_output_matches_the_dense_recurrence(u, p):
     # before tick -16 nothing has switched, and after 16 + 4 nothing can
-    assert bridc_det_output(u, p).values_on(-20, 30) == dense_det(u, p, -20, 30)
+    out = bridc_det_output(u, p)
+    assert Signal(out.initial, out.switches) == out  # canonical without the check
+    assert out.values_on(-20, 30) == dense_det(u, p, -20, 30)
+
+
+def dense_edges(x, lo, hi):
+    """(t, new value) for every tick of lo..hi at which x switches."""
+    return [
+        (t, x.value_at(t)) for t in range(lo, hi + 1) if x.value_at(t) != x.value_at(t - 1)
+    ]
+
+
+def dense_aic(x, a):
+    """Each edge's new value held on the hold window [t, t + delta]."""
+    for t, level in dense_edges(x, -20, 20):
+        hold = a.delta_r if level else a.delta_f
+        if any(x.value_at(t + j) != level for j in range(hold + 1)):
+            return False
+    return True
+
+
+def dense_ric(u, x, r):
+    """Each edge's new value held by u on [t - delta, t - delta + mu]."""
+    for t, level in dense_edges(x, -20, 20):
+        d, m = (r.delta_r, r.mu_r) if level else (r.delta_f, r.mu_f)
+        if any(u.value_at(t - d + j) != level for j in range(m + 1)):
+            return False
+    return True
+
+
+holds = st.integers(0, 4)
+
+
+@st.composite
+def ric_params(draw):
+    """Licensing windows, mu == delta (the whole past window) half the time."""
+    dr, df = draw(holds), draw(holds)
+    mu = [draw(st.one_of(st.just(d), st.integers(0, d))) for d in (dr, df)]
+    return RicParams(mu[0], dr, mu[1], df)
+
+
+@settings(derandomize=True, max_examples=150)
+@given(pulse_inputs(), holds, holds)
+def test_aic_member_matches_the_dense_hold_windows(x, dr, df):
+    a = AicParams(dr, df)
+    assert aic_member(x, a) == dense_aic(x, a)
+    for gap in zip(x.switches, x.switches[1:]):  # each hold on its own
+        two = Signal(x.value_at(gap[0] - 1), gap)
+        assert aic_member(two, a) == dense_aic(two, a)
+
+
+@settings(derandomize=True, max_examples=150)
+@given(pulse_inputs(), pulse_inputs(), ric_params(), st.none() | holds)
+def test_ric_member_matches_the_dense_licensing_windows(u, x, r, lag):
+    if lag is not None:  # an output lagging u often has its edges licensed
+        x = u.translate(lag)
+    assert ric_member(u, x, r) == dense_ric(u, x, r)
+    for t in x.switches:  # each edge on its own, so no verdict hides another
+        one = Signal(x.value_at(t - 1), (t,))
+        assert ric_member(u, one, r) == dense_ric(u, one, r)
 
 
 # -- regressions: where the naive formulas break -----------------------------------

@@ -196,6 +196,12 @@ def test_run_check_applies_the_suite_defaults_and_times_the_suite():
     assert default.seconds > 0
 
 
+@pytest.mark.parametrize("trials", [-3, 0])
+def test_run_check_refuses_a_trial_count_below_one(trials):
+    with pytest.raises(ValueError, match=f"trials must be at least 1, got {trials}"):
+        verify.run_check("t14e", trials)
+
+
 @pytest.mark.parametrize("name, trials", [("t14c", 5), ("t14f", 500)])
 def test_parameter_sweeps_ignore_the_trial_count(name, trials, monkeypatch):
     def run(count):

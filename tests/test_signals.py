@@ -2,7 +2,9 @@
 
 The window operators are cross-checked against a direct dense evaluation
 at every tick, so the run-arithmetic implementation never gets to define
-its own truth.
+its own truth.  Kernels that build their results without the canonical-
+form check (translate, complement, pointwise, the windows) have every
+result re-validated here too.
 """
 
 import operator
@@ -45,6 +47,13 @@ def operands(draw, min_k=1, max_k=3):
 
 offsets = st.integers(-4, 6)
 widths = st.integers(0, 4)
+
+
+def revalidated(s):
+    """s rebuilt through the validating constructor, which refuses a
+    switch tuple that is not strictly increasing."""
+    assert type(s.switches) is tuple
+    return Signal(s.initial, s.switches)
 
 
 def dense(s, d, m, combine):
@@ -128,6 +137,25 @@ def test_complement_is_an_involution():
     assert (~s).value_at(2) == 1 - s.value_at(2)
 
 
+@given(signals(), offsets)
+def test_translate_and_complement_match_dense_evaluation(s, d):
+    shifted, flipped = revalidated(s.translate(d)), revalidated(~s)
+    for t in range(-30, 31):
+        assert shifted.value_at(t) == s.value_at(t - d)
+        assert flipped.value_at(t) == 1 - s.value_at(t)
+
+
+def test_shifts_and_windows_must_be_integers():
+    s = Signal(0, (0, 5))
+    for bad in (0.5, True, "1"):
+        with pytest.raises(SignalError):
+            s.translate(bad)
+        with pytest.raises(SignalError):
+            window_and(s, bad, 1)
+        with pytest.raises(SignalError):
+            window_or(s, 1, bad)
+
+
 def test_xor_with_self_is_zero():
     s = Signal(1, (0, 2, 7))
     assert s ^ s == Signal.const(0)
@@ -158,7 +186,7 @@ def test_pointwise_rejects_bad_combiners():
 
 @given(signals(), signals())
 def test_pointwise_and_agrees_with_dense_evaluation(a, b):
-    c = a & b
+    c = revalidated(a & b)
     for t in range(-20, 21):
         assert c.value_at(t) == (a.value_at(t) & b.value_at(t))
 
@@ -183,7 +211,7 @@ COMBINERS = {
 @given(operands())
 def test_pointwise_matches_dense_evaluation(name, ops):
     fn = COMBINERS[name]
-    out = pointwise(fn, *ops)
+    out = revalidated(pointwise(fn, *ops))
     for t in range(-20, 21):
         assert out.value_at(t) == fn(*(s.value_at(t) for s in ops))
 
@@ -230,12 +258,12 @@ def test_short_run_is_swallowed():
 
 @given(signals(), offsets, widths)
 def test_window_and_matches_dense_evaluation(s, d, m):
-    assert window_and(s, d, m).values_on(-30, 30) == dense(s, d, m, all)
+    assert revalidated(window_and(s, d, m)).values_on(-30, 30) == dense(s, d, m, all)
 
 
 @given(signals(), offsets, widths)
 def test_window_or_matches_dense_evaluation(s, d, m):
-    assert window_or(s, d, m).values_on(-30, 30) == dense(s, d, m, any)
+    assert revalidated(window_or(s, d, m)).values_on(-30, 30) == dense(s, d, m, any)
 
 
 @given(signals(), widths)
@@ -243,7 +271,7 @@ def test_forward_window_matches_dense_evaluation(s, hold):
     expect = [
         all(s.value_at(t + j) for j in range(hold + 1)) for t in range(-30, 31)
     ]
-    assert forward_window_and(s, hold).values_on(-30, 30) == expect
+    assert revalidated(forward_window_and(s, hold)).values_on(-30, 30) == expect
 
 
 @given(signals(), offsets, widths)

@@ -1,6 +1,10 @@
 """Waveform text format, run configuration, and VCD emission."""
 
+import time
+from fractions import Fraction
+
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from inertia.signals import Signal
 from inertia.waveio import (
@@ -54,6 +58,126 @@ def test_resolution_scales_times():
 def test_resolution_rejects_off_grid_times():
     with pytest.raises(WaveParseError):
         parse_waveforms("u 0 0.3\n", resolution=2)
+
+
+def test_exponents_and_fractions_land_on_ticks():
+    waves = parse_waveforms("u 0 2.5e1 +0030 70/2 4E+001\n", resolution=2)
+    assert waves == {"u": Signal(0, (50, 60, 70, 80))}
+
+
+@pytest.mark.parametrize("token", ["1e2000000", "1E-99999", "2.5e+1_0000", "1e00005"])
+def test_a_long_exponent_is_refused_at_once(token):
+    t0 = time.perf_counter()
+    with pytest.raises(WaveParseError) as err:
+        parse_waveforms(f"v 1\nu 0 1 {token}\n")
+    assert time.perf_counter() - t0 < 0.1
+    assert str(err.value) == (
+        f"line 2: time {token!r} has an exponent of more than 4 digits"
+    )
+
+
+def test_a_tick_too_long_to_write_back_is_refused():
+    # the order check's message and emit_waveforms could not print it
+    with pytest.raises(WaveParseError) as err:
+        parse_waveforms("u 0 1e4300 0\n")
+    assert str(err.value) == "line 1: time '1e4300' is a tick of more than 4300 digits"
+    big = "9" * 4300
+    assert emit_waveforms(parse_waveforms(f"u 0 -{big} {big}\n")) == f"u 0 -{big} {big}\n"
+
+
+def reference_tick(token, resolution, ln):
+    """Every token through Fraction, as the parser read times before it
+    had an integer fast path."""
+    try:
+        value = Fraction(token)
+    except (ValueError, ZeroDivisionError):
+        raise WaveParseError(f"line {ln}: bad time {token!r}") from None
+    scaled = value * resolution
+    if scaled.denominator != 1:
+        raise WaveParseError(
+            f"line {ln}: time {token} does not land on a tick at resolution {resolution}"
+        )
+    return int(scaled)
+
+
+# Arabic-Indic and fullwidth digits: int() and Fraction both read them
+NON_ASCII_DIGITS = ("\u0660\u0661\u0662\u0663\u0664\u0665\u0666\u0667\u0668\u0669",
+                    "\uff10\uff11\uff12\uff13\uff14\uff15\uff16\uff17\uff18\uff19")
+
+
+@st.composite
+def time_tokens(draw):
+    """Time tokens of every shape the Fraction grammar knows, and some it
+    does not; exponents keep to 4 digits, past which the parser refuses
+    a token that the reference would still read."""
+    sign = draw(st.sampled_from(["", "+", "-"]))
+    digits = draw(st.text("0123456789", min_size=1, max_size=8))
+    shape = draw(st.sampled_from(
+        ["int", "zeros", "underscore", "unicode", "huge", "decimal", "ratio",
+         "exponent", "junk"]
+    ))
+    if shape == "int":
+        return sign + digits
+    if shape == "zeros":
+        return sign + "0" * draw(st.integers(1, 4)) + digits
+    if shape == "underscore":
+        cut = draw(st.integers(0, len(digits)))
+        return sign + digits[:cut] + "_" * draw(st.integers(1, 2)) + digits[cut:]
+    if shape == "unicode":
+        table = str.maketrans("0123456789", draw(st.sampled_from(NON_ASCII_DIGITS)))
+        keep = draw(st.integers(0, len(digits)))  # an ASCII head, a non-ASCII tail
+        return sign + digits[:keep] + digits[keep:].translate(table)
+    if shape == "huge":  # int() and Fraction refuse more than 4300 digits
+        return sign + "1" + "0" * draw(st.integers(4295, 4305))
+    if shape == "decimal":
+        frac = draw(st.text("0123456789", max_size=4))
+        return sign + draw(st.sampled_from(["", digits])) + "." + frac
+    if shape == "ratio":
+        return sign + digits + "/" + draw(st.text("0123456789", min_size=1, max_size=3))
+    if shape == "exponent":
+        mantissa = draw(st.sampled_from([digits, digits + ".5", "." + digits]))
+        exp = draw(st.text("0123456789", min_size=1, max_size=4))
+        if draw(st.booleans()):  # Fraction reads `_` between exponent digits
+            exp = exp[:1] + "_" + exp[1:] if len(exp) > 1 else exp
+        return sign + mantissa + draw(st.sampled_from("eE")) + draw(
+            st.sampled_from(["", "+", "-"])
+        ) + exp
+    return draw(st.text("0123456789.eE/_+-x", min_size=1, max_size=6))
+
+
+def reference_line(tokens, resolution):
+    """reference_tick on each token, refusing ticks that cannot be written
+    back as text, then the order check."""
+    times = []
+    for tok in tokens:
+        times.append(reference_tick(tok, resolution, 1))
+        if abs(times[-1]) >= 10**4300:  # str() refuses more digits
+            raise WaveParseError(f"line 1: time {tok!r} is a tick of more than 4300 digits")
+    for a, b in zip(times, times[1:]):
+        if b <= a:
+            raise WaveParseError(f"line 1: switch times must strictly increase ({a} then {b})")
+    return tuple(times)
+
+
+@pytest.mark.parametrize("resolution", [1, 10, 1000])
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(tokens=st.lists(time_tokens(), min_size=1, max_size=4), sep=st.sampled_from(" \t"))
+@example(tokens=["1e4300"], sep=" ")  # one digit past the tick limit
+@example(tokens=["-" + "9" * 4300, "0"], sep=" ")  # the most negative integer token
+@example(tokens=["4", "04"], sep="\t")  # equal ticks
+@example(tokens=["1e9999"], sep=" ")  # the longest exponent read
+@example(tokens=[str(t) for t in range(-3, 40, 6)], sep=" ")  # a long integer line
+@example(tokens=["-3", "2", "+4.5e0", "9/1", "10"], sep="\t")  # integers around a decimal
+def test_the_integer_fast_path_reads_what_fraction_reads(resolution, tokens, sep):
+    text = "u 0 " + sep.join(tokens) + "\n"
+    try:
+        expect = reference_line(tokens, resolution)
+    except WaveParseError as exc:
+        with pytest.raises(WaveParseError) as err:
+            parse_waveforms(text, resolution)
+        assert str(err.value) == str(exc)
+    else:
+        assert parse_waveforms(text, resolution)["u"].switches == expect
 
 
 # -- run configuration ----------------------------------------------------------
