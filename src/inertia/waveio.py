@@ -4,10 +4,11 @@ Waveform text is one signal per line: `name initial t1 t2 ... tn` with
 strictly increasing switch times.  Times may be decimals only when the
 run config sets a resolution that maps them to whole ticks; anything that
 does not land on a tick is rejected rather than rounded.  `#` starts a
-comment.  A time that is a plain ASCII integer is read with int(); any
-other form Fraction reads (`_` digit groups, non-ASCII digits, `a/b`,
-decimals, exponents of at most 4 digits) goes through Fraction.  A tick
-may have at most 4300 digits, the most Python writes back as text.
+comment.  At resolution 1 a line whose times are all plain ASCII
+integers is read with int(); every other time, in any form Fraction
+reads (`_` digit groups, non-ASCII digits, `a/b`, decimals, exponents of
+at most 4 digits), goes through Fraction.  A tick may have at most 4300
+digits, the most Python writes back as text.
 
 VCD output is emission-only and deterministic: no timestamps of the run,
 identifiers assigned in sorted name order, same-tick changes sorted by
@@ -72,10 +73,8 @@ def parse_config(text: str) -> RunConfig:
     return RunConfig(**fields)
 
 
-# a plain ASCII integer: int() would also take `_` and non-ASCII digits,
-# which stay on the Fraction path
-_INT_TOKEN = re.compile(r"[+-]?[0-9]+", re.ASCII)
-# a line's times when every one is a plain ASCII integer
+# a line's times when every one is a plain ASCII integer: int() would
+# also take `_` and non-ASCII digits, which stay on the Fraction path
 _INT_TIMES = re.compile(r"[+-]?[0-9]+(?:[ \t]+[+-]?[0-9]+)*", re.ASCII)
 # the exponent of a decimal token, digits grouped by `_` as Fraction allows
 _EXPONENT = re.compile(r"[eE][+-]?(\d+(?:_\d+)*)\Z")
@@ -95,7 +94,7 @@ def _parse_tick(token: str, resolution: int, ln: int) -> Tick:
             f"{MAX_EXPONENT_DIGITS} digits"
         )
     try:
-        value = int(token) if _INT_TOKEN.fullmatch(token) else Fraction(token)
+        value = Fraction(token)
     except (ValueError, ZeroDivisionError):
         raise WaveParseError(f"line {ln}: bad time {token!r}") from None
     scaled = value * resolution
@@ -111,15 +110,30 @@ def _parse_tick(token: str, resolution: int, ln: int) -> Tick:
     return tick
 
 
+def _increasing(times: tuple[Tick, ...]) -> bool:
+    return all(map(operator.lt, times, times[1:]))
+
+
 def _parse_times(text: str, resolution: int, ln: int) -> tuple[Tick, ...]:
-    """The switch times of one line: at resolution 1 a line of plain ASCII
-    integers is read in one go, anything else token by token."""
+    """The strictly increasing switch times of one line.  At resolution 1
+    a line of plain ASCII integers is read in one go; any other line, and
+    one that fails a check, is read token by token so that the error names
+    the first bad token."""
     if resolution == 1 and _INT_TIMES.fullmatch(text):
         try:
-            return tuple(map(int, text.split()))
-        except ValueError:  # past int()'s digit limit; _parse_tick names the token
+            times = tuple(map(int, text.split()))
+        except ValueError:  # past int()'s digit limit
             pass
-    return tuple([_parse_tick(tok, resolution, ln) for tok in text.split()])
+        else:  # increasing, so the ends bound every tick
+            if _increasing(times) and -_TICK_LIMIT < times[0] and times[-1] < _TICK_LIMIT:
+                return times
+    times = tuple([_parse_tick(tok, resolution, ln) for tok in text.split()])
+    if not _increasing(times):
+        a, b = next((a, b) for a, b in zip(times, times[1:]) if b <= a)
+        raise WaveParseError(
+            f"line {ln}: switch times must strictly increase ({a} then {b})"
+        )
+    return times
 
 
 def parse_waveforms(text: str, resolution: int = 1) -> dict[str, Signal]:
@@ -138,11 +152,6 @@ def parse_waveforms(text: str, resolution: int = 1) -> dict[str, Signal]:
         if parts[1] not in ("0", "1"):
             raise WaveParseError(f"line {ln}: initial value must be 0 or 1")
         times = _parse_times(parts[2] if len(parts) > 2 else "", resolution, ln)
-        if not all(map(operator.lt, times, times[1:])):
-            a, b = next((a, b) for a, b in zip(times, times[1:]) if b <= a)
-            raise WaveParseError(
-                f"line {ln}: switch times must strictly increase ({a} then {b})"
-            )
         out[name] = Signal._trusted(int(parts[1]), times)
     return out
 

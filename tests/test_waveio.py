@@ -1,5 +1,6 @@
 """Waveform text format, run configuration, and VCD emission."""
 
+import sys
 import time
 from fractions import Fraction
 
@@ -83,6 +84,29 @@ def test_a_tick_too_long_to_write_back_is_refused():
     assert str(err.value) == "line 1: time '1e4300' is a tick of more than 4300 digits"
     big = "9" * 4300
     assert emit_waveforms(parse_waveforms(f"u 0 -{big} {big}\n")) == f"u 0 -{big} {big}\n"
+
+
+BIG = "1" + "0" * 4300  # one digit past the tick limit
+
+
+@pytest.mark.parametrize("times, token", [
+    (BIG, BIG), ("-9" + BIG + " 0", "-9" + BIG),
+    ("5 " + BIG + " 3", BIG),  # out of order too: the long tick is named first
+], ids=["one", "negative", "unordered"])
+def test_the_tick_limit_holds_without_ints_digit_limit(times, token):
+    # under the interpreter's default digit limit (Python 3.10.7 and later)
+    # int() and Fraction refuse such a token as a bad time; with the limit
+    # lifted, the integer line path must still refuse the tick
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        with pytest.raises(WaveParseError) as err:
+            parse_waveforms(f"u 0 {times}\n")
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+    assert str(err.value) == f"line 1: time {token!r} is a tick of more than 4300 digits"
 
 
 def reference_tick(token, resolution, ln):
