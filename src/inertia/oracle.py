@@ -3,8 +3,8 @@
 Every condition atom is a per-tick constraint on the output x that reads
 the input only through the window u(t - reach .. t), plus hold counters
 carried from earlier ticks.  `_tick_rule` states that constraint once per
-expression, as bitsets over the window's values, and two exact
-procedures read it:
+expression, as a table over the window's values, and exact procedures
+read it:
 
 * Grid enumeration.  Candidate outputs are bit vectors on a bounded tick
   horizon, constant outside it (extending their two end bits).  The DFS
@@ -13,7 +13,10 @@ procedures read it:
   input and any candidate are constant, so the constraints repeat
   verbatim and checking that range decides them for all time;
   edge-triggered constraints are vacuous outside the horizon because
-  candidates cannot switch there.
+  candidates cannot switch there.  When the expression licenses every
+  edge and holds nothing, the ticks are independent and
+  `pointwise_bounds` reads the least and greatest solutions straight
+  off the table.
 * The emptiness decider `find_empty_witness`, a breadth-first search
   over all inputs that either returns a shortest input admitting no
   output or proves that every input admits one.
@@ -28,10 +31,10 @@ from functools import lru_cache
 from typing import Iterator
 
 from .conditions import (
+    AicParams,
     BdcParams,
     CondExpr,
     FdcParams,
-    RicParams,
 )
 from .signals import Signal, Tick
 
@@ -68,90 +71,116 @@ class GridConfig:
             raise HorizonError("max_switches must be >= 0 or None")
 
 
-@lru_cache(maxsize=None)
-def _windows_with_bit(reach: int) -> tuple[int, ...]:
-    """Entry k: the bitset of windows whose bit k is 1."""
-    return tuple(
-        sum(1 << w for w in range(1 << (reach + 1)) if w >> k & 1)
-        for k in range(reach + 1)
-    )
+def _held(w: int, d: int, m: int, v: int) -> bool:
+    """Whether window w has u(t - d .. t - d + m) all v."""
+    span = ((1 << (m + 1)) - 1) << (d - m)
+    return w & span == span * v
+
+
+@lru_cache(maxsize=4096)
+def _atom_table(reach: int, atom) -> int:
+    """One window atom's table over the windows of `reach`, laid out as
+    in `_tick_rule`; a sweep meets each (reach, atom) pair many times."""
+    table = 0
+    for w in range(1 << (reach + 1)):
+        # BDC and FDC bound x(t) and license every edge; RIC licenses
+        # edges and leaves x(t) free
+        if isinstance(atom, BdcParams):
+            code = 12 | (not _held(w, atom.dr, atom.mr, 1)) | (
+                not _held(w, atom.df, atom.mf, 0)) << 1
+        elif isinstance(atom, FdcParams):
+            code = 12 | (not _held(w, atom.d, 0, 1)) | (not _held(w, atom.d, 0, 0)) << 1
+        else:  # RicParams
+            code = 3 | _held(w, atom.delta_f, atom.mu_f, 0) << 2 | (
+                _held(w, atom.delta_r, atom.mu_r, 1)) << 3
+        table |= code << 4 * w
+    return table
 
 
 @lru_cache(maxsize=256)
-def _tick_rule(expr: CondExpr) -> tuple[int, int, int, int, int, int, int]:
+def _tick_rule(expr: CondExpr) -> tuple[int, int, int, int]:
     """Every atom's constraint on the output x at one tick t, stated once:
-    (reach, may0, may1, rise, fall, rise_hold, fall_hold).
+    (reach, table, rise_hold, fall_hold).
 
-    Bit w of the bitsets may0, may1, rise and fall says, for the input
-    window w that holds u(t - k) in bit k for k = 0..reach, whether x(t)
-    may be 0, x(t) may be 1, x may rise at t and x may fall at t.  After
-    a rise x stays 1 for rise_hold more ticks, after a fall 0 for
-    fall_hold.
+    Nibble w of the table (bits 4w .. 4w + 3) applies when the input
+    window holds u(t - k) in bit k of w, for k = 0..reach.  Its bit b
+    says whether x(t) may be b, and its bit 2 + b whether x may switch
+    to b at t.  After a rise x stays 1 for rise_hold more ticks, after a
+    fall 0 for fall_hold.
     """
     reach = expr.reach
     if reach > MAX_REACH:
         raise HorizonError(
             f"condition reads the input {reach} ticks back, limit is {MAX_REACH}"
         )
-    ones = _windows_with_bit(reach)
-    every = (1 << (1 << (reach + 1))) - 1
-
-    def held(d: int, m: int, v: int) -> int:
-        """The windows in which u(t - d .. t - d + m) is all v."""
-        out = every
-        for k in range(d - m, d + 1):
-            out &= ones[k] if v else every ^ ones[k]
-        return out
-
-    may0 = may1 = rise = fall = every
+    table = every = (1 << (4 << reach + 1)) - 1
     rise_hold = fall_hold = 0
     for a in expr.atoms:
-        if isinstance(a, BdcParams):
-            may0 &= ~held(a.dr, a.mr, 1)
-            may1 &= ~held(a.df, a.mf, 0)
-        elif isinstance(a, FdcParams):
-            may0 &= ~held(a.d, 0, 1)
-            may1 &= ~held(a.d, 0, 0)
-        elif isinstance(a, RicParams):
-            rise &= held(a.delta_r, a.mu_r, 1)
-            fall &= held(a.delta_f, a.mu_f, 0)
-        else:
+        if isinstance(a, AicParams):
             rise_hold = max(rise_hold, a.delta_r)
             fall_hold = max(fall_hold, a.delta_f)
-    return reach, may0, may1, rise, fall, rise_hold, fall_hold
+        else:
+            table &= _atom_table(reach, a)
+    # x may switch to a value only where it may take it: bit 2 + b keeps
+    # only what bit b, shifted up by 2, allows
+    table &= table << 2 | every // 15 * 3
+    return reach, table, rise_hold, fall_hold
 
 
 class _Prepared:
-    """Per-(input, expression, grid) constraint tables for the DFS and DP."""
+    """Per-(input, expression, grid) constraint tables for the DFS and DP.
+
+    moves[i] is the `_tick_rule` nibble that applies at tick lo + i.
+    head and tail set bit b when x may hold b at every tick before lo,
+    and at every tick after hi.
+    """
 
     def __init__(self, u: Signal, expr: CondExpr, grid: GridConfig):
-        if u.switches and not (grid.lo <= u.switches[0] <= u.switches[-1] <= grid.hi):
-            raise HorizonError(
-                f"input switches {list(u.switches)} leave the grid "
-                f"[{grid.lo}, {grid.hi}]"
-            )
-        r, may0, may1, rise, fall, self.rise_hold, self.fall_hold = _tick_rule(expr)
         lo, hi = grid.lo, grid.hi
-        self.lo, self.hi = lo, hi
-        self.n = n = hi - lo + 1
+        switches = u.switches
+        if switches and not (lo <= switches[0] and switches[-1] <= hi):
+            raise HorizonError(
+                f"input switches {list(switches)} leave the grid [{lo}, {hi}]"
+            )
+        r, table, self.rise_hold, self.fall_hold = _tick_rule(expr)
+        self.lo = lo
+        self.n = hi - lo + 1
         self.max_switches = grid.max_switches
 
-        # Windows at ticks lo - 1 .. hi + r + 1.  u is constant before lo,
-        # so the first window is the one of every earlier tick, and the
-        # last is the one of every later tick.
+        # One window per tick, straight from the switch list: u is
+        # constant before lo, so the window of tick lo - 1 is that of
+        # every earlier tick, and a window stops changing reach + 1 ticks
+        # into a run of u.
         full = (1 << (r + 1)) - 1
-        wins = []
-        w = 0
-        for v in u.values_on(lo - 1 - r, hi + r + 1):
+        v = u.initial
+        w = full * v
+        self.head = table >> 4 * w & 3
+        moves: list[int] = []
+        t = lo
+        for end in (*switches, hi + 1):  # u is v on ticks t .. end - 1
+            for _ in range(min(end - t, r + 1)):
+                w = (w << 1 | v) & full
+                m = table >> 4 * w & 15
+                moves.append(m)
+            if end - t > r + 1:
+                moves.extend([m] * (end - t - r - 1))
+            t, v = end, v ^ 1
+        self.moves = moves
+        # ticks hi + 1 .. hi + r + 1, where u holds its final value; the
+        # last window is that of every later tick
+        v = u.final
+        tail = 3
+        for _ in range(r + 1):
             w = (w << 1 | v) & full
-            wins.append(w)
-        head, body, tail = wins[r], wins[r + 1 : r + 1 + n], wins[r + 1 + n :]
-        self.low = [1 - (may0 >> w & 1) for w in body]
-        self.high = [may1 >> w & 1 for w in body]
-        self.rise_ok = [rise >> w & 1 for w in body]
-        self.fall_ok = [fall >> w & 1 for w in body]
-        self.head_ok = (may0 >> head & 1, may1 >> head & 1)
-        self.tail_ok = tuple(all(m >> w & 1 for w in tail) for m in (may0, may1))
+            tail &= table >> 4 * w
+        self.tail = tail
+
+
+def _bits_signal(lo: Tick, bits: list[int]) -> Signal:
+    """The output whose value at tick lo + i is bits[i], constant outside."""
+    return Signal._trusted(
+        bits[0], tuple([lo + j for j in range(1, len(bits)) if bits[j] != bits[j - 1]])
+    )
 
 
 def iter_solutions(u: Signal, expr: CondExpr, grid: GridConfig) -> Iterator[Signal]:
@@ -159,21 +188,18 @@ def iter_solutions(u: Signal, expr: CondExpr, grid: GridConfig) -> Iterator[Sign
     of its bit vector (tick lo first, 0 before 1)."""
     ctx = _Prepared(u, expr, grid)
     n = ctx.n
-    low, high = ctx.low, ctx.high
-    rise_ok, fall_ok = ctx.rise_ok, ctx.fall_ok
+    moves = ctx.moves
     cap = ctx.max_switches
     bits = [0] * n
 
     def rec(i: int, prev: int, f1: int, f0: int, nsw: int) -> Iterator[Signal]:
         if i == n:
-            if ctx.tail_ok[prev]:
-                switches = tuple(
-                    ctx.lo + j for j in range(1, n) if bits[j] != bits[j - 1]
-                )
-                yield Signal(bits[0], switches)
+            if ctx.tail >> prev & 1:
+                yield _bits_signal(ctx.lo, bits)
             return
+        m = moves[i]
         for b in (0, 1):
-            if b < low[i] or b > high[i]:
+            if not m >> b & 1:
                 continue
             if i <= f1 and b == 0:
                 continue
@@ -181,19 +207,17 @@ def iter_solutions(u: Signal, expr: CondExpr, grid: GridConfig) -> Iterator[Sign
                 continue
             nf1, nf0, ns = f1, f0, nsw
             if i == 0:
-                if not ctx.head_ok[b]:
+                if not ctx.head >> b & 1:
                     continue
             elif b != prev:
                 ns = nsw + 1
                 if cap is not None and ns > cap:
                     continue
+                if not m >> (2 + b) & 1:
+                    continue
                 if b == 1:
-                    if not rise_ok[i]:
-                        continue
                     nf1 = i + ctx.rise_hold
                 else:
-                    if not fall_ok[i]:
-                        continue
                     nf0 = i + ctx.fall_hold
             bits[i] = b
             yield from rec(i + 1, b, nf1, nf0, ns)
@@ -215,59 +239,77 @@ def enumerate_solutions(u: Signal, expr: CondExpr, grid: GridConfig) -> list[Sig
 def solution_count(u: Signal, expr: CondExpr, grid: GridConfig) -> int:
     """Exact |solutions| on the grid, in time linear in the horizon.
 
-    Dynamic program over (current bit, remaining forced-1 ticks,
-    remaining forced-0 ticks, capped switch count); equivalent to the
-    DFS but immune to exponential blowup, which makes emptiness checks
-    cheap inside sweeps and witness searches.
+    Dynamic program over the output's current bit, the ticks it is still
+    forced to hold that bit and, under a cap, its switch count; equivalent
+    to the DFS but immune to exponential blowup, which makes emptiness
+    checks cheap inside sweeps and witness confirmations.
     """
     ctx = _Prepared(u, expr, grid)
-    n = ctx.n
+    moves = ctx.moves
     cap = ctx.max_switches
-    # state: (bit, rem1, rem0, switches or -1 when uncapped) -> count
-    states: dict[tuple[int, int, int, int], int] = {}
-    for b in (0, 1):
-        if ctx.head_ok[b] and ctx.low[0] <= b <= ctx.high[0]:
-            states[(b, 0, 0, 0 if cap is not None else -1)] = 1
-    for i in range(1, n):
-        nxt: dict[tuple[int, int, int, int], int] = {}
-        lo_i, hi_i = ctx.low[i], ctx.high[i]
-        for (prev, r1, r0, sw), cnt in states.items():
-            for b in (0, 1):
-                if b < lo_i or b > hi_i:
-                    continue
-                if r1 > 0 and b == 0:
-                    continue
-                if r0 > 0 and b == 1:
-                    continue
-                n1, n0, nsw = max(r1 - 1, 0), max(r0 - 1, 0), sw
-                if b != prev:
-                    if cap is not None:
-                        nsw = sw + 1
-                        if nsw > cap:
-                            continue
-                    if b == 1:
-                        if not ctx.rise_ok[i]:
-                            continue
-                        n1 = ctx.rise_hold
-                    else:
-                        if not ctx.fall_ok[i]:
-                            continue
-                        n0 = ctx.fall_hold
-                key = (b, n1, n0, nsw)
-                nxt[key] = nxt.get(key, 0) + cnt
+    hold = (ctx.fall_hold, ctx.rise_hold)  # by the bit switched to
+    span = max(hold) + 1
+    # state (switches * span + forced ticks left) * 2 + bit -> outputs;
+    # the switch count stays 0 without a cap
+    states = {b: 1 for b in (0, 1) if (ctx.head & moves[0]) >> b & 1}
+    for m in moves[1:]:
+        nxt: dict[int, int] = {}
+        for key, cnt in states.items():
+            b = key & 1
+            left = key >> 1
+            forced = left % span
+            if m >> b & 1:  # stay, one forced tick less
+                k = key - 2 if forced else key
+                nxt[k] = nxt.get(k, 0) + cnt
+            if not forced and m >> (3 - b) & 1:  # switch to 1 - b
+                nsw = left // span
+                if cap is not None:
+                    nsw += 1
+                    if nsw > cap:
+                        continue
+                k = (nsw * span + hold[1 - b]) << 1 | 1 - b
+                nxt[k] = nxt.get(k, 0) + cnt
         states = nxt
         if not states:
             return 0
-    return sum(
-        cnt for (b, _r1, _r0, _sw), cnt in states.items() if ctx.tail_ok[b]
-    )
+    return sum(cnt for key, cnt in states.items() if ctx.tail >> (key & 1) & 1)
 
 
 def free_tick_count(u: Signal, expr: CondExpr, grid: GridConfig) -> int:
     """Ticks the pointwise bounds leave undetermined; 2**result bounds the
     solution count for purely pointwise (BDC/FDC) expressions."""
+    return sum(1 for m in _Prepared(u, expr, grid).moves if m & 3 == 3)
+
+
+def pointwise_bounds(
+    u: Signal, expr: CondExpr, grid: GridConfig
+) -> tuple[Signal, Signal] | None:
+    """The least and greatest admissible outputs on an uncapped grid, or
+    None when none is admissible, for an expression that licenses every
+    edge and sets no holds (BDC and FDC atoms).
+
+    Such an expression only bounds x(t) tick by tick, so its solutions
+    on the grid are exactly the outputs that take an allowed value at
+    every tick, the ends also allowed before and after the grid: every
+    output between the two returned ones, 2**k of them when they differ
+    at k ticks.
+    """
+    reach, table, rise_hold, fall_hold = _tick_rule(expr)
+    values = ((1 << (4 << reach + 1)) - 1) // 15 * 3  # bits 0 and 1 of every nibble
+    if table >> 2 & values != table & values or rise_hold or fall_hold:
+        raise ValueError(f"{expr} licenses edges or holds the output")
+    if grid.max_switches is not None:
+        raise ValueError("pointwise bounds need a grid without a switch cap")
     ctx = _Prepared(u, expr, grid)
-    return sum(1 for i in range(ctx.n) if ctx.low[i] < ctx.high[i])
+    allowed = [m & 3 for m in ctx.moves]
+    allowed[0] &= ctx.head
+    allowed[-1] &= ctx.tail
+    if not all(allowed):
+        return None
+    return (
+        _bits_signal(ctx.lo, [a & 1 ^ 1 for a in allowed]),
+        _bits_signal(ctx.lo, [a >> 1 for a in allowed]),
+    )
 
 
 # -- emptiness decider -------------------------------------------------------
@@ -289,44 +331,64 @@ def find_empty_witness(expr: CondExpr) -> Signal | None:
     leaves an output for every input: once the input settles, some
     surviving output can hold its value for good.
     """
-    reach, may0, may1, rise, fall, rise_hold, fall_hold = _tick_rule(expr)
+    reach, table, rise_hold, fall_hold = _tick_rule(expr)
     keep = (1 << reach) - 1
-    seen = set()
-    frontier = []  # (state, prehistory value then the input bit of each tick)
+    # a state packs (window bits, k0 + 1, k1 + 1) into one int, with
+    # `width` bits for each count
+    width = (max(rise_hold, fall_hold) + 1).bit_length()
+    ones = (1 << width) - 1
+    # state -> (the state it was first reached from, or None for a
+    # prehistory, and the input bit that led to it)
+    parent: dict[int, tuple[int | None, int]] = {}
+    frontier = []
     for c in (0, 1):
-        w = (keep << 1 | 1) * c
-        root = (w & keep, 0 if may0 >> w & 1 else -1, 0 if may1 >> w & 1 else -1)
-        if root[1:] == (-1, -1):
+        m = table >> 4 * (keep << 1 | 1) * c
+        k0 = 0 if m & 1 else -1
+        k1 = 0 if m & 2 else -1
+        if k0 < 0 and k1 < 0:
             return Signal(c, ())
-        if root not in seen:
-            seen.add(root)
-            frontier.append((root, (c,)))
+        root = (keep * c << width | k0 + 1) << width | k1 + 1
+        if root not in parent:
+            parent[root] = (None, c)
+            frontier.append(root)
     while frontier:
-        if len(seen) > MAX_SEARCH_STATES:
+        if len(parent) > MAX_SEARCH_STATES:
             raise HorizonError(
                 f"emptiness search passed {MAX_SEARCH_STATES} states; "
                 f"the condition's reach or holds are too large"
             )
         nxt = []
-        for (win, k0, k1), path in frontier:
+        for state in frontier:
+            k1 = (state & ones) - 1
+            k0 = (state >> width & ones) - 1
+            win = state >> 2 * width << 1
             for bit in (0, 1):
-                w = win << 1 | bit
-                ok0, ok1 = may0 >> w & 1, may1 >> w & 1
+                w = win | bit
+                m = table >> 4 * w
                 # stay at a value, one forced tick less; or switch from a
                 # value that is free to leave, and start its hold
-                n0 = k0 - (k0 > 0) if ok0 and k0 >= 0 else -1
-                n1 = k1 - (k1 > 0) if ok1 and k1 >= 0 else -1
-                if ok0 and k1 == 0 and fall >> w & 1:
+                n0 = k0 - (k0 > 0) if k0 >= 0 and m & 1 else -1
+                n1 = k1 - (k1 > 0) if k1 >= 0 and m & 2 else -1
+                if k1 == 0 and m & 4:
                     n0 = fall_hold if n0 < 0 else min(n0, fall_hold)
-                if ok1 and k0 == 0 and rise >> w & 1:
+                if k0 == 0 and m & 8:
                     n1 = rise_hold if n1 < 0 else min(n1, rise_hold)
                 if n0 < 0 and n1 < 0:
-                    path += (bit,)  # path[t] is the input at tick t - 1
-                    switches = [t - 1 for t in range(1, len(path)) if path[t] != path[t - 1]]
-                    return Signal(path[0], tuple(switches))
-                child = (w & keep, n0, n1)
-                if child not in seen:
-                    seen.add(child)
-                    nxt.append((child, path + (bit,)))
+                    return _witness(parent, state, bit)
+                child = ((w & keep) << width | n0 + 1) << width | n1 + 1
+                if child not in parent:
+                    parent[child] = (state, bit)
+                    nxt.append(child)
         frontier = nxt
     return None
+
+
+def _witness(parent: dict, state: int, bit: int) -> Signal:
+    """The input that reaches `state` and then reads `bit`: its
+    prehistory value, then its value at ticks 0, 1, ..."""
+    path = [bit]
+    while state is not None:
+        state, b = parent[state]
+        path.append(b)
+    path.reverse()
+    return _bits_signal(-1, path)

@@ -12,7 +12,11 @@ from the code under test.
 Where full solution sets are materialized, samplers redraw instances
 whose undetermined-tick budget would make enumeration explode; bounds
 stay inside the documented desk-scale parameter ranges and redraw counts
-are reported.
+are reported.  The bracket law (t1) needs no budget and redraws nothing:
+a bounded delay alone constrains each output tick on its own, so the
+oracle's per-tick tables give the whole solution set at once
+(`pointwise_bounds`) and every draw is checked exactly; the DFS lists
+only a sample of small sets.
 
 Suites are run through `run_check`, which times every suite into the
 report's `seconds` and applies its defaults: a trial count or seed left
@@ -56,11 +60,14 @@ from .oracle import (
     find_empty_witness,
     free_tick_count,
     iter_solutions,
+    pointwise_bounds,
     solution_count,
 )
 from .signals import Signal
 
 MAX_REPORTED = 12
+# t1 lists a draw's solutions with the DFS only up to 2**ENUMERATED_FREE
+ENUMERATED_FREE = 10
 
 
 @dataclass
@@ -179,62 +186,86 @@ def _some_solution(probes, p: BdcParams, grid: GridConfig, budget: int, bad):
     return next(hits, None)
 
 
-def _check_decider(rep: CheckReport, expr: CondExpr, solvable: bool, what: str) -> None:
+def _check_decider(rep: CheckReport, expr: CondExpr, solvable: bool, prefix: str = "") -> None:
     """The exact decider agrees with the closed form `solvable`, and the
-    counting DP finds no output for any witness it returns."""
+    counting DP finds no output for any witness it returns.  A failure
+    names the expression's atoms after `prefix`."""
     w = find_empty_witness(expr)
     if w is None:
         if not solvable:
-            rep.fail(f"{what}: closed form says unsolvable, yet every input has an output")
+            rep.fail(
+                f"{prefix}{_atoms(expr)}: closed form says unsolvable, "
+                f"yet every input has an output"
+            )
         return
     if solvable:
-        rep.fail(f"{what}: closed form says solvable, yet u={w} admits no output")
+        rep.fail(f"{prefix}{_atoms(expr)}: closed form says solvable, yet u={w} admits no output")
     first, last = (w.switches[0], w.switches[-1]) if w.switches else (0, 0)
     grid = GridConfig(first - 1, last + expr.reach + 1)
     if solution_count(w, expr, grid) != 0:
-        rep.fail(f"{what}: witness u={w} has outputs on [{grid.lo}, {grid.hi}]")
+        rep.fail(f"{prefix}{_atoms(expr)}: witness u={w} has outputs on [{grid.lo}, {grid.hi}]")
+
+
+def _atoms(expr: CondExpr) -> str:
+    return ", ".join(map(repr, expr.atoms))
 
 
 # -- existence and canonical bounds ------------------------------------------
 
 
 def check_existence_bounds(trials: int = 200, seed: int = 0) -> CheckReport:
-    """Consistent parameters admit solutions bracketed by the canonical
-    min/max; for inconsistent parameters the decider finds an input with
-    no solution."""
+    """Consistent parameters admit solutions, and on the grid these are
+    exactly the outputs between the canonical min and max.  The oracle's
+    per-tick tables give the least and greatest admissible outputs, which
+    must be members, equal the closed forms, and bound 2**free solutions
+    by the counting DP, free being the ticks where they differ.  Every
+    tenth draw with at most ENUMERATED_FREE free ticks is also listed by
+    the DFS, least first and greatest last.  For inconsistent parameters
+    the decider finds an input with no solution."""
     rng = Random(seed)
     rep = CheckReport("t1", trials)
     grid = GridConfig(-2, 22)
-    redraws = 0
+    enumerated = max_free = 0
     for trial in range(trials):
-        while True:
-            p = _rand_bdc(rng, 6, cc=True)
-            u = _rand_signal(rng, 6, 0, 12)
-            if free_tick_count(u, CondExpr((p,)), grid) <= 14:
-                break
-            redraws += 1
-        lo_sol = bdc_min_solution(u, p)
-        hi_sol = bdc_max_solution(u, p)
-        count = 0
-        saw_min = saw_max = False
-        for x in iter_solutions(u, CondExpr((p,)), grid):
-            count += 1
-            if not (lo_sol.leq(x) and x.leq(hi_sol)):
-                rep.fail(f"trial {trial}: {x} outside bracket, p={p}, u={u}")
-                break
-            saw_min = saw_min or x == lo_sol
-            saw_max = saw_max or x == hi_sol
-        else:
-            if count == 0:
-                rep.fail(f"trial {trial}: empty solution set for consistent p={p}, u={u}")
-            elif not (saw_min and saw_max):
-                rep.fail(f"trial {trial}: canonical bound not enumerated, p={p}, u={u}")
+        p = _rand_bdc(rng, 6, cc=True)
+        u = _rand_signal(rng, 6, 0, 12)
+        expr = CondExpr((p,))
+        bounds = pointwise_bounds(u, expr, grid)
+        if bounds is None:
+            rep.fail(f"trial {trial}: empty solution set for consistent p={p}, u={u}")
+            continue
+        least, greatest = bounds
+        if not (bdc_member(u, least, p) and bdc_member(u, greatest, p)):
+            rep.fail(f"trial {trial}: bound {least} or {greatest} not a member, p={p}, u={u}")
+        if least != bdc_min_solution(u, p) or greatest != bdc_max_solution(u, p):
+            rep.fail(
+                f"trial {trial}: oracle bounds {least}, {greatest} differ from the "
+                f"canonical min and max, p={p}, u={u}"
+            )
+        free = sum((least ^ greatest).values_on(grid.lo, grid.hi))
+        max_free = max(max_free, free)
+        count = solution_count(u, expr, grid)
+        if count != 2**free:
+            rep.fail(f"trial {trial}: {count} solutions, not 2**{free}, p={p}, u={u}")
+        if trial % 10 == 0 and free <= ENUMERATED_FREE:
+            enumerated += 1
+            sols = list(iter_solutions(u, expr, grid))
+            if not (
+                len(set(sols)) == len(sols) == 2**free
+                and sols[0] == least
+                and sols[-1] == greatest
+            ):
+                rep.fail(
+                    f"trial {trial}: the DFS lists {len(sols)} outputs, not the "
+                    f"2**{free} from {least} to {greatest}, p={p}, u={u}"
+                )
     converse = max(50, trials // 4)
     for trial in range(converse):
         p = _rand_bdc(rng, 6, cc=False)
-        _check_decider(rep, CondExpr((p,)), cc_holds(p), f"p={p}")
+        _check_decider(rep, CondExpr((p,)), cc_holds(p))
     rep.trials = trials + converse
-    rep.info["redraws"] = redraws
+    rep.info["enumerated"] = enumerated
+    rep.info["max_free"] = max_free
     return rep
 
 
@@ -284,7 +315,7 @@ def check_intersection(trials: int = 100, seed: int = 1) -> CheckReport:
             elif not joint:
                 rep.fail(f"trial {trial}: merged {r} admits nothing on u={u}")
         elif not bdc_jointly_solvable(p, q):
-            _check_decider(rep, both, False, f"trial {trial}: {p} and {q}")
+            _check_decider(rep, both, False, f"trial {trial}: ")
         else:
             # Solvable everywhere, yet refused: the candidate bounds must
             # genuinely disagree with the joint bounds on some input.
@@ -566,7 +597,7 @@ def check_hold_consistency(trials: int | None = None, seed: int = 8) -> CheckRep
     for p, er, ef in product(_sweep_bdc(4), range(5), range(5)):
         a = AicParams(er, ef)
         rep.trials += 1
-        _check_decider(rep, CondExpr((p, a)), baidc_consistent(p, a), f"p={p}, a={a}")
+        _check_decider(rep, CondExpr((p, a)), baidc_consistent(p, a))
     return rep
 
 
@@ -646,7 +677,7 @@ def check_relative_consistency(
         if cases and not solvable:
             rep.fail(f"regime fired outside the criterion: p={p}, r={r}")
             continue
-        _check_decider(rep, CondExpr((p, r)), solvable, f"p={p}, r={r}")
+        _check_decider(rep, CondExpr((p, r)), solvable)
     for c, n in fired.items():
         if n == 0:
             rep.fail(f"regime {c} never fired in the sweep")

@@ -25,7 +25,8 @@ from .signals import Signal, Tick
 
 
 class WaveParseError(ValueError):
-    """Malformed waveform text or run configuration."""
+    """Malformed waveform text or run configuration, or a waveform that
+    cannot be written as text."""
 
 
 # the units a VCD $timescale may state
@@ -156,10 +157,27 @@ def parse_waveforms(text: str, resolution: int = 1) -> dict[str, Signal]:
     return out
 
 
+def _digits(n: int) -> int:
+    """The decimal digits of n, without writing a number str() refuses."""
+    n, digits = abs(n), 0
+    while n >= _TICK_LIMIT:
+        n //= _TICK_LIMIT
+        digits += MAX_TICK_DIGITS
+    return digits + len(str(n))
+
+
 def emit_waveforms(signals: dict[str, Signal]) -> str:
-    """Canonical waveform text; round-trips through parse_waveforms."""
+    """Canonical waveform text; round-trips through parse_waveforms.  A
+    tick of more than MAX_TICK_DIGITS digits is refused, as on input."""
     lines = []
     for name, sig in signals.items():
+        ticks = sig.switches  # increasing, so the ends bound every tick
+        if ticks and not (-_TICK_LIMIT < ticks[0] and ticks[-1] < _TICK_LIMIT):
+            t = ticks[0] if ticks[0] <= -_TICK_LIMIT else ticks[-1]
+            raise WaveParseError(
+                f"net {name!r}: a tick of {_digits(t)} digits, more than "
+                f"the {MAX_TICK_DIGITS} that can be written"
+            )
         parts = [name, str(sig.initial)] + [str(t) for t in sig.switches]
         lines.append(" ".join(parts))
     return "\n".join(lines) + ("\n" if lines else "")

@@ -332,6 +332,17 @@ def test_solve_rejects_inconsistent_parameters(capsys, tmp_path):
     assert "error:" in err
 
 
+def test_solve_refuses_an_output_tick_too_long_to_write(capsys, tmp_path):
+    nines = "9" * 4300  # the longest tick and delay that are read
+    u = wave_file(tmp_path, "u.wave", f"u 0 {nines}\n")
+    params = f'{{"mr":0,"dr":{nines},"mf":0,"df":{nines}}}'
+    code, out, err = run(
+        capsys, "solve", "--cond", "bdc-min", "--params", params, "--input", u
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: net 'x': a tick of 4301 digits, more than the 4300 that can be written\n"
+
+
 # -- simulate -------------------------------------------------------------------
 
 

@@ -2,7 +2,8 @@
 
 The DFS enumerator and the counting dynamic program are independent
 implementations of the same set; they are played against each other on
-random instances.  The exact emptiness decider is pinned on known empty
+random instances.  Both read the per-tick rule, which is checked window
+by window against each atom's definition.  The exact emptiness decider is pinned on known empty
 and known nonempty parameter combinations, and played against the
 counting DP on random expressions: every witness it returns must have no
 solution, and when it returns None every small input must have one.
@@ -12,6 +13,7 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from inertia.conditions import (
     AicParams,
@@ -28,10 +30,11 @@ from inertia.oracle import (
     find_empty_witness,
     free_tick_count,
     iter_solutions,
+    pointwise_bounds,
     solution_count,
 )
 from inertia.signals import Signal
-from inertia import verify
+from inertia import oracle, verify
 
 U = Signal(0, (0, 5))
 P = BdcParams(1, 3, 1, 3)
@@ -85,21 +88,102 @@ def test_deterministic_licensing_gives_a_singleton():
 
 def test_count_agrees_with_dfs_on_random_instances():
     rng = random.Random(20240217)
-    for _ in range(60):
+    seen = {"AicParams": 0, "RicParams": 0, "FdcParams": 0}  # nonempty sets per kind
+    for _ in range(100):
         dr = rng.randint(0, 4)
         df = rng.randint(0, 4)
         p = BdcParams(rng.randint(0, dr), dr, rng.randint(0, df), df)
         k = rng.randint(0, 4)
         u = Signal(rng.randint(0, 1), tuple(sorted(rng.sample(range(0, 9), k))))
-        atoms = [p]
+        atoms = [p if rng.random() < 0.75 else FdcParams(rng.randint(0, 4))]
         if rng.random() < 0.4:
             atoms.append(AicParams(rng.randint(0, 2), rng.randint(0, 2)))
+        if rng.random() < 0.4:
+            er, ef = rng.randint(0, 4), rng.randint(0, 4)
+            atoms.append(RicParams(rng.randint(0, er), er, rng.randint(0, ef), ef))
         cap = rng.choice([None, None, 2, 4])
         grid = GridConfig(-3, 13, cap)
         expr = CondExpr(tuple(atoms))
         sols = enumerate_solutions(u, expr, grid)
         assert solution_count(u, expr, grid) == len(sols)
         assert len(set(sols)) == len(sols)
+        for kind in {type(a) for a in atoms} - {BdcParams}:
+            seen[kind.__name__] += bool(sols)
+    assert min(seen.values()) >= 5, seen
+
+
+def test_pointwise_bounds_are_the_extreme_solutions():
+    assert pointwise_bounds(U, CondExpr((P,)), GRID) == (Signal(0, (3, 7)), Signal(0, (2, 8)))
+    assert pointwise_bounds(U, CondExpr((FdcParams(2),)), GRID) == (U.translate(2),) * 2
+    # holds of zero ticks constrain nothing
+    assert pointwise_bounds(U, CondExpr((P, AicParams(0, 0))), GRID) == pointwise_bounds(
+        U, CondExpr((P,)), GRID
+    )
+
+
+def test_pointwise_bounds_are_none_when_nothing_is_admissible():
+    expr = CondExpr((BdcParams(0, 3, 0, 2),))
+    assert pointwise_bounds(Signal(1, (0,)), expr, GridConfig(-2, 14)) is None
+
+
+@pytest.mark.parametrize("atoms, grid, message", [
+    ((P, RicParams(1, 2, 1, 2)), GRID, "licenses edges or holds the output"),
+    ((P, AicParams(0, 1)), GRID, "licenses edges or holds the output"),
+    ((P,), GridConfig(-4, 12, 2), "without a switch cap"),
+], ids=["licensing", "holds", "cap"])
+def test_pointwise_bounds_refuse_what_is_not_a_product(atoms, grid, message):
+    with pytest.raises(ValueError, match=message):
+        pointwise_bounds(U, CondExpr(atoms), grid)
+
+
+@st.composite
+def window_atoms(draw):
+    kind = draw(st.sampled_from(["fdc", "bdc", "aic", "ric"]))
+    if kind == "fdc":
+        return FdcParams(draw(st.integers(0, 4)))
+    if kind == "aic":
+        return AicParams(draw(st.integers(0, 4)), draw(st.integers(0, 4)))
+    dr, df = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    mr, mf = draw(st.integers(0, dr)), draw(st.integers(0, df))
+    return (BdcParams if kind == "bdc" else RicParams)(mr, dr, mf, df)
+
+
+def reference_nibble(atoms, window: int) -> int:
+    """What x may do at a tick t whose input window holds u(t - k) in
+    bit k, read off each atom's definition: bit b when x(t) may be b,
+    bit 2 + b when x may switch to b at t."""
+
+    def u_on(d, m):  # u over the ticks [t - d, t - d + m]
+        return [window >> k & 1 for k in range(d - m, d + 1)]
+
+    may = [True, True]
+    edge = [True, True]
+    for a in atoms:
+        if isinstance(a, BdcParams):  # AND of u on the rise window <= x <= OR on the fall window
+            may[0] = may[0] and not all(u_on(a.dr, a.mr))
+            may[1] = may[1] and any(u_on(a.df, a.mf))
+        elif isinstance(a, FdcParams):  # x(t) = u(t - d)
+            may[1 - (window >> a.d & 1)] = False
+        elif isinstance(a, RicParams):  # an edge needs u held at its new value
+            edge[0] = edge[0] and not any(u_on(a.delta_f, a.mu_f))
+            edge[1] = edge[1] and all(u_on(a.delta_r, a.mu_r))
+    return may[0] | may[1] << 1 | (may[0] and edge[0]) << 2 | (may[1] and edge[1]) << 3
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.lists(window_atoms(), min_size=1, max_size=3))
+def test_tick_rule_matches_each_atoms_definition(atoms):
+    # the atoms' tables are cached by (reach, atom); drawn atoms recur
+    # under other reaches, so a table kept for the wrong reach shows here
+    expr = CondExpr(tuple(atoms))
+    reach, table, rise_hold, fall_hold = oracle._tick_rule(expr)
+    assert reach == expr.reach
+    for w in range(1 << (reach + 1)):
+        assert table >> 4 * w & 15 == reference_nibble(atoms, w), (atoms, w)
+    assert table >> (4 << reach + 1) == 0
+    holds = [a for a in atoms if isinstance(a, AicParams)]
+    assert rise_hold == max((a.delta_r for a in holds), default=0)
+    assert fall_hold == max((a.delta_f for a in holds), default=0)
 
 
 def witness_grid(w: Signal, expr: CondExpr) -> GridConfig:
@@ -182,6 +266,45 @@ def test_decider_agrees_with_the_counting_dp():
         for u in SMALL_INPUTS:
             assert solution_count(u, expr, grid) > 0, (expr, u)
     assert min(seen.values()) >= 15, seen
+
+
+# -- law suites -----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("fn, shift", [
+    ("bdc_min_solution", 1), ("bdc_min_solution", -1),
+    ("bdc_max_solution", 1), ("bdc_max_solution", -1),
+])
+def test_t1_catches_a_canonical_bound_one_tick_off(fn, shift, monkeypatch):
+    real = getattr(verify, fn)
+    monkeypatch.setattr(verify, fn, lambda u, p: real(u, p).translate(shift))
+    rep = verify.run_check("t1")
+    assert not rep.ok
+    assert "differ from the canonical min and max" in rep.failures[0]
+
+
+UNSOLVABLE = CondExpr((BdcParams(0, 3, 0, 2),))  # CC fails on a single fall
+
+
+def test_decider_check_names_a_witness_that_has_outputs(monkeypatch):
+    monkeypatch.setattr(verify, "find_empty_witness", lambda expr: Signal(0, ()))
+    rep = verify.CheckReport("t", 1)
+    verify._check_decider(rep, UNSOLVABLE, False, "trial 4: ")
+    assert rep.failures == [
+        "trial 4: BdcParams(mr=0, dr=3, mf=0, df=2): witness u=Signal(0, []) "
+        "has outputs on [-1, 4]"
+    ]
+
+
+def test_decider_check_names_a_missed_witness(monkeypatch):
+    monkeypatch.setattr(verify, "find_empty_witness", lambda expr: None)
+    rep = verify.CheckReport("t", 1)
+    verify._check_decider(rep, UNSOLVABLE, False)
+    assert rep.failures == [
+        "BdcParams(mr=0, dr=3, mf=0, df=2): closed form says unsolvable, "
+        "yet every input has an output"
+    ]
+    assert not verify.run_check("t1").ok  # its converse draws are all unsolvable
 
 
 # -- law suites that sweep a fixed set --------------------------------------------

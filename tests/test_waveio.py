@@ -86,6 +86,19 @@ def test_a_tick_too_long_to_write_back_is_refused():
     assert emit_waveforms(parse_waveforms(f"u 0 -{big} {big}\n")) == f"u 0 -{big} {big}\n"
 
 
+@pytest.mark.parametrize("tick, digits", [
+    (10**4300, 4301), (-(10**4300), 4301), (7 * 10**9000, 9001),
+], ids=["past-limit", "negative", "twice-the-limit"])
+def test_emit_refuses_a_tick_it_cannot_write(tick, digits):
+    # a tick computed from long inputs, e.g. a delay added to an input tick
+    sig = Signal(0, tuple(sorted((tick, 0))))
+    with pytest.raises(WaveParseError) as err:
+        emit_waveforms({"u": Signal(0, (1,)), "x": sig})
+    assert str(err.value) == (
+        f"net 'x': a tick of {digits} digits, more than the 4300 that can be written"
+    )
+
+
 BIG = "1" + "0" * 4300  # one digit past the tick limit
 
 
