@@ -165,14 +165,20 @@ class Netlist:
         return _find_cycle(self.gates, zero_latency_only=False) is not None
 
 
+def _gate_deps(gates, zero_latency_only: bool) -> dict[str, list[str]]:
+    """Each gate's name -> the gates it reads, in input order.  Under
+    zero_latency_only a gate whose output lags its inputs reads none."""
+    names = {g.name for g in gates}
+    return {
+        g.name: []
+        if zero_latency_only and g.delay.min_latency > 0
+        else [n for n in g.inputs if n in names]
+        for g in gates
+    }
+
+
 def _find_cycle(gates, zero_latency_only: bool) -> list[str] | None:
-    by_name = {g.name: g for g in gates}
-    deps: dict[str, list[str]] = {}
-    for g in gates:
-        if zero_latency_only and g.delay.min_latency > 0:
-            deps[g.name] = []
-        else:
-            deps[g.name] = [n for n in g.inputs if n in by_name]
+    deps = _gate_deps(gates, zero_latency_only)
     state: dict[str, int] = {}
     stack: list[str] = []
 
@@ -201,14 +207,8 @@ def _find_cycle(gates, zero_latency_only: bool) -> list[str] | None:
 def _topo_gates(gates, zero_latency_only: bool) -> list[Gate]:
     """Deterministic topological order (name-sorted Kahn)."""
     by_name = {g.name: g for g in gates}
-    deps = {}
-    for g in gates:
-        if zero_latency_only and g.delay.min_latency > 0:
-            deps[g.name] = set()
-        else:
-            deps[g.name] = {n for n in g.inputs if n in by_name}
     order = []
-    remaining = dict(deps)
+    remaining = {n: set(d) for n, d in _gate_deps(gates, zero_latency_only).items()}
     while remaining:
         ready = sorted(n for n, d in remaining.items() if not d)
         if not ready:

@@ -56,11 +56,17 @@ def _load_config(path: str | None) -> RunConfig:
         return parse_config(fh.read())
 
 
-def _load_json(text: str, what: str) -> dict:
+def _parse_json(text: str, what: str):
+    """The JSON value in text.  Malformed text raises a JSONDecodeError and
+    an integer of more than 4300 digits a plain ValueError; both exit 2."""
     try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+        return json.loads(text)
+    except ValueError as exc:
         raise CliError(f"bad {what} JSON: {exc}") from None
+
+
+def _load_json(text: str, what: str) -> dict:
+    obj = _parse_json(text, what)
     if not isinstance(obj, dict):
         raise CliError(f"bad {what} JSON: expected an object")
     return obj
@@ -282,10 +288,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _parse_atoms(text: str) -> CondExpr:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise CliError(f"bad condition JSON: {exc}") from None
+    obj = _parse_json(text, "condition")
     if isinstance(obj, dict) and "atoms" in obj:
         obj = obj["atoms"]
     if isinstance(obj, dict):
@@ -457,20 +460,16 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (
+        CliError,
         WaveParseError,
         SignalError,
         NetlistError,
         HorizonError,
         ConsistencyError,
         UnicodeDecodeError,
+        OSError,
     ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

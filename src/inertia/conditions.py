@@ -20,6 +20,7 @@ BDC + RIC) are expressed.
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 
 from .signals import Signal, switch_walk, window_and, window_or
 
@@ -176,12 +177,13 @@ class CondExpr:
         if not self.atoms:
             raise ValueError("a condition expression needs at least one atom")
         for a in self.atoms:
-            atom_kind(a)
+            if not isinstance(a, Atom):
+                atom_kind(a)  # raises its TypeError
 
-    @property
+    @cached_property
     def reach(self) -> int:
         """How many ticks back from t the atoms read the input to
-        constrain the output at t."""
+        constrain the output at t; computed on first use."""
         back = 0
         for a in self.atoms:
             if isinstance(a, BdcParams):

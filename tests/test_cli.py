@@ -453,6 +453,29 @@ def test_an_internal_value_error_is_not_reported_as_bad_input(tmp_path, monkeypa
         main(["simulate", "--netlist", netlist, "--stimuli", stim, "--horizon", "0:10"])
 
 
+LONG = "9" * 4301  # one digit more than int() converts from text
+LONG_BDC = f'{{"mr": 0, "dr": {LONG}, "mf": 0, "df": 2}}'
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="no limit on integer digits"
+)
+@pytest.mark.parametrize("what, argv", [
+    ("bdc parameter", lambda tmp: ["consistent", "--cond", "cc", "--params", LONG_BDC]),
+    ("netlist", lambda tmp: [
+        "simulate",
+        "--netlist", wave_file(tmp, "net.json", NETLIST.replace('"d": 2', f'"d": {LONG}')),
+        "--stimuli", wave_file(tmp, "stim.wave", "a 0 0\nb 0 1\n"), "--horizon", "0:10",
+    ]),
+    ("condition", lambda tmp: ["oracle", "witness", "--atoms", '{"kind": "bdc", ' + LONG_BDC[1:]]),
+])
+def test_an_integer_too_long_to_read_exits_2_naming_the_input(capsys, tmp_path, what, argv):
+    code, out, err = run(capsys, *argv(tmp_path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: bad {what} JSON: ")
+    assert "4301 digits" in err
+
+
 # -- oracle ---------------------------------------------------------------------
 
 

@@ -10,6 +10,7 @@ solution, and when it returns None every small input must have one.
 """
 
 import random
+from dataclasses import replace
 from itertools import combinations
 
 import pytest
@@ -283,6 +284,46 @@ def test_t1_catches_a_canonical_bound_one_tick_off(fn, shift, monkeypatch):
     assert "differ from the canonical min and max" in rep.failures[0]
 
 
+def _includes_without_df_link(real):
+    # bdc_includes with its `p.df <= q.df` link dropped
+    return lambda p, q: (
+        q.dr - q.mr <= p.dr - p.mr <= p.df
+        and q.df - q.mf <= p.df - p.mf <= p.dr <= q.dr
+    )
+
+
+def _rise_memory_one_less(real):
+    def mutant(p, q):
+        r = real(p, q)
+        return r and replace(r, mr=max(r.mr - 1, 0))
+
+    return mutant
+
+
+@pytest.mark.parametrize("suite, fn, mutate, message", [
+    ("t14d", "bdc_includes", _includes_without_df_link, "not in Sol("),
+    ("t14b", "bdc_union_envelope", _rise_memory_one_less, "escape envelope"),
+    ("t14a", "bdc_intersection", _rise_memory_one_less, ") != Sol("),
+])
+def test_set_laws_catch_a_closed_form_one_step_off(suite, fn, mutate, message, monkeypatch):
+    monkeypatch.setattr(verify, fn, mutate(getattr(verify, fn)))
+    rep = verify.run_check(suite)
+    assert not rep.ok
+    assert message in rep.failures[0]
+
+
+@pytest.mark.parametrize("suite", ["t14a", "t14b", "t14d", "t14e", "t14f"])
+def test_box_set_laws_count_without_budgets(suite, monkeypatch):
+    def refused(*_args):
+        raise AssertionError(f"{suite} budgeted or listed a box")
+
+    monkeypatch.setattr(verify, "free_tick_count", refused)
+    if suite != "t14e":  # it still lists a sample of six members
+        monkeypatch.setattr(verify, "iter_solutions", refused)
+    rep = verify.run_check(suite)
+    assert rep.ok and "redraws" not in rep.info
+
+
 UNSOLVABLE = CondExpr((BdcParams(0, 3, 0, 2),))  # CC fails on a single fall
 
 
@@ -329,7 +370,7 @@ def test_run_check_refuses_a_trial_count_below_one(trials):
 def test_parameter_sweeps_ignore_the_trial_count(name, trials, monkeypatch):
     def run(count):
         inputs = []
-        for fn in ("solution_count", "free_tick_count"):
+        for fn in ("solution_count", "pointwise_bounds"):
             real = getattr(verify, fn)
             monkeypatch.setattr(
                 verify, fn, lambda u, *a, real=real: inputs.append(u) or real(u, *a)
@@ -341,4 +382,4 @@ def test_parameter_sweeps_ignore_the_trial_count(name, trials, monkeypatch):
     (default, seen), (overridden, seen_overridden) = run(None), run(trials)
     assert default.trials == 155  # every consistent combination up to 4
     assert (overridden.trials, overridden.failures) == (default.trials, default.failures)
-    assert seen_overridden == seen
+    assert seen and seen_overridden == seen
