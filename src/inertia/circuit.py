@@ -16,9 +16,9 @@ netlist conservatively (per-gate corner enumeration, no cross-net
 correlation), for acyclic netlists only.
 """
 
-import bisect
-import heapq
+from bisect import bisect_right
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from itertools import product
 
 from .conditions import (
@@ -285,15 +285,22 @@ def simulate(
 ) -> dict[str, Signal]:
     """Exact simulation; returns every net restricted to [lo, hi].
 
-    Each gate keeps the switch list of its zero-delay table output y.  A
-    rise of y at s can raise the output only at s + dr, a fall only at
-    s + df; these candidate ticks run in (tick, zero-latency topological
-    rank) order, so a gate reading a zero-latency driver sees that
-    driver's switch at the same tick first.  At a candidate tick t the
-    output rises (falls) when y held 1 (0) over [t - d, t - d + m].  Two
-    flips of y in one tick cancel, as a dense sweep never sees them.
-    Starting from the exact constant prehistory, the result does not
-    depend on where the horizon or the first stimulus lies.
+    Nets are numbered once, stimuli in name order and then gates in
+    zero-latency topological rank, and all state lives in flat lists
+    indexed by that id.  Each gate keeps the switch list of its
+    zero-delay table output y and its current table index: a net's flip
+    XORs one mask into the index of every gate reading it, with all of
+    the net's input positions in that mask.  A rise of y at s can raise
+    the output only at s + dr, a fall only at s + df; these candidate
+    ticks, and each stimulus's next switch (the stimuli are merged one
+    switch at a time), sit on a heap keyed by tick * nets + id, so they
+    pop in (tick, id) order and a gate reading a zero-latency driver
+    sees that driver's switch at the same tick first.  At a candidate
+    tick t the output rises (falls) when y held 1 (0) over
+    [t - d, t - d + m].  Two flips of y in one tick cancel, as a dense
+    sweep never sees them.  Starting from the exact constant prehistory,
+    the result does not depend on where the horizon or the first
+    stimulus lies.
     """
     lo, hi = horizon
     if lo > hi:
@@ -306,33 +313,62 @@ def simulate(
         raise NetlistError(f"stimuli for unknown inputs: {extra}")
 
     pre = _prehistory(n, inputs)
-    order = _topo_gates(n.gates, zero_latency_only=True)
-    readers: dict[str, list[int]] = {net: [] for net in pre}
-    for r, g in enumerate(order):
-        for net in set(g.inputs):
-            readers[net].append(r)
-    val = dict(pre)  # every net's value at the tick being processed
-    y = [pre[g.name] for g in order]  # the prehistory is a fixed point
-    y_sw: list[list[Tick]] = [[] for _ in order]
-    x_sw: dict[str, list[Tick]] = {net: [] for net in pre}
-    heap = [(t, -1, net) for net, s in inputs.items() for t in s.switches if t <= hi]
-    heapq.heapify(heap)
+    stims = sorted(inputs)
+    gates = _topo_gates(n.gates, zero_latency_only=True)
+    names = stims + [g.name for g in gates]
+    ident = {net: i for i, net in enumerate(names)}
+    nets, n_in = len(names), len(stims)
+    val0 = [pre[net] for net in names]
+    idx = [0] * nets  # each gate's table index under the current values
+    table: list[tuple[int, ...]] = [()] * nets
+    dr, df, mr, mf = [0] * nets, [0] * nets, [0] * nets, [0] * nets
+    readers: list[list[tuple[int, int]]] = [[] for _ in names]
+    for i, g in enumerate(gates, n_in):
+        k = len(g.inputs)
+        masks: dict[int, int] = {}
+        for pos, net in enumerate(g.inputs):
+            j = ident[net]
+            masks[j] = masks.get(j, 0) | 1 << (k - 1 - pos)
+        for j, mask in masks.items():
+            readers[j].append((i, mask))
+            if val0[j]:
+                idx[i] |= mask
+        table[i] = g.table
+        p = g.delay.params
+        dr[i], df[i], mr[i], mf[i] = p.dr, p.df, p.mr, p.mf
+
+    val = list(val0)  # every net's value at the tick being processed
+    y = list(val0)  # the prehistory is a fixed point
+    y_sw: list[list[Tick]] = [[] for _ in names]
+    x_sw: list[list[Tick]] = [[] for _ in names]
+    feeds = [iter(inputs[net].switches) for net in stims]
+    heap = []
+    for i, feed in enumerate(feeds):
+        t = next(feed, None)
+        if t is not None and t <= hi:
+            heap.append(t * nets + i)
+    heapify(heap)
 
     while heap:
-        t, r, net = heapq.heappop(heap)
-        if r >= 0:
-            p = order[r].delay.params
-            level = 1 - val[net]
-            d, m = (p.dr, p.mr) if level else (p.df, p.mf)
-            ys = y_sw[r]
-            k = bisect.bisect_right(ys, t - d)
-            if pre[net] ^ (k & 1) != level or (k < len(ys) and ys[k] <= t - d + m):
+        t, i = divmod(heappop(heap), nets)
+        if i < n_in:
+            c = next(feeds[i], None)
+            if c is not None and c <= hi:
+                heappush(heap, c * nets + i)
+        else:
+            d, m = (df[i], mf[i]) if val[i] else (dr[i], mr[i])
+            ys = y_sw[i]
+            s = t - d
+            k = bisect_right(ys, s)
+            # y must hold the other level than the output over [s, s + m]
+            if val0[i] ^ (k & 1) == val[i] or (k < len(ys) and ys[k] <= s + m):
                 continue
-        val[net] ^= 1
-        x_sw[net].append(t)
-        for h in readers[net]:
-            g = order[h]
-            bit = g.eval_bits([val[i] for i in g.inputs])
+        val[i] ^= 1
+        x_sw[i].append(t)
+        for h, mask in readers[i]:
+            ix = idx[h] ^ mask
+            idx[h] = ix
+            bit = table[h][ix]
             if bit == y[h]:
                 continue
             y[h] = bit
@@ -341,14 +377,14 @@ def simulate(
                 ys.pop()
                 continue
             ys.append(t)
-            p = g.delay.params
-            c = t + (p.dr if bit else p.df)
+            c = t + (dr[h] if bit else df[h])
             if c <= hi:
-                heapq.heappush(heap, (c, h, g.name))
+                heappush(heap, c * nets + h)
 
     out: dict[str, Signal] = {}
-    for net, sw in x_sw.items():
-        k = bisect.bisect_right(sw, lo)
+    for net in pre:
+        sw = x_sw[ident[net]]
+        k = bisect_right(sw, lo)
         out[net] = Signal._trusted(pre[net] ^ (k & 1), tuple(sw[k:]))
     return out
 

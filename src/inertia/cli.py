@@ -13,6 +13,7 @@ Exit codes: 0 when the queried property holds (or output was produced),
 import argparse
 import json
 import os
+import re
 import sys
 
 from .circuit import NetlistError, netlist_from_dict, simulate
@@ -40,7 +41,15 @@ from .conditions import (
 from .oracle import GridConfig, HorizonError, enumerate_solutions, find_empty_witness
 from .signals import SignalError
 from .verify import THEOREM_CHECKS, run_check
-from .waveio import RunConfig, WaveParseError, emit_vcd, emit_waveforms, parse_config, parse_waveforms
+from .waveio import (
+    MAX_TICK_DIGITS,
+    RunConfig,
+    WaveParseError,
+    emit_vcd,
+    emit_waveforms,
+    parse_config,
+    parse_waveforms,
+)
 
 SEED_ENV = "INERTIA_SEED"
 
@@ -97,14 +106,35 @@ def _load_wave(path: str, cfg: RunConfig, role: str, name: str | None = None):
     return next(iter(waves.values()))
 
 
+def _shown(text: str) -> str:
+    """text for an error message, cut to a short prefix."""
+    return repr(text) if len(text) <= 40 else f"{text[:40]!r}... ({len(text)} chars)"
+
+
+# what int() reads as an integer; when it still fails, the only cause is
+# its limit of 4300 digits
+_INT_TEXT = re.compile(r"\s*[+-]?\d+(?:_\d+)*\s*")
+
+
+def _parse_int(text: str, what: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        pass
+    if _INT_TEXT.fullmatch(text):
+        digits = sum(c.isdecimal() for c in text)
+        raise CliError(
+            f"bad {what} {_shown(text)}: an integer of {digits} digits, "
+            f"more than the {MAX_TICK_DIGITS} that can be read"
+        )
+    raise CliError(f"bad {what} {_shown(text)}: expected an integer")
+
+
 def _parse_span(text: str, what: str) -> tuple[int, int]:
     lo, sep, hi = text.partition(":")
     if not sep:
-        raise CliError(f"bad {what} {text!r}: expected LO:HI")
-    try:
-        return int(lo), int(hi)
-    except ValueError:
-        raise CliError(f"bad {what} {text!r}: bounds must be integers") from None
+        raise CliError(f"bad {what} {_shown(text)}: expected LO:HI")
+    return _parse_int(lo, f"{what} bound"), _parse_int(hi, f"{what} bound")
 
 
 def _emit(verdict: dict) -> None:
@@ -330,10 +360,7 @@ def _resolve_seed(args: argparse.Namespace, cfg: RunConfig | None) -> int | None
         return args.seed
     env = os.environ.get(SEED_ENV)
     if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise CliError(f"bad {SEED_ENV} value {env!r}: expected an integer") from None
+        return _parse_int(env, f"{SEED_ENV} value")
     if cfg is not None and args.config is not None:
         return cfg.seed
     return None

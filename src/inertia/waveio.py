@@ -204,13 +204,30 @@ def emit_vcd(signals: dict[str, Signal], cfg: RunConfig = RunConfig()) -> str:
     Byte-identical for identical inputs: no dates or tool banners,
     identifiers in sorted name order, changes under one timestamp sorted
     by name.  When any switch is negative, all timestamps are shifted up
-    by a common offset announced in a $comment.
+    by a common offset announced in a $comment.  An offset or shifted
+    timestamp of more than MAX_TICK_DIGITS digits is refused, as in
+    emit_waveforms.
     """
     names = sorted(signals)
     start = min(
         [0] + [s.switches[0] for s in signals.values() if s.switches]
-    ) if signals else 0
-    offset = -start if start < 0 else 0
+    )
+    offset = -start
+    for name in names:  # the offset and every shifted tick are written out
+        ticks = signals[name].switches
+        if not ticks:
+            continue
+        if -ticks[0] >= _TICK_LIMIT:
+            raise WaveParseError(
+                f"net {name!r}: a tick of {_digits(ticks[0])} digits below 0 "
+                f"needs a VCD tick offset of more than the {MAX_TICK_DIGITS} "
+                f"digits that can be written"
+            )
+        if ticks[-1] + offset >= _TICK_LIMIT:
+            raise WaveParseError(
+                f"net {name!r}: a VCD timestamp of {_digits(ticks[-1] + offset)} "
+                f"digits, more than the {MAX_TICK_DIGITS} that can be written"
+            )
 
     lines = [f"$timescale {cfg.time_unit} $end"]
     if offset:
@@ -230,10 +247,13 @@ def emit_vcd(signals: dict[str, Signal], cfg: RunConfig = RunConfig()) -> str:
     changes: dict[Tick, list[str]] = {}
     for name in names:  # sorted, so same-tick changes come out name-sorted
         sig = signals[name]
-        val = sig.initial
-        for t in sig.switches:
-            val ^= 1
-            changes.setdefault(t, []).append(f"{val}{ids[name]}")
+        rise, fall = f"1{ids[name]}", f"0{ids[name]}"
+        # the change after an odd and after an even number of switches
+        odd, even = (fall, rise) if sig.initial else (rise, fall)
+        for t in sig.switches[0::2]:
+            changes.setdefault(t, []).append(odd)
+        for t in sig.switches[1::2]:
+            changes.setdefault(t, []).append(even)
     for t in sorted(changes):
         lines.append(f"#{t + offset}")
         lines.extend(changes[t])

@@ -30,6 +30,7 @@ from inertia.signals import Signal
 NOT = (1, 0)
 AND = (0, 0, 0, 1)
 NOR = (1, 0, 0, 0)
+XOR = (0, 1, 1, 0)
 BUF = (0, 1)
 
 
@@ -201,6 +202,67 @@ def test_same_tick_flips_of_the_table_output_cancel():
     stim = {"a": Signal(1, (4,)), "s": Signal(0, (2, 4, 5))}
     assert simulate(n, stim, (0, 10))["q"] == Signal(0, (4, 6))
     assert dense_simulate(n, stim, (0, 10))["q"] == Signal(0, (4, 6))
+
+
+def test_a_net_read_at_two_positions_moves_the_table_index_at_once():
+    n = Netlist(
+        ("a",),
+        (
+            Gate("x", ("a", "a"), XOR, BridcDelay(BdcParams(0, 1, 0, 1))),
+            Gate("y", ("a", "a"), AND, FixedDelay(2)),
+        ),
+        ("x", "y"),
+    )
+    stim = {"a": Signal(0, (1, 4, 5))}
+    out = simulate(n, stim, (0, 10))
+    assert out["x"] == Signal.const(0)
+    assert out["y"] == Signal(0, (3, 6, 7))
+
+
+def test_same_tick_stimuli_give_traces_independent_of_the_stimuli_order():
+    # a and b switch together at 2 and 5, so x's table output never moves
+    # there, and q sees both of its inputs change in one tick
+    n = Netlist(
+        ("a", "b"),
+        (
+            Gate("x", ("a", "b"), XOR, FixedDelay(1)),
+            Gate("q", ("b", "a"), AND, BridcDelay(BdcParams(1, 2, 1, 2))),
+        ),
+        ("x", "q"),
+    )
+    stim = {"a": Signal(0, (2, 5, 8)), "b": Signal(0, (2, 5, 9))}
+    out = simulate(n, stim, (0, 12))
+    assert out["x"] == Signal(0, (9, 10))
+    assert out["q"] == Signal(0, (4, 7, 11))
+    assert simulate(n, dict(reversed(stim.items())), (0, 12)) == out
+    assert dense_simulate(n, stim, (0, 12)) == out
+
+
+def test_events_do_not_rebuild_the_table_index(monkeypatch):
+    calls = []
+    eval_bits = Gate.eval_bits
+
+    def counted(self, bits):
+        calls.append(self.name)
+        return eval_bits(self, bits)
+
+    monkeypatch.setattr(Gate, "eval_bits", counted)
+    n = Netlist(
+        ("a", "b"),
+        (
+            Gate("m", ("a", "b"), AND, BridcDelay(BdcParams(1, 2, 1, 2))),
+            Gate("y", ("m", "a"), XOR, FixedDelay(1)),
+        ),
+        ("y",),
+    )
+    counts = []
+    for k in (1, 100):
+        calls.clear()
+        stim = {"a": Signal(0, tuple(range(0, 4 * k, 2))), "b": Signal(0, (1,))}
+        simulate(n, stim, (0, 4 * k))
+        counts.append(len(calls))
+    # only the prehistory evaluates tables, however many events follow
+    assert counts[0] == counts[1]
 
 
 def test_a_stimulus_far_before_the_horizon_costs_no_ticks():

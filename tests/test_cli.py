@@ -404,6 +404,26 @@ def test_simulate_rejects_bad_horizon(capsys, tmp_path):
     assert "expected LO:HI" in err
 
 
+def test_simulate_refuses_a_vcd_timestamp_too_long_to_write(capsys, tmp_path):
+    # the stimulus ticks are readable, but the VCD shifts them up by the
+    # 4299-digit offset, and the last one then has 4301 digits
+    nines = "9" * 4300
+    buf = {"inputs": ["a"], "outputs": ["y"], "gates": [
+        {"name": "y", "inputs": ["a"], "table": [0, 1], "delay": {"kind": "fixed", "d": 0}},
+    ]}
+    netlist = wave_file(tmp_path, "net.json", json.dumps(buf))
+    stim = wave_file(tmp_path, "stim.wave", f"a 0 -{nines[1:]} {nines}\n")
+    code, out, err = run(
+        capsys,
+        "simulate", "--netlist", netlist, "--stimuli", stim, f"--horizon=-{nines}:{nines}",
+    )
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: net 'a': a VCD timestamp of 4301 digits, more than the 4300 "
+        "that can be written\n"
+    )
+
+
 def _netlist_with_delay(delay):
     obj = json.loads(NETLIST)
     obj["gates"][0]["delay"] = delay
@@ -474,6 +494,39 @@ def test_an_integer_too_long_to_read_exits_2_naming_the_input(capsys, tmp_path, 
     assert (code, out) == (2, "")
     assert err.startswith(f"error: bad {what} JSON: ")
     assert "4301 digits" in err
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="no limit on integer digits"
+)
+@pytest.mark.parametrize("what, argv", [
+    ("grid bound", lambda tmp: [
+        "oracle", "enumerate", "--atoms", '{"kind": "aic", "deltar": 1, "deltaf": 1}',
+        "--input", wave_file(tmp, "u.wave", "u 0\n"), "--grid", f"0:{LONG}",
+    ]),
+    ("horizon bound", lambda tmp: [
+        "simulate", "--netlist", wave_file(tmp, "net.json", NETLIST),
+        "--stimuli", wave_file(tmp, "stim.wave", "a 0 0\nb 0 1\n"), f"--horizon=-{LONG}:10",
+    ]),
+])
+def test_a_span_bound_too_long_to_read_exits_2_naming_the_cause(capsys, tmp_path, what, argv):
+    code, out, err = run(capsys, *argv(tmp_path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: bad {what} ")
+    assert "an integer of 4301 digits, more than the 4300 that can be read" in err
+    assert len(err) < 200  # the bound is not echoed in full
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="no limit on integer digits"
+)
+def test_a_seed_too_long_to_read_exits_2_naming_the_cause(capsys, monkeypatch):
+    monkeypatch.setenv(SEED_ENV, LONG)
+    code, out, err = run(capsys, "oracle", "verify", "--theorem", "t14e", "--trials", "5")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: bad {SEED_ENV} value ")
+    assert "an integer of 4301 digits, more than the 4300 that can be read" in err
+    assert len(err) < 200
 
 
 # -- oracle ---------------------------------------------------------------------
