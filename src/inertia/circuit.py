@@ -6,10 +6,14 @@ transfer driven by a BdcParams window pair (mu = m, delta = d): memories
 filter pulses shorter than the memory, and a fixed delay is the window
 with zero memory, a pure shift.  Feedback is legal only through delays
 that look back at least one tick, which makes the tick-by-tick fixed
-point unique.  The simulator works on switch lists: a gate's output can
-only move where its table output switched a window bound earlier, so
-cost follows the number of switches, not the tick distance, and results
-are exact and bit-reproducible regardless of gate listing order.
+point unique.  One linear Kahn sort orders each gate after the gates
+it reads and names any loop left over; it validates netlists (counting
+the reads of zero-latency gates only), numbers the simulator's nets,
+decides `has_feedback` and orders envelope propagation.  The simulator
+works on switch lists: a gate's output can only move where its table
+output switched a window bound earlier, so cost follows the number of
+switches, not the tick distance, and results are exact and
+bit-reproducible regardless of gate listing order.
 
 Envelope propagation pushes lower/upper signal pairs through the same
 netlist conservatively (per-gate corner enumeration, no cross-net
@@ -154,71 +158,56 @@ class Netlist:
         for net in self.outputs:
             if net not in seen:
                 raise NetlistError(f"output net {net!r} is undriven")
-        cycle = _find_cycle(self.gates, zero_latency_only=True)
-        if cycle:
-            raise NetlistError(
-                "zero-delay cycle through gates " + " -> ".join(cycle)
-            )
+        _gate_order(self.gates, zero_latency_only=True)
 
     @property
     def has_feedback(self) -> bool:
-        return _find_cycle(self.gates, zero_latency_only=False) is not None
+        try:
+            _gate_order(self.gates, zero_latency_only=False)
+        except NetlistError:
+            return True
+        return False
 
 
-def _gate_deps(gates, zero_latency_only: bool) -> dict[str, list[str]]:
-    """Each gate's name -> the gates it reads, in input order.  Under
-    zero_latency_only a gate whose output lags its inputs reads none."""
-    names = {g.name for g in gates}
-    return {
-        g.name: []
-        if zero_latency_only and g.delay.min_latency > 0
-        else [n for n in g.inputs if n in names]
-        for g in gates
-    }
-
-
-def _find_cycle(gates, zero_latency_only: bool) -> list[str] | None:
-    deps = _gate_deps(gates, zero_latency_only)
-    state: dict[str, int] = {}
-    stack: list[str] = []
-
-    def visit(n: str) -> list[str] | None:
-        state[n] = 1
-        stack.append(n)
-        for m in deps[n]:
-            if state.get(m, 0) == 1:
-                return stack[stack.index(m):] + [m]
-            if state.get(m, 0) == 0:
-                found = visit(m)
-                if found:
-                    return found
-        stack.pop()
-        state[n] = 2
-        return None
-
-    for g in sorted(deps):
-        if state.get(g, 0) == 0:
-            found = visit(g)
-            if found:
-                return found
-    return None
-
-
-def _topo_gates(gates, zero_latency_only: bool) -> list[Gate]:
-    """Deterministic topological order (name-sorted Kahn)."""
+def _gate_order(gates, zero_latency_only: bool) -> list[Gate]:
+    """The gates, each after the gates it reads, in time linear in the
+    netlist: a Kahn sort on in-degree counters, seeded with the ready
+    gates in name order.  Under zero_latency_only a gate whose output
+    lags its inputs reads none.  When gates are left over, each of them
+    reads another, so walking from the smallest one along its first
+    left-over input must close a loop; that loop is raised in reads
+    order from its smallest name, as `x -> y -> x`.
+    """
     by_name = {g.name: g for g in gates}
-    order = []
-    remaining = {n: set(d) for n, d in _gate_deps(gates, zero_latency_only).items()}
-    while remaining:
-        ready = sorted(n for n, d in remaining.items() if not d)
-        if not ready:
-            raise NetlistError("cycle survived validation")  # defensive
-        for n in ready:
-            order.append(by_name[n])
-            del remaining[n]
-        for d in remaining.values():
-            d.difference_update(ready)
-    return order
+    pending = dict.fromkeys(by_name, 0)
+    readers: dict[str, list[str]] = {name: [] for name in by_name}
+    for g in gates:
+        if zero_latency_only and g.delay.min_latency > 0:
+            continue
+        for net in g.inputs:
+            if net in by_name:
+                pending[g.name] += 1
+                readers[net].append(g.name)
+    order = sorted(name for name, k in pending.items() if not k)
+    for name in order:  # the loop also visits the gates appended to order
+        for r in readers[name]:
+            pending[r] -= 1
+            if not pending[r]:
+                order.append(r)
+    if len(order) == len(by_name):
+        return [by_name[name] for name in order]
+
+    walk: dict[str, None] = {}  # the gates walked, in order
+    name = min(n for n, k in pending.items() if k)
+    while name not in walk:
+        walk[name] = None
+        name = next(net for net in by_name[name].inputs if pending.get(net))
+    loop = list(walk)
+    loop = loop[loop.index(name):]
+    first = loop.index(min(loop))
+    loop = loop[first:] + loop[:first]
+    kind = "zero-delay cycle" if zero_latency_only else "cycle"
+    raise NetlistError(f"{kind} through gates " + " -> ".join(loop + loop[:1]))
 
 
 def netlist_to_dict(n: Netlist) -> dict:
@@ -260,6 +249,17 @@ def netlist_from_dict(obj: dict) -> Netlist:
 
 
 # -- simulation ---------------------------------------------------------------
+
+
+def _check_inputs(n: Netlist, given: dict, what: str) -> None:
+    """Refuse `given` unless it has exactly one entry per netlist input."""
+    missing = [net for net in n.inputs if net not in given]
+    if missing:
+        raise NetlistError(f"missing {what} for inputs: {missing}")
+    known = set(n.inputs)  # not the tuple: a scan per entry is quadratic
+    extra = [net for net in given if net not in known]
+    if extra:
+        raise NetlistError(f"{what} for unknown inputs: {extra}")
 
 
 def _prehistory(n: Netlist, inputs: dict[str, Signal]) -> dict[str, int]:
@@ -305,16 +305,11 @@ def simulate(
     lo, hi = horizon
     if lo > hi:
         raise NetlistError(f"empty horizon [{lo}, {hi}]")
-    missing = [net for net in n.inputs if net not in inputs]
-    if missing:
-        raise NetlistError(f"missing stimuli for inputs: {missing}")
-    extra = [net for net in inputs if net not in n.inputs]
-    if extra:
-        raise NetlistError(f"stimuli for unknown inputs: {extra}")
+    _check_inputs(n, inputs, "stimuli")
 
     pre = _prehistory(n, inputs)
     stims = sorted(inputs)
-    gates = _topo_gates(n.gates, zero_latency_only=True)
+    gates = _gate_order(n.gates, zero_latency_only=True)
     names = stims + [g.name for g in gates]
     ident = {net: i for i, net in enumerate(names)}
     nets, n_in = len(names), len(stims)
@@ -442,17 +437,16 @@ def envelope_propagate(
     the result brackets every admissible behavior (per gate; cross-net
     correlation is deliberately ignored).
     """
-    if n.has_feedback:
-        raise NetlistError("envelope propagation requires an acyclic netlist")
-    missing = [net for net in n.inputs if net not in input_envelopes]
-    if missing:
-        raise NetlistError(f"missing envelopes for inputs: {missing}")
-    extra = [net for net in input_envelopes if net not in n.inputs]
-    if extra:
-        raise NetlistError(f"envelopes for unknown inputs: {extra}")
+    try:
+        gates = _gate_order(n.gates, zero_latency_only=False)
+    except NetlistError as exc:
+        raise NetlistError(
+            f"envelope propagation requires an acyclic netlist: {exc}"
+        ) from None
+    _check_inputs(n, input_envelopes, "envelopes")
 
     envs: dict[str, Envelope] = dict(input_envelopes)
-    for g in _topo_gates(n.gates, zero_latency_only=False):
+    for g in gates:
         stage = _table_envelope(g, [envs[i] for i in g.inputs])
         p = g.delay.params
         envs[g.name] = Envelope(

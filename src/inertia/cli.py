@@ -13,7 +13,6 @@ Exit codes: 0 when the queried property holds (or output was produced),
 import argparse
 import json
 import os
-import re
 import sys
 
 from .circuit import NetlistError, netlist_from_dict, simulate
@@ -42,13 +41,14 @@ from .oracle import GridConfig, HorizonError, enumerate_solutions, find_empty_wi
 from .signals import SignalError
 from .verify import THEOREM_CHECKS, run_check
 from .waveio import (
-    MAX_TICK_DIGITS,
     RunConfig,
     WaveParseError,
     emit_vcd,
     emit_waveforms,
     parse_config,
+    parse_int,
     parse_waveforms,
+    shown,
 )
 
 SEED_ENV = "INERTIA_SEED"
@@ -106,35 +106,11 @@ def _load_wave(path: str, cfg: RunConfig, role: str, name: str | None = None):
     return next(iter(waves.values()))
 
 
-def _shown(text: str) -> str:
-    """text for an error message, cut to a short prefix."""
-    return repr(text) if len(text) <= 40 else f"{text[:40]!r}... ({len(text)} chars)"
-
-
-# what int() reads as an integer; when it still fails, the only cause is
-# its limit of 4300 digits
-_INT_TEXT = re.compile(r"\s*[+-]?\d+(?:_\d+)*\s*")
-
-
-def _parse_int(text: str, what: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    if _INT_TEXT.fullmatch(text):
-        digits = sum(c.isdecimal() for c in text)
-        raise CliError(
-            f"bad {what} {_shown(text)}: an integer of {digits} digits, "
-            f"more than the {MAX_TICK_DIGITS} that can be read"
-        )
-    raise CliError(f"bad {what} {_shown(text)}: expected an integer")
-
-
 def _parse_span(text: str, what: str) -> tuple[int, int]:
     lo, sep, hi = text.partition(":")
     if not sep:
-        raise CliError(f"bad {what} {_shown(text)}: expected LO:HI")
-    return _parse_int(lo, f"{what} bound"), _parse_int(hi, f"{what} bound")
+        raise CliError(f"bad {what} {shown(text)}: expected LO:HI")
+    return parse_int(lo, f"bad {what} bound"), parse_int(hi, f"bad {what} bound")
 
 
 def _emit(verdict: dict) -> None:
@@ -336,7 +312,10 @@ def _cmd_oracle_enumerate(args: argparse.Namespace) -> int:
     expr = _parse_atoms(args.atoms)
     u = _load_wave(args.input, cfg, "input", args.input_name)
     lo, hi = _parse_span(args.grid, "grid")
-    grid = GridConfig(lo, hi, args.max_switches)
+    cap = args.max_switches
+    if cap is not None:
+        cap = parse_int(cap, "bad --max-switches")
+    grid = GridConfig(lo, hi, cap)
     sols = enumerate_solutions(u, expr, grid)
     width = len(str(max(len(sols) - 1, 0)))
     named = {f"x{idx:0{width}d}": s for idx, s in enumerate(sols)}
@@ -357,10 +336,10 @@ def _cmd_oracle_witness(args: argparse.Namespace) -> int:
 
 def _resolve_seed(args: argparse.Namespace, cfg: RunConfig | None) -> int | None:
     if args.seed is not None:
-        return args.seed
+        return parse_int(args.seed, "bad --seed")
     env = os.environ.get(SEED_ENV)
     if env is not None:
-        return _parse_int(env, f"{SEED_ENV} value")
+        return parse_int(env, f"bad {SEED_ENV} value")
     if cfg is not None and args.config is not None:
         return cfg.seed
     return None
@@ -369,9 +348,10 @@ def _resolve_seed(args: argparse.Namespace, cfg: RunConfig | None) -> int | None
 def _cmd_oracle_verify(args: argparse.Namespace) -> int:
     cfg = _load_config(args.config)
     seed = _resolve_seed(args, cfg)
-    if args.trials is not None and args.trials < 1:
-        raise CliError(f"--trials must be at least 1, got {args.trials}")
-    report = run_check(args.theorem, args.trials, seed)
+    trials = None if args.trials is None else parse_int(args.trials, "bad --trials")
+    if trials is not None and trials < 1:
+        raise CliError(f"--trials must be at least 1, got {trials}")
+    report = run_check(args.theorem, trials, seed)
     print(report.summary())
     for failure in report.failures:
         print(f"  counterexample: {failure}")
@@ -456,7 +436,9 @@ def _build_parser() -> argparse.ArgumentParser:
     enum.add_argument("--input", required=True, help="input waveform file")
     enum.add_argument("--input-name", help="waveform name in the input file")
     enum.add_argument("--grid", required=True, help="LO:HI tick range")
-    enum.add_argument("--max-switches", type=int, help="cap on candidate switches")
+    # integer options stay strings here, as argparse's message would echo
+    # a value of any length; the commands read them with parse_int
+    enum.add_argument("--max-switches", help="cap on candidate switches")
     enum.add_argument("-o", "--out", help="write waveforms here instead of stdout")
     _add_config(enum)
     enum.set_defaults(func=_cmd_oracle_enumerate)
@@ -472,10 +454,8 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument(
         "--theorem", required=True, choices=sorted(THEOREM_CHECKS)
     )
-    verify.add_argument("--trials", type=int, help="override the default trial count")
-    verify.add_argument(
-        "--seed", type=int, help=f"override the RNG seed (falls back to ${SEED_ENV})"
-    )
+    verify.add_argument("--trials", help="override the default trial count")
+    verify.add_argument("--seed", help=f"override the RNG seed (falls back to ${SEED_ENV})")
     _add_config(verify)
     verify.set_defaults(func=_cmd_oracle_verify)
 

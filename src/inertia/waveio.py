@@ -51,6 +51,33 @@ class RunConfig:
             raise WaveParseError(f"resolution must be >= 1, got {self.resolution}")
 
 
+def shown(text: str) -> str:
+    """text for an error message, cut to a short prefix."""
+    return repr(text) if len(text) <= 40 else f"{text[:40]!r}... ({len(text)} chars)"
+
+
+# what int() reads as an integer; when it still fails, the only cause is
+# its limit of 4300 digits
+_INT_TEXT = re.compile(r"\s*[+-]?\d+(?:_\d+)*\s*")
+
+
+def parse_int(text: str, what: str) -> int:
+    """int(text); otherwise a WaveParseError that begins with `what`,
+    shows text cut short and, when int() refused a well-formed integer
+    for its length, names the digit count."""
+    try:
+        return int(text)
+    except ValueError:
+        pass
+    if _INT_TEXT.fullmatch(text):
+        digits = sum(c.isdecimal() for c in text)
+        raise WaveParseError(
+            f"{what} {shown(text)}: an integer of {digits} digits, "
+            f"more than the {MAX_TICK_DIGITS} that can be read"
+        )
+    raise WaveParseError(f"{what} {shown(text)}: expected an integer")
+
+
 def parse_config(text: str) -> RunConfig:
     """Parse `key = value` lines into a RunConfig."""
     fields: dict[str, object] = {}
@@ -65,10 +92,7 @@ def parse_config(text: str) -> RunConfig:
         if key == "time_unit":
             fields[key] = value
         elif key in ("resolution", "seed"):
-            try:
-                fields[key] = int(value)
-            except ValueError:
-                raise WaveParseError(f"config line {ln}: {key} must be an integer") from None
+            fields[key] = parse_int(value, f"config line {ln}: {key}")
         else:
             raise WaveParseError(f"config line {ln}: unknown key {key!r}")
     return RunConfig(**fields)

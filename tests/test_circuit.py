@@ -5,6 +5,7 @@ The switch-list simulator is played against the dense tick sweep in
 """
 
 import random
+import time
 
 import pytest
 from dense_reference import dense_simulate
@@ -117,7 +118,7 @@ def test_double_driver_is_rejected():
 
 
 def test_zero_delay_cycle_is_rejected():
-    with pytest.raises(NetlistError):
+    with pytest.raises(NetlistError, match=r"^zero-delay cycle through gates x -> y -> x$"):
         Netlist(
             ("a",),
             (
@@ -126,6 +127,40 @@ def test_zero_delay_cycle_is_rejected():
             ),
             ("x",),
         )
+
+
+def test_a_cycle_is_named_from_its_smallest_gate():
+    # a is not on the loop but reads it, so the walk starts there
+    gates = [
+        Gate("a", ("c",), BUF, FixedDelay(0)),
+        Gate("b", ("c",), BUF, FixedDelay(0)),
+        Gate("c", ("i", "d"), AND, FixedDelay(0)),
+        Gate("d", ("b",), NOT, BridcDelay(BdcParams(1, 1, 1, 1))),
+    ]
+    with pytest.raises(NetlistError, match=r"^zero-delay cycle through gates b -> c -> d -> b$"):
+        Netlist(("i",), tuple(gates), ("a",))
+
+
+def reverse_chain(size, delay):
+    """size NOT gates named against the signal flow: the largest name
+    reads the stimulus a, and each smaller name reads the next larger."""
+    names = [f"g{k:05d}" for k in range(size, 0, -1)]
+    gates = [Gate(name, (src,), NOT, delay) for name, src in zip(names, ["a", *names])]
+    return Netlist(("a",), tuple(gates), (names[-1],))
+
+
+def test_a_long_zero_delay_chain_named_against_the_flow_builds_and_simulates():
+    n = reverse_chain(1100, FixedDelay(0))
+    out = simulate(n, {"a": Signal(0, (3,))}, (0, 5))
+    assert out["g00001"] == Signal(0, (3,))  # an even number of inverters
+    assert out["g01100"] == Signal(1, (3,))
+
+
+def test_a_long_lagging_chain_has_no_feedback_and_propagates_envelopes():
+    n = reverse_chain(1100, FixedDelay(1))
+    assert not n.has_feedback
+    env = envelope_propagate(n, {"a": Envelope.exact(Signal(0, (3,)))})
+    assert env["g00001"] == Envelope.exact(Signal(0, (1103,)))
 
 
 def test_netlist_dict_round_trip():
@@ -161,6 +196,16 @@ def test_simulation_input_checks():
         simulate(n, {"a": Signal.const(0), "zz": Signal.const(0)}, (0, 5))
     with pytest.raises(NetlistError):
         simulate(n, {"a": Signal.const(0)}, (5, 0))
+
+
+def test_many_stimuli_are_checked_in_linear_time():
+    ins = tuple(f"i{k}" for k in range(20000))
+    n = Netlist(ins, (Gate("y", ("i0",), BUF, FixedDelay(1)),), ("y",))
+    stim = dict.fromkeys(ins, Signal.const(0))
+    t0 = time.perf_counter()
+    simulate(n, stim, (0, 5))
+    # about 0.1 s; scanning the input tuple per stimulus took 4 s
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_horizon_placement_does_not_change_the_traces():
@@ -366,7 +411,12 @@ def test_envelope_requires_an_acyclic_netlist():
         ),
         ("q",),
     )
-    with pytest.raises(NetlistError):
+    assert latch.has_feedback
+    with pytest.raises(
+        NetlistError,
+        match=r"^envelope propagation requires an acyclic netlist: "
+        r"cycle through gates q -> qb -> q$",
+    ):
         envelope_propagate(latch, {"s": Envelope.exact(Signal.const(0))})
 
 

@@ -529,6 +529,51 @@ def test_a_seed_too_long_to_read_exits_2_naming_the_cause(capsys, monkeypatch):
     assert len(err) < 200
 
 
+ENUMERATE = ["oracle", "enumerate", "--atoms", '{"kind": "aic", "deltar": 1, "deltaf": 1}',
+             "--grid", "0:4"]
+VERIFY = ["oracle", "verify", "--theorem", "t14e"]
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="no limit on integer digits"
+)
+@pytest.mark.parametrize("where, argv", [
+    ("bad --seed", lambda tmp: [*VERIFY, "--seed", LONG]),
+    ("bad --trials", lambda tmp: [*VERIFY, "--trials", LONG]),
+    ("bad --max-switches", lambda tmp: [
+        *ENUMERATE, "--input", wave_file(tmp, "u.wave", "u 0\n"), "--max-switches", LONG,
+    ]),
+    ("config line 2: seed", lambda tmp: [
+        *VERIFY, "--config", wave_file(tmp, "run.cfg", f"# run\nseed = {LONG}\n"),
+    ]),
+    ("config line 1: resolution", lambda tmp: [
+        *VERIFY, "--config", wave_file(tmp, "run.cfg", f"resolution = {LONG}\n"),
+    ]),
+])
+def test_an_option_or_config_integer_too_long_to_read_exits_2_naming_the_cause(
+    capsys, tmp_path, where, argv
+):
+    code, out, err = run(capsys, *argv(tmp_path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {where} '9999")
+    assert "an integer of 4301 digits, more than the 4300 that can be read" in err
+    assert len(err) < 200
+
+
+@pytest.mark.parametrize("option, argv", [
+    ("--seed", lambda tmp: [*VERIFY, "--seed", "x1"]),
+    ("--trials", lambda tmp: [*VERIFY, "--trials", "1.5"]),
+    ("--max-switches", lambda tmp: [
+        *ENUMERATE, "--input", wave_file(tmp, "u.wave", "u 0\n"), "--max-switches", "two",
+    ]),
+])
+def test_an_integer_option_that_is_not_an_integer_exits_2(capsys, tmp_path, option, argv):
+    argv = argv(tmp_path)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: bad {option} {argv[-1]!r}: expected an integer\n"
+
+
 # -- oracle ---------------------------------------------------------------------
 
 
