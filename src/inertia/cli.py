@@ -49,6 +49,7 @@ from .waveio import (
     parse_int,
     parse_waveforms,
     shown,
+    writable,
 )
 
 SEED_ENV = "INERTIA_SEED"
@@ -114,6 +115,10 @@ def _parse_span(text: str, what: str) -> tuple[int, int]:
 
 
 def _emit(verdict: dict) -> None:
+    for key, value in verdict.items():
+        if isinstance(value, dict):  # a condition's parameters
+            for field, n in value.items():
+                writable(n, f"{key} {field}: an integer")
     print(json.dumps(verdict, indent=2, sort_keys=True))
 
 

@@ -151,12 +151,6 @@ def atom_kind(atom: Atom) -> str:
     raise TypeError(f"not a condition atom: {atom!r}")
 
 
-def atom_to_dict(atom: Atom) -> dict:
-    d = {"kind": atom_kind(atom)}
-    d.update(atom.as_dict())
-    return d
-
-
 def atom_from_dict(obj: dict) -> Atom:
     try:
         cls = _ATOM_KINDS[obj["kind"]]
@@ -193,13 +187,6 @@ class CondExpr:
             elif isinstance(a, RicParams):
                 back = max(back, a.delta_r, a.delta_f)
         return back
-
-    def as_dict(self) -> dict:
-        return {"atoms": [atom_to_dict(a) for a in self.atoms]}
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "CondExpr":
-        return cls(tuple(atom_from_dict(a) for a in obj["atoms"]))
 
 
 # -- consistency of BDC parameters ----------------------------------------

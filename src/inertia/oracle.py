@@ -63,10 +63,8 @@ class GridConfig:
     def __post_init__(self):
         if self.lo >= self.hi:
             raise HorizonError(f"need lo < hi, got [{self.lo}, {self.hi}]")
-        if self.hi - self.lo > MAX_SPAN:
-            raise HorizonError(
-                f"horizon spans {self.hi - self.lo} ticks, limit is {MAX_SPAN}"
-            )
+        if self.hi - self.lo > MAX_SPAN:  # not named: the span may be too long to write
+            raise HorizonError(f"horizon spans more than the {MAX_SPAN}-tick limit")
         if self.max_switches is not None and self.max_switches < 0:
             raise HorizonError("max_switches must be >= 0 or None")
 

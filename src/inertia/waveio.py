@@ -8,7 +8,9 @@ comment.  At resolution 1 a line whose times are all plain ASCII
 integers is read with int(); every other time, in any form Fraction
 reads (`_` digit groups, non-ASCII digits, `a/b`, decimals, exponents of
 at most 4 digits), goes through Fraction.  A tick may have at most 4300
-digits, the most Python writes back as text.
+digits, the most Python writes back as text.  On output, `writable` is
+the one place that bound is checked: every tick written here and every
+integer of the CLI's verdicts passes it.
 
 VCD output is emission-only and deterministic: no timestamps of the run,
 identifiers assigned in sorted name order, same-tick changes sorted by
@@ -98,16 +100,34 @@ def parse_config(text: str) -> RunConfig:
     return RunConfig(**fields)
 
 
-# a line's times when every one is a plain ASCII integer: int() would
-# also take `_` and non-ASCII digits, which stay on the Fraction path
-_INT_TIMES = re.compile(r"[+-]?[0-9]+(?:[ \t]+[+-]?[0-9]+)*", re.ASCII)
-# the exponent of a decimal token, digits grouped by `_` as Fraction allows
-_EXPONENT = re.compile(r"[eE][+-]?(\d+(?:_\d+)*)\Z")
-MAX_EXPONENT_DIGITS = 4
 # Python writes ints of at most 4300 digits as text by default, so every
 # accepted tick can be written back out
 MAX_TICK_DIGITS = 4300
 _TICK_LIMIT = 10**MAX_TICK_DIGITS
+# a line's times when every one is a plain ASCII integer of at most
+# MAX_TICK_DIGITS digits, so inside the bound: int() would also take `_`
+# and non-ASCII digits, which stay on the Fraction path
+_PLAIN_INT = rf"[+-]?[0-9]{{1,{MAX_TICK_DIGITS}}}"
+_INT_TIMES = re.compile(rf"{_PLAIN_INT}(?:[ \t]+{_PLAIN_INT})*", re.ASCII)
+# the exponent of a decimal token, digits grouped by `_` as Fraction allows
+_EXPONENT = re.compile(r"[eE][+-]?(\d+(?:_\d+)*)\Z")
+MAX_EXPONENT_DIGITS = 4
+
+
+def writable(n: int, what: str) -> int:
+    """n, when str() can write it; otherwise a WaveParseError that begins
+    with `what` and names n's digit count.  The one check of the bound
+    on output."""
+    if -_TICK_LIMIT < n < _TICK_LIMIT:
+        return n
+    n, digits = abs(n), 0
+    while n >= _TICK_LIMIT:  # count the digits without writing n
+        n //= _TICK_LIMIT
+        digits += MAX_TICK_DIGITS
+    raise WaveParseError(
+        f"{what} of {digits + len(str(n))} digits, more than the "
+        f"{MAX_TICK_DIGITS} that can be written"
+    )
 
 
 def _parse_tick(token: str, resolution: int, ln: int) -> Tick:
@@ -147,10 +167,10 @@ def _parse_times(text: str, resolution: int, ln: int) -> tuple[Tick, ...]:
     if resolution == 1 and _INT_TIMES.fullmatch(text):
         try:
             times = tuple(map(int, text.split()))
-        except ValueError:  # past int()'s digit limit
+        except ValueError:  # int()'s digit limit set below MAX_TICK_DIGITS
             pass
-        else:  # increasing, so the ends bound every tick
-            if _increasing(times) and -_TICK_LIMIT < times[0] and times[-1] < _TICK_LIMIT:
+        else:
+            if _increasing(times):
                 return times
     times = tuple([_parse_tick(tok, resolution, ln) for tok in text.split()])
     if not _increasing(times):
@@ -181,28 +201,16 @@ def parse_waveforms(text: str, resolution: int = 1) -> dict[str, Signal]:
     return out
 
 
-def _digits(n: int) -> int:
-    """The decimal digits of n, without writing a number str() refuses."""
-    n, digits = abs(n), 0
-    while n >= _TICK_LIMIT:
-        n //= _TICK_LIMIT
-        digits += MAX_TICK_DIGITS
-    return digits + len(str(n))
-
-
 def emit_waveforms(signals: dict[str, Signal]) -> str:
     """Canonical waveform text; round-trips through parse_waveforms.  A
     tick of more than MAX_TICK_DIGITS digits is refused, as on input."""
     lines = []
     for name, sig in signals.items():
         ticks = sig.switches  # increasing, so the ends bound every tick
-        if ticks and not (-_TICK_LIMIT < ticks[0] and ticks[-1] < _TICK_LIMIT):
-            t = ticks[0] if ticks[0] <= -_TICK_LIMIT else ticks[-1]
-            raise WaveParseError(
-                f"net {name!r}: a tick of {_digits(t)} digits, more than "
-                f"the {MAX_TICK_DIGITS} that can be written"
-            )
-        parts = [name, str(sig.initial)] + [str(t) for t in sig.switches]
+        if ticks:
+            writable(ticks[0], f"net {name!r}: a tick")
+            writable(ticks[-1], f"net {name!r}: a tick")
+        parts = [name, str(sig.initial)] + [str(t) for t in ticks]
         lines.append(" ".join(parts))
     return "\n".join(lines) + ("\n" if lines else "")
 
@@ -229,29 +237,17 @@ def emit_vcd(signals: dict[str, Signal], cfg: RunConfig = RunConfig()) -> str:
     identifiers in sorted name order, changes under one timestamp sorted
     by name.  When any switch is negative, all timestamps are shifted up
     by a common offset announced in a $comment.  An offset or shifted
-    timestamp of more than MAX_TICK_DIGITS digits is refused, as in
-    emit_waveforms.
+    timestamp of more than MAX_TICK_DIGITS digits is refused.
     """
     names = sorted(signals)
     start = min(
         [0] + [s.switches[0] for s in signals.values() if s.switches]
     )
-    offset = -start
-    for name in names:  # the offset and every shifted tick are written out
+    offset = writable(-start, "a VCD tick offset")
+    for name in names:  # a net's last switch is its latest
         ticks = signals[name].switches
-        if not ticks:
-            continue
-        if -ticks[0] >= _TICK_LIMIT:
-            raise WaveParseError(
-                f"net {name!r}: a tick of {_digits(ticks[0])} digits below 0 "
-                f"needs a VCD tick offset of more than the {MAX_TICK_DIGITS} "
-                f"digits that can be written"
-            )
-        if ticks[-1] + offset >= _TICK_LIMIT:
-            raise WaveParseError(
-                f"net {name!r}: a VCD timestamp of {_digits(ticks[-1] + offset)} "
-                f"digits, more than the {MAX_TICK_DIGITS} that can be written"
-            )
+        if ticks:
+            writable(ticks[-1] + offset, f"net {name!r}: a VCD timestamp")
 
     lines = [f"$timescale {cfg.time_unit} $end"]
     if offset:

@@ -332,17 +332,6 @@ def test_solve_rejects_inconsistent_parameters(capsys, tmp_path):
     assert "error:" in err
 
 
-def test_solve_refuses_an_output_tick_too_long_to_write(capsys, tmp_path):
-    nines = "9" * 4300  # the longest tick and delay that are read
-    u = wave_file(tmp_path, "u.wave", f"u 0 {nines}\n")
-    params = f'{{"mr":0,"dr":{nines},"mf":0,"df":{nines}}}'
-    code, out, err = run(
-        capsys, "solve", "--cond", "bdc-min", "--params", params, "--input", u
-    )
-    assert (code, out) == (2, "")
-    assert err == "error: net 'x': a tick of 4301 digits, more than the 4300 that can be written\n"
-
-
 # -- simulate -------------------------------------------------------------------
 
 
@@ -402,26 +391,6 @@ def test_simulate_rejects_bad_horizon(capsys, tmp_path):
     )
     assert code == 2
     assert "expected LO:HI" in err
-
-
-def test_simulate_refuses_a_vcd_timestamp_too_long_to_write(capsys, tmp_path):
-    # the stimulus ticks are readable, but the VCD shifts them up by the
-    # 4299-digit offset, and the last one then has 4301 digits
-    nines = "9" * 4300
-    buf = {"inputs": ["a"], "outputs": ["y"], "gates": [
-        {"name": "y", "inputs": ["a"], "table": [0, 1], "delay": {"kind": "fixed", "d": 0}},
-    ]}
-    netlist = wave_file(tmp_path, "net.json", json.dumps(buf))
-    stim = wave_file(tmp_path, "stim.wave", f"a 0 -{nines[1:]} {nines}\n")
-    code, out, err = run(
-        capsys,
-        "simulate", "--netlist", netlist, "--stimuli", stim, f"--horizon=-{nines}:{nines}",
-    )
-    assert (code, out) == (2, "")
-    assert err == (
-        "error: net 'a': a VCD timestamp of 4301 digits, more than the 4300 "
-        "that can be written\n"
-    )
 
 
 def _netlist_with_delay(delay):
@@ -529,8 +498,52 @@ def test_a_seed_too_long_to_read_exits_2_naming_the_cause(capsys, monkeypatch):
     assert len(err) < 200
 
 
-ENUMERATE = ["oracle", "enumerate", "--atoms", '{"kind": "aic", "deltar": 1, "deltaf": 1}',
-             "--grid", "0:4"]
+NINES = "9" * 4300  # the longest integer that is read
+NINES_BDC = f'{{"mr":0,"dr":{NINES},"mf":0,"df":{NINES}}}'
+BUF = json.dumps({"inputs": ["a"], "outputs": ["y"], "gates": [
+    {"name": "y", "inputs": ["a"], "table": [0, 1], "delay": {"kind": "fixed", "d": 0}},
+]})
+AIC_ATOMS = '{"kind": "aic", "deltar": 1, "deltaf": 1}'
+
+
+@pytest.mark.parametrize("argv, message", [
+    # a 4300-digit input tick plus a 4300-digit delay
+    pytest.param(lambda tmp: [
+        "solve", "--cond", "bdc-min", "--params", NINES_BDC,
+        "--input", wave_file(tmp, "u.wave", f"u 0 {NINES}\n"),
+    ], "net 'x': a tick of 4301 digits, more than the 4300 that can be written", id="solve"),
+    # delays compose by adding their bounds
+    pytest.param(lambda tmp: [
+        "algebra", "--op", "compose", "--p", NINES_BDC, "--q", NINES_BDC,
+    ], "result dr: an integer of 4301 digits, more than the 4300 that can be written",
+        id="compose"),
+    # the VCD shifts the ticks up by the 4299-digit offset, and the last
+    # one then has 4301 digits
+    pytest.param(lambda tmp: [
+        "simulate", "--netlist", wave_file(tmp, "net.json", BUF),
+        "--stimuli", wave_file(tmp, "stim.wave", f"a 0 -{NINES[1:]} {NINES}\n"),
+        f"--horizon=-{NINES}:{NINES}",
+    ], "net 'a': a VCD timestamp of 4301 digits, more than the 4300 that can be written",
+        id="vcd-timestamp"),
+    # a span of 4301 digits, and one of 4300 that is not echoed either
+    pytest.param(lambda tmp: [
+        "oracle", "enumerate", "--atoms", AIC_ATOMS,
+        "--input", wave_file(tmp, "u.wave", "u 0\n"), f"--grid=-{NINES}:{NINES}",
+    ], "horizon spans more than the 80-tick limit", id="grid-span"),
+    pytest.param(lambda tmp: [
+        "oracle", "enumerate", "--atoms", AIC_ATOMS,
+        "--input", wave_file(tmp, "u.wave", "u 0\n"), f"--grid=0:{NINES}",
+    ], "horizon spans more than the 80-tick limit", id="grid-bound"),
+])
+def test_an_integer_grown_past_the_bound_exits_2_with_one_error_line(
+    capsys, tmp_path, argv, message
+):
+    code, out, err = run(capsys, *argv(tmp_path))
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
+
+
+ENUMERATE = ["oracle", "enumerate", "--atoms", AIC_ATOMS, "--grid", "0:4"]
 VERIFY = ["oracle", "verify", "--theorem", "t14e"]
 
 

@@ -18,7 +18,6 @@ from inertia.conditions import (
     aic_member,
     atom_from_dict,
     atom_kind,
-    atom_to_dict,
     baidc_consistent,
     bdc_as_translation,
     bdc_compose,
@@ -75,7 +74,7 @@ def test_parameter_ranges_are_enforced():
     ],
 )
 def test_atom_dict_round_trip(atom):
-    assert atom_from_dict(atom_to_dict(atom)) == atom
+    assert atom_from_dict({**atom.as_dict(), "kind": atom_kind(atom)}) == atom
 
 
 @pytest.mark.parametrize("value", [1.9, 1.0, True, "1"])
