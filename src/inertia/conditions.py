@@ -19,8 +19,7 @@ BDC + RIC) are expressed.
 """
 
 from bisect import bisect_right
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 
 from .signals import Signal, switch_walk, window_and, window_or
 
@@ -161,23 +160,20 @@ def atom_from_dict(obj: dict) -> Atom:
 
 @dataclass(frozen=True)
 class CondExpr:
-    """Conjunction of condition atoms over the same input/output pair."""
+    """Conjunction of condition atoms over the same input/output pair.
+
+    reach is how many ticks back from t the atoms read the input to
+    constrain the output at t.
+    """
 
     atoms: tuple[Atom, ...]
+    reach: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not isinstance(self.atoms, tuple):
             object.__setattr__(self, "atoms", tuple(self.atoms))
         if not self.atoms:
             raise ValueError("a condition expression needs at least one atom")
-        for a in self.atoms:
-            if not isinstance(a, Atom):
-                atom_kind(a)  # raises its TypeError
-
-    @cached_property
-    def reach(self) -> int:
-        """How many ticks back from t the atoms read the input to
-        constrain the output at t; computed on first use."""
         back = 0
         for a in self.atoms:
             if isinstance(a, BdcParams):
@@ -186,7 +182,9 @@ class CondExpr:
                 back = max(back, a.d)
             elif isinstance(a, RicParams):
                 back = max(back, a.delta_r, a.delta_f)
-        return back
+            elif not isinstance(a, AicParams):
+                atom_kind(a)  # raises its TypeError
+        object.__setattr__(self, "reach", back)
 
 
 # -- consistency of BDC parameters ----------------------------------------

@@ -3,8 +3,8 @@
 Every condition atom is a per-tick constraint on the output x that reads
 the input only through the window u(t - reach .. t), plus hold counters
 carried from earlier ticks.  `_tick_rule` states that constraint once per
-expression, as a table over the window's values, and exact procedures
-read it:
+expression, as a table over the window's values (an int of one nibble,
+and bytes of one byte, per window), and exact procedures read it:
 
 * Grid enumeration.  Candidate outputs are bit vectors on a bounded tick
   horizon, constant outside it (extending their two end bits).  The DFS
@@ -19,13 +19,15 @@ read it:
   off the table.
 * The emptiness decider `find_empty_witness`, a breadth-first search
   over all inputs that either returns a shortest input admitting no
-  output or proves that every input admits one.
+  output or proves that every input admits one.  It moves the output
+  hold counters by one lookup in a table kept per pair of holds.
 
 This module deliberately shares none of the run-based window code it is
 used to cross-check: only Signal plumbing (construction and pointwise
 sampling) is common.
 """
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
@@ -62,7 +64,7 @@ class GridConfig:
 
     def __post_init__(self):
         if self.lo >= self.hi:
-            raise HorizonError(f"need lo < hi, got [{self.lo}, {self.hi}]")
+            raise HorizonError("need lo < hi")
         if self.hi - self.lo > MAX_SPAN:  # not named: the span may be too long to write
             raise HorizonError(f"horizon spans more than the {MAX_SPAN}-tick limit")
         if self.max_switches is not None and self.max_switches < 0:
@@ -95,21 +97,26 @@ def _atom_table(reach: int, atom) -> int:
     return table
 
 
-@lru_cache(maxsize=256)
-def _tick_rule(expr: CondExpr) -> tuple[int, int, int, int]:
-    """Every atom's constraint on the output x at one tick t, stated once:
-    (reach, table, rise_hold, fall_hold).
+# byte -> its low nibble, and its high nibble
+_LOW = bytes(b & 15 for b in range(256))
+_HIGH = bytes(b >> 4 for b in range(256))
 
-    Nibble w of the table (bits 4w .. 4w + 3) applies when the input
-    window holds u(t - k) in bit k of w, for k = 0..reach.  Its bit b
-    says whether x(t) may be b, and its bit 2 + b whether x may switch
-    to b at t.  After a rise x stays 1 for rise_hold more ticks, after a
-    fall 0 for fall_hold.
+
+@lru_cache(maxsize=256)
+def _tick_rule(expr: CondExpr) -> tuple[int, int, bytes, int, int]:
+    """Every atom's constraint on the output x at one tick t, stated once:
+    (reach, table, rule, rise_hold, fall_hold).
+
+    Nibble w of the table (bits 4w .. 4w + 3), and byte w of rule, apply
+    when the input window holds u(t - k) in bit k of w, for k = 0..reach.
+    Its bit b says whether x(t) may be b, and its bit 2 + b whether x
+    may switch to b at t.  After a rise x stays 1 for rise_hold more
+    ticks, after a fall 0 for fall_hold.
     """
     reach = expr.reach
     if reach > MAX_REACH:
         raise HorizonError(
-            f"condition reads the input {reach} ticks back, limit is {MAX_REACH}"
+            f"condition reads the input further back than the {MAX_REACH}-tick limit"
         )
     table = every = (1 << (4 << reach + 1)) - 1
     rise_hold = fall_hold = 0
@@ -122,7 +129,10 @@ def _tick_rule(expr: CondExpr) -> tuple[int, int, int, int]:
     # x may switch to a value only where it may take it: bit 2 + b keeps
     # only what bit b, shifted up by 2, allows
     table &= table << 2 | every // 15 * 3
-    return reach, table, rise_hold, fall_hold
+    packed = table.to_bytes(1 << reach, "little")  # nibbles 2j and 2j + 1 in byte j
+    rule = bytearray(2 << reach)
+    rule[::2], rule[1::2] = packed.translate(_LOW), packed.translate(_HIGH)
+    return reach, table, bytes(rule), rise_hold, fall_hold
 
 
 class _Prepared:
@@ -137,10 +147,11 @@ class _Prepared:
         lo, hi = grid.lo, grid.hi
         switches = u.switches
         if switches and not (lo <= switches[0] and switches[-1] <= hi):
-            raise HorizonError(
-                f"input switches {list(switches)} leave the grid [{lo}, {hi}]"
-            )
-        r, table, self.rise_hold, self.fall_hold = _tick_rule(expr)
+            i = 0 if switches[0] < lo else bisect_right(switches, hi)
+            # the tick is named only when short enough to write
+            at = f" at tick {switches[i]}" if abs(switches[i]) < 10**40 else ""
+            raise HorizonError(f"input switch {i + 1} of {len(switches)}{at} leaves the grid")
+        r, _, rule, self.rise_hold, self.fall_hold = _tick_rule(expr)
         self.lo = lo
         self.n = hi - lo + 1
         self.max_switches = grid.max_switches
@@ -152,13 +163,13 @@ class _Prepared:
         full = (1 << (r + 1)) - 1
         v = u.initial
         w = full * v
-        self.head = table >> 4 * w & 3
+        self.head = rule[w] & 3
         moves: list[int] = []
         t = lo
         for end in (*switches, hi + 1):  # u is v on ticks t .. end - 1
             for _ in range(min(end - t, r + 1)):
                 w = (w << 1 | v) & full
-                m = table >> 4 * w & 15
+                m = rule[w]
                 moves.append(m)
             if end - t > r + 1:
                 moves.extend([m] * (end - t - r - 1))
@@ -170,7 +181,7 @@ class _Prepared:
         tail = 3
         for _ in range(r + 1):
             w = (w << 1 | v) & full
-            tail &= table >> 4 * w
+            tail &= rule[w]
         self.tail = tail
 
 
@@ -292,7 +303,7 @@ def pointwise_bounds(
     output between the two returned ones, 2**k of them when they differ
     at k ticks.
     """
-    reach, table, rise_hold, fall_hold = _tick_rule(expr)
+    reach, table, _, rise_hold, fall_hold = _tick_rule(expr)
     values = ((1 << (4 << reach + 1)) - 1) // 15 * 3  # bits 0 and 1 of every nibble
     if table >> 2 & values != table & values or rise_hold or fall_hold:
         raise ValueError(f"{expr} licenses edges or holds the output")
@@ -313,6 +324,35 @@ def pointwise_bounds(
 # -- emptiness decider -------------------------------------------------------
 
 
+class _HoldSteps(dict):
+    """The decider's move on the hold counts under (rise_hold, fall_hold):
+    key (k0 + 1 << width | k1 + 1) << 4 | nibble maps to the next counts
+    packed the same way, or to -1 when no output survives.  A key is
+    worked out on its first lookup: a search meets few of the 16 << 2 *
+    width keys, and for long holds there are too many to list."""
+
+    def __init__(self, rise_hold: int, fall_hold: int):
+        self.rise_hold, self.fall_hold = rise_hold, fall_hold
+        self.width = (max(rise_hold, fall_hold) + 1).bit_length()
+
+    def __missing__(self, key: int) -> int:
+        m, width = key & 15, self.width
+        k0, k1 = (key >> 4 + width) - 1, (key >> 4 & (1 << width) - 1) - 1
+        # stay at a value, one forced tick less; or switch from a value
+        # that is free to leave, and start its hold
+        n0 = k0 - (k0 > 0) if k0 >= 0 and m & 1 else -1
+        n1 = k1 - (k1 > 0) if k1 >= 0 and m & 2 else -1
+        if k1 == 0 and m & 4:
+            n0 = self.fall_hold if n0 < 0 else min(n0, self.fall_hold)
+        if k0 == 0 and m & 8:
+            n1 = self.rise_hold if n1 < 0 else min(n1, self.rise_hold)
+        self[key] = -1 if n0 < 0 and n1 < 0 else (n0 + 1) << width | n1 + 1
+        return self[key]
+
+
+_hold_steps = lru_cache(maxsize=32)(_HoldSteps)
+
+
 def find_empty_witness(expr: CondExpr) -> Signal | None:
     """A shortest input that admits no output, or None when every input
     admits one.
@@ -327,25 +367,28 @@ def find_empty_witness(expr: CondExpr) -> Signal | None:
     reaches an empty output set, whose input is returned, or closes,
     which proves that none is reachable.  A set that never empties
     leaves an output for every input: once the input settles, some
-    surviving output can hold its value for good.
+    surviving output can hold its value for good.  Shortest means that
+    no input empties the set at an earlier tick.  A step looks up the
+    window's byte of the `_tick_rule` rule, then the counts' move under
+    it in the `_HoldSteps` table of the expression's holds.
     """
-    reach, table, rise_hold, fall_hold = _tick_rule(expr)
+    reach, _, rule, rise_hold, fall_hold = _tick_rule(expr)
+    steps = _hold_steps(rise_hold, fall_hold)
     keep = (1 << reach) - 1
     # a state packs (window bits, k0 + 1, k1 + 1) into one int, with
     # `width` bits for each count
-    width = (max(rise_hold, fall_hold) + 1).bit_length()
-    ones = (1 << width) - 1
+    width = steps.width
+    shift = 2 * width
+    counts = (1 << shift) - 1
     # state -> (the state it was first reached from, or None for a
     # prehistory, and the input bit that led to it)
     parent: dict[int, tuple[int | None, int]] = {}
     frontier = []
     for c in (0, 1):
-        m = table >> 4 * (keep << 1 | 1) * c
-        k0 = 0 if m & 1 else -1
-        k1 = 0 if m & 2 else -1
-        if k0 < 0 and k1 < 0:
+        m = rule[(keep << 1 | 1) * c]
+        if not m & 3:
             return Signal(c, ())
-        root = (keep * c << width | k0 + 1) << width | k1 + 1
+        root = (keep * c << width | m & 1) << width | m >> 1 & 1
         if root not in parent:
             parent[root] = (None, c)
             frontier.append(root)
@@ -357,23 +400,14 @@ def find_empty_witness(expr: CondExpr) -> Signal | None:
             )
         nxt = []
         for state in frontier:
-            k1 = (state & ones) - 1
-            k0 = (state >> width & ones) - 1
-            win = state >> 2 * width << 1
+            win = state >> shift << 1
+            held = (state & counts) << 4
             for bit in (0, 1):
                 w = win | bit
-                m = table >> 4 * w
-                # stay at a value, one forced tick less; or switch from a
-                # value that is free to leave, and start its hold
-                n0 = k0 - (k0 > 0) if k0 >= 0 and m & 1 else -1
-                n1 = k1 - (k1 > 0) if k1 >= 0 and m & 2 else -1
-                if k1 == 0 and m & 4:
-                    n0 = fall_hold if n0 < 0 else min(n0, fall_hold)
-                if k0 == 0 and m & 8:
-                    n1 = rise_hold if n1 < 0 else min(n1, rise_hold)
-                if n0 < 0 and n1 < 0:
+                step = steps[held | rule[w]]
+                if step < 0:
                     return _witness(parent, state, bit)
-                child = ((w & keep) << width | n0 + 1) << width | n1 + 1
+                child = (w & keep) << shift | step
                 if child not in parent:
                     parent[child] = (state, bit)
                     nxt.append(child)

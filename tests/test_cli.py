@@ -534,6 +534,15 @@ AIC_ATOMS = '{"kind": "aic", "deltar": 1, "deltaf": 1}'
         "oracle", "enumerate", "--atoms", AIC_ATOMS,
         "--input", wave_file(tmp, "u.wave", "u 0\n"), f"--grid=0:{NINES}",
     ], "horizon spans more than the 80-tick limit", id="grid-bound"),
+    # bounds in the wrong order, and a reach past the table limit: neither
+    # integer is echoed
+    pytest.param(lambda tmp: [
+        "oracle", "enumerate", "--atoms", AIC_ATOMS,
+        "--input", wave_file(tmp, "u.wave", "u 0\n"), f"--grid={NINES}:0",
+    ], "need lo < hi", id="grid-order"),
+    pytest.param(lambda tmp: [
+        "oracle", "witness", "--atoms", f'{{"kind":"bdc","mr":0,"dr":{NINES},"mf":0,"df":0}}',
+    ], "condition reads the input further back than the 12-tick limit", id="witness-reach"),
 ])
 def test_an_integer_grown_past_the_bound_exits_2_with_one_error_line(
     capsys, tmp_path, argv, message
@@ -621,6 +630,17 @@ def test_oracle_enumerate_refuses_a_grid_with_too_many_solutions(
     assert f"{2**81} solutions" in err
 
 
+def test_oracle_enumerate_names_one_input_switch_outside_the_grid(capsys, tmp_path):
+    # the 12th of 951 switches is the first past the grid's end
+    u = wave_file(tmp_path, "u.wave", "u 0 " + " ".join(map(str, range(951))) + "\n")
+    code, out, err = run(
+        capsys,
+        "oracle", "enumerate", "--atoms", AIC_ATOMS, "--input", u, "--grid=0:10",
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: input switch 12 of 951 at tick 11 leaves the grid\n"
+
+
 def test_oracle_witness_found(capsys):
     atoms = '{"kind": "bdc", "mr": 0, "dr": 3, "mf": 0, "df": 2}'
     code, out, _err = run(capsys, "oracle", "witness", "--atoms", atoms)
@@ -645,7 +665,7 @@ def test_oracle_witness_refuses_a_reach_past_the_table_limit(capsys):
     atoms = '{"kind": "bdc", "mr": 0, "dr": 13, "mf": 0, "df": 2}'
     code, _out, err = run(capsys, "oracle", "witness", "--atoms", atoms)
     assert code == 2
-    assert "13 ticks back, limit is 12" in err
+    assert err == "error: condition reads the input further back than the 12-tick limit\n"
 
 
 def test_oracle_witness_refuses_a_search_past_the_state_limit(capsys, monkeypatch):

@@ -6,12 +6,15 @@ random instances.  Both read the per-tick rule, which is checked window
 by window against each atom's definition.  The exact emptiness decider is pinned on known empty
 and known nonempty parameter combinations, and played against the
 counting DP on random expressions: every witness it returns must have no
-solution, and when it returns None every small input must have one.
+solution, and when it returns None every small input must have one.  Its
+witnesses on the baidc sweep are pinned by digest, and checked to be
+shortest against every input that switches early enough.
 """
 
+import hashlib
 import random
 from dataclasses import replace
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -49,6 +52,24 @@ def test_grid_validation():
         GridConfig(0, 200)
     with pytest.raises(HorizonError):
         GridConfig(0, 10, -1)
+
+
+HUGE = 10**5000  # more digits than str() writes
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: GridConfig(HUGE, 0), "need lo < hi", id="grid-order"),
+    pytest.param(lambda: find_empty_witness(CondExpr((BdcParams(0, HUGE, 0, 0),))),
+                 "condition reads the input further back than the 12-tick limit", id="reach"),
+    pytest.param(lambda: solution_count(Signal(0, (HUGE,)), CondExpr((P,)), GRID),
+                 "input switch 1 of 1 leaves the grid", id="huge-switch"),
+    pytest.param(lambda: solution_count(Signal(0, (-5, 0, 13, 14)), CondExpr((P,)), GRID),
+                 "input switch 1 of 4 at tick -5 leaves the grid", id="early-switch"),
+])
+def test_horizon_errors_write_no_long_integer(call, message):
+    with pytest.raises(HorizonError) as err:
+        call()
+    assert str(err.value) == message
 
 
 def test_enumeration_example():
@@ -177,11 +198,13 @@ def test_tick_rule_matches_each_atoms_definition(atoms):
     # the atoms' tables are cached by (reach, atom); drawn atoms recur
     # under other reaches, so a table kept for the wrong reach shows here
     expr = CondExpr(tuple(atoms))
-    reach, table, rise_hold, fall_hold = oracle._tick_rule(expr)
+    reach, table, rule, rise_hold, fall_hold = oracle._tick_rule(expr)
     assert reach == expr.reach
     for w in range(1 << (reach + 1)):
         assert table >> 4 * w & 15 == reference_nibble(atoms, w), (atoms, w)
+        assert rule[w] == table >> 4 * w & 15, (atoms, w)
     assert table >> (4 << reach + 1) == 0
+    assert len(rule) == 1 << (reach + 1)
     holds = [a for a in atoms if isinstance(a, AicParams)]
     assert rise_hold == max((a.delta_r for a in holds), default=0)
     assert fall_hold == max((a.delta_f for a in holds), default=0)
@@ -248,6 +271,13 @@ SMALL_INPUTS = [
 ]
 
 
+def _most_hold(expr: CondExpr) -> int:
+    return max(
+        (max(a.delta_r, a.delta_f) for a in expr.atoms if isinstance(a, AicParams)),
+        default=0,
+    )
+
+
 def test_decider_agrees_with_the_counting_dp():
     rng = random.Random(20261018)
     seen = {"witness": 0, "none": 0}
@@ -259,14 +289,46 @@ def test_decider_agrees_with_the_counting_dp():
             assert solution_count(w, expr, witness_grid(w, expr)) == 0, (expr, w)
             continue
         seen["none"] += 1
-        hold = max(
-            (max(a.delta_r, a.delta_f) for a in expr.atoms if isinstance(a, AicParams)),
-            default=0,
-        )
-        grid = GridConfig(-1, 8 + expr.reach + hold + 1)
+        grid = GridConfig(-1, 8 + expr.reach + _most_hold(expr) + 1)
         for u in SMALL_INPUTS:
             assert solution_count(u, expr, grid) > 0, (expr, u)
     assert min(seen.values()) >= 15, seen
+
+
+def test_decider_witnesses_on_the_hold_sweep_are_pinned():
+    # the baidc suite's sweep, in its order; any change to the search
+    # order or to its tables shows as another digest
+    digest = hashlib.sha256()
+    found = 0
+    for p, a, b in product(verify._sweep_bdc(4), range(5), range(5)):
+        w = find_empty_witness(CondExpr((p, AicParams(a, b))))
+        found += w is not None
+        digest.update(b"none\n" if w is None else f"{w.initial} {list(w.switches)}\n".encode())
+    assert found == 2048
+    assert digest.hexdigest().startswith("7db56cd26c1b3174")
+
+
+def test_decider_witnesses_are_shortest():
+    # An input that admits no output empties the output set by its last
+    # switch plus the reach: from then on its window is constant, and an
+    # output that survives one tick of it survives every later one.  The
+    # witness empties the set no sooner than its own last switch, so when
+    # it is shortest, every input whose last switch comes more than reach
+    # ticks before the witness's admits an output.
+    rng = random.Random(20261019)
+    inputs = 0
+    for _ in range(400):
+        expr = CondExpr(tuple(_random_atom(rng) for _ in range(rng.randint(1, 3))))
+        w = find_empty_witness(expr)
+        if w is None or not w.switches or w.switches[-1] >= 8:
+            continue
+        grid = GridConfig(-1, 8 + expr.reach + _most_hold(expr) + 1)
+        ticks = w.switches[-1] - expr.reach  # ticks 0 .. ticks - 1 may switch
+        for init, *bits in product((0, 1), repeat=max(ticks, 0) + 1):
+            u = Signal(init, tuple(t for t, b in enumerate(bits) if b))
+            inputs += 1
+            assert solution_count(u, expr, grid) > 0, (expr, w, u)
+    assert inputs >= 400, inputs
 
 
 # -- law suites -----------------------------------------------------------------------
