@@ -4,7 +4,7 @@ The package models two-level signals over integer ticks, the window
 conditions that relate a gate's input to its admissible outputs, the
 closed-form parameter algebra on those conditions, a brute-force grid
 oracle used to validate every law, and a small gate-level simulator
-with VCD output.
+with VCD output.  The public names are the ones imported below.
 """
 
 from .circuit import (
@@ -78,67 +78,3 @@ from .waveio import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AicParams",
-    "BdcParams",
-    "BridcDelay",
-    "CheckReport",
-    "CondExpr",
-    "ConsistencyError",
-    "Envelope",
-    "FdcParams",
-    "FixedDelay",
-    "Gate",
-    "GridConfig",
-    "HorizonError",
-    "Netlist",
-    "NetlistError",
-    "RicParams",
-    "RunConfig",
-    "Signal",
-    "SignalError",
-    "THEOREM_CHECKS",
-    "WaveParseError",
-    "aic_member",
-    "baidc_consistent",
-    "bdc_as_translation",
-    "bdc_compose",
-    "bdc_includes",
-    "bdc_intersection",
-    "bdc_is_deterministic",
-    "bdc_is_symmetrical",
-    "bdc_jointly_solvable",
-    "bdc_lower",
-    "bdc_max_solution",
-    "bdc_member",
-    "bdc_min_solution",
-    "bdc_union_envelope",
-    "bdc_upper",
-    "bridc_consistency_cases",
-    "bridc_consistent",
-    "bridc_det_output",
-    "cc_failures",
-    "cc_holds",
-    "cond_member",
-    "emit_vcd",
-    "emit_waveforms",
-    "enumerate_solutions",
-    "envelope_propagate",
-    "fdc_member",
-    "find_empty_witness",
-    "forward_window_and",
-    "netlist_from_dict",
-    "netlist_to_dict",
-    "parse_config",
-    "parse_waveforms",
-    "pointwise",
-    "pointwise_bounds",
-    "ric_member",
-    "ric_to_aic",
-    "run_check",
-    "simulate",
-    "solution_count",
-    "window_and",
-    "window_or",
-]

@@ -110,10 +110,8 @@ class Gate:
     delay: BridcDelay
 
     def __post_init__(self):
-        if not isinstance(self.inputs, tuple):
-            object.__setattr__(self, "inputs", tuple(self.inputs))
-        if not isinstance(self.table, tuple):
-            object.__setattr__(self, "table", tuple(self.table))
+        for name in ("inputs", "table"):  # tuple() returns a tuple as it is
+            object.__setattr__(self, name, tuple(getattr(self, name)))
         k = len(self.inputs)
         if k > MAX_GATE_ARITY:
             raise NetlistError(f"gate {self.name!r} has {k} inputs, max is {MAX_GATE_ARITY}")
@@ -139,12 +137,8 @@ class Netlist:
     outputs: tuple[str, ...]
 
     def __post_init__(self):
-        if not isinstance(self.inputs, tuple):
-            object.__setattr__(self, "inputs", tuple(self.inputs))
-        if not isinstance(self.gates, tuple):
-            object.__setattr__(self, "gates", tuple(self.gates))
-        if not isinstance(self.outputs, tuple):
-            object.__setattr__(self, "outputs", tuple(self.outputs))
+        for name in ("inputs", "gates", "outputs"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
         driven = list(self.inputs) + [g.name for g in self.gates]
         seen = set()
         for net in driven:
@@ -226,6 +220,14 @@ def netlist_to_dict(n: Netlist) -> dict:
     }
 
 
+def _json_list(obj: dict, key: str, where: str) -> list:
+    """obj[key], which must be a JSON list: a string or an object would
+    be read item by item as its characters or its keys."""
+    if not isinstance(obj[key], list):
+        raise NetlistError(f"{where}: {key!r} must be a JSON list")
+    return obj[key]
+
+
 def _gate_from_dict(g: dict) -> Gate:
     name = str(g["name"])
     try:
@@ -233,16 +235,17 @@ def _gate_from_dict(g: dict) -> Gate:
         delay = delay_from_dict(g["delay"])
     except ValueError as exc:  # bad numbers, delay bounds or kind
         raise NetlistError(f"gate {name!r}: {exc}") from None
-    return Gate(name, tuple(str(i) for i in g["inputs"]), table, delay)
+    inputs = _json_list(g, "inputs", f"gate {name!r}")
+    return Gate(name, tuple(str(i) for i in inputs), table, delay)
 
 
 def netlist_from_dict(obj: dict) -> Netlist:
     try:
-        gates = tuple(_gate_from_dict(g) for g in obj["gates"])
+        gates = tuple(_gate_from_dict(g) for g in _json_list(obj, "gates", "netlist"))
         return Netlist(
-            inputs=tuple(str(i) for i in obj["inputs"]),
+            inputs=tuple(str(i) for i in _json_list(obj, "inputs", "netlist")),
             gates=gates,
-            outputs=tuple(str(o) for o in obj["outputs"]),
+            outputs=tuple(str(o) for o in _json_list(obj, "outputs", "netlist")),
         )
     except (KeyError, TypeError) as exc:
         raise NetlistError(f"malformed netlist object: {exc}") from exc
@@ -304,7 +307,7 @@ def simulate(
     """
     lo, hi = horizon
     if lo > hi:
-        raise NetlistError(f"empty horizon [{lo}, {hi}]")
+        raise NetlistError("empty horizon: need lo <= hi")
     _check_inputs(n, inputs, "stimuli")
 
     pre = _prehistory(n, inputs)

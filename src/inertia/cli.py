@@ -114,12 +114,15 @@ def _parse_span(text: str, what: str) -> tuple[int, int]:
     return parse_int(lo, f"bad {what} bound"), parse_int(hi, f"bad {what} bound")
 
 
-def _emit(verdict: dict) -> None:
+def _emit(verdict: dict) -> int:
+    """Print the verdict; the exit code is 1 when the queried property
+    fails or the result is undefined, else 0."""
     for key, value in verdict.items():
         if isinstance(value, dict):  # a condition's parameters
             for field, n in value.items():
                 writable(n, f"{key} {field}: an integer")
     print(json.dumps(verdict, indent=2, sort_keys=True))
+    return 0 if verdict.get("holds", verdict.get("defined", True)) else 1
 
 
 def _write_out(text: str, path: str | None) -> None:
@@ -137,25 +140,22 @@ def _cmd_check(args: argparse.Namespace) -> int:
     cfg = _load_config(args.config)
     params = _parse_params(args.cond, args.params)
     x = _load_wave(args.output, cfg, "output", args.output_name)
-    if args.cond == "aic":
-        u = None
-    else:
+    u = None  # AIC does not read the input
+    if args.cond != "aic":
         if args.input is None:
             raise CliError(f"--input is required for {args.cond}")
         u = _load_wave(args.input, cfg, "input", args.input_name)
 
     details = violations(u, x, params)
-    holds = not details
     verdict = {
         "command": "check",
         "cond": args.cond,
         "params": params.as_dict(),
-        "holds": holds,
+        "holds": not details,
     }
     if details:
         verdict["detail"] = details
-    _emit(verdict)
-    return 0 if holds else 1
+    return _emit(verdict)
 
 
 # -- solve --------------------------------------------------------------------
@@ -165,18 +165,17 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     cfg = _load_config(args.config)
     params = _parse_params("bdc", args.params)
     u = _load_wave(args.input, cfg, "input", args.input_name)
-    name = args.name
     if args.cond == "bdc-min":
-        out = {name: bdc_min_solution(u, params)}
+        out = {args.name: bdc_min_solution(u, params)}
     elif args.cond == "bdc-max":
-        out = {name: bdc_max_solution(u, params)}
+        out = {args.name: bdc_max_solution(u, params)}
     elif args.cond == "bdc-envelope":
         out = {
-            f"{name}_lo": bdc_min_solution(u, params),
-            f"{name}_hi": bdc_max_solution(u, params),
+            f"{args.name}_lo": bdc_min_solution(u, params),
+            f"{args.name}_hi": bdc_max_solution(u, params),
         }
     else:
-        out = {name: bridc_det_output(u, params)}
+        out = {args.name: bridc_det_output(u, params)}
     _write_out(emit_waveforms(out), args.out)
     return 0
 
@@ -190,25 +189,18 @@ def _cmd_consistent(args: argparse.Namespace) -> int:
     failures = cc_failures(p)
     if args.cond == "cc":
         holds = not failures
-        verdict["detail"] = "CC holds" if holds else "CC violated"
-        if failures:
-            verdict["violations"] = failures
+        verdict["detail"] = "CC holds"
     elif args.cond == "baidc":
         if args.hold is None:
             raise CliError("--hold is required for baidc")
         a = _parse_params("aic", args.hold)
         verdict["hold"] = a.as_dict()
-        if failures:
-            holds = False
-            verdict["detail"] = "CC violated"
-            verdict["violations"] = failures
-        else:
-            holds = baidc_consistent(p, a)
-            verdict["detail"] = (
-                "holds fit within the memories"
-                if holds
-                else "combined holds exceed the combined memories"
-            )
+        holds = not failures and baidc_consistent(p, a)
+        verdict["detail"] = (
+            "holds fit within the memories"
+            if holds
+            else "combined holds exceed the combined memories"
+        )
     else:
         if args.edge is None:
             raise CliError("--edge is required for bridc")
@@ -217,18 +209,17 @@ def _cmd_consistent(args: argparse.Namespace) -> int:
         cases = list(bridc_consistency_cases(p, r))
         holds = bridc_consistent(p, r)
         verdict["cases"] = cases
-        if failures:
-            verdict["detail"] = "CC violated"
-            verdict["violations"] = failures
-        elif cases:
+        if cases:
             verdict["detail"] = f"regime {cases[0]} applies"
         elif holds:
             verdict["detail"] = "solvable, outside the named regimes"
         else:
             verdict["detail"] = "some input admits no output"
+    if failures:  # CC fails: no condition on these windows holds
+        verdict["detail"] = "CC violated"
+        verdict["violations"] = failures
     verdict["holds"] = holds
-    _emit(verdict)
-    return 0 if holds else 1
+    return _emit(verdict)
 
 
 # -- algebra ------------------------------------------------------------------
@@ -243,12 +234,10 @@ def _cmd_algebra(args: argparse.Namespace) -> int:
             raise CliError(f"--q is required for {args.op}")
         q = _parse_params("bdc", args.q)
         verdict["q"] = q.as_dict()
-    code = 0
     if args.op == "intersect":
         r = bdc_intersection(p, q)
         verdict["defined"] = r is not None
         if r is None:
-            code = 1
             verdict["detail"] = (
                 "the conjunction is not a single window condition"
                 if bdc_jointly_solvable(p, q)
@@ -263,21 +252,14 @@ def _cmd_algebra(args: argparse.Namespace) -> int:
     elif args.op == "compose":
         verdict["result"] = bdc_compose(p, q).as_dict()
     elif args.op == "includes":
-        holds = bdc_includes(p, q)
-        verdict["holds"] = holds
-        code = 0 if holds else 1
+        verdict["holds"] = bdc_includes(p, q)
     elif args.op == "deterministic":
-        holds = bdc_is_deterministic(p)
-        verdict["holds"] = holds
-        if holds:
+        verdict["holds"] = bdc_is_deterministic(p)
+        if verdict["holds"]:
             verdict["shift"] = bdc_as_translation(p)
-        code = 0 if holds else 1
     else:
-        holds = bdc_is_symmetrical(p)
-        verdict["holds"] = holds
-        code = 0 if holds else 1
-    _emit(verdict)
-    return code
+        verdict["holds"] = bdc_is_symmetrical(p)
+    return _emit(verdict)
 
 
 # -- simulate -----------------------------------------------------------------

@@ -19,7 +19,7 @@ BDC + RIC) are expressed.
 """
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .signals import Signal, switch_walk, window_and, window_or
 
@@ -39,32 +39,44 @@ def json_int(value, key: str) -> int:
     return value
 
 
+class _Params:
+    """The JSON form of a condition atom: its fields in order, each under
+    the matching key of the class's `json_keys`, and its `kind`."""
+
+    kind: str
+    json_keys: tuple[str, ...]
+
+    def as_dict(self) -> dict:
+        return {k: getattr(self, f.name) for k, f in zip(self.json_keys, fields(self))}
+
+    @classmethod
+    def from_dict(cls, obj: dict):
+        return cls(*(json_int(obj[k], k) for k in cls.json_keys))
+
+
 @dataclass(frozen=True)
-class FdcParams:
+class FdcParams(_Params):
     """Fixed transmission delay of d ticks."""
 
     d: int
+    kind = "fdc"
+    json_keys = ("d",)
 
     def __post_init__(self):
         if self.d < 0:
             raise ValueError(f"fixed delay must be >= 0, got {self.d}")
 
-    def as_dict(self) -> dict:
-        return {"d": self.d}
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "FdcParams":
-        return cls(json_int(obj["d"], "d"))
-
 
 @dataclass(frozen=True)
-class BdcParams:
+class BdcParams(_Params):
     """Bounded-delay parameters (rise memory/bound, fall memory/bound)."""
 
     mr: int
     dr: int
     mf: int
     df: int
+    kind = "bdc"
+    json_keys = ("mr", "dr", "mf", "df")
 
     def __post_init__(self):
         if not (0 <= self.mr <= self.dr):
@@ -72,20 +84,15 @@ class BdcParams:
         if not (0 <= self.mf <= self.df):
             raise ValueError(f"need 0 <= mf <= df, got mf={self.mf} df={self.df}")
 
-    def as_dict(self) -> dict:
-        return {"mr": self.mr, "dr": self.dr, "mf": self.mf, "df": self.df}
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "BdcParams":
-        return cls(*(json_int(obj[k], k) for k in ("mr", "dr", "mf", "df")))
-
 
 @dataclass(frozen=True)
-class AicParams:
+class AicParams(_Params):
     """Absolute inertia: hold times after a rise / a fall of the output."""
 
     delta_r: int
     delta_f: int
+    kind = "aic"
+    json_keys = ("deltar", "deltaf")
 
     def __post_init__(self):
         if self.delta_r < 0 or self.delta_f < 0:
@@ -93,22 +100,17 @@ class AicParams:
                 f"hold times must be >= 0, got ({self.delta_r}, {self.delta_f})"
             )
 
-    def as_dict(self) -> dict:
-        return {"deltar": self.delta_r, "deltaf": self.delta_f}
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "AicParams":
-        return cls(*(json_int(obj[k], k) for k in ("deltar", "deltaf")))
-
 
 @dataclass(frozen=True)
-class RicParams:
+class RicParams(_Params):
     """Relative inertia: input-hold windows that license output edges."""
 
     mu_r: int
     delta_r: int
     mu_f: int
     delta_f: int
+    kind = "ric"
+    json_keys = ("mur", "deltar", "muf", "deltaf")
 
     def __post_init__(self):
         if not (0 <= self.mu_r <= self.delta_r):
@@ -120,34 +122,16 @@ class RicParams:
                 f"need 0 <= mu_f <= delta_f, got mu_f={self.mu_f} delta_f={self.delta_f}"
             )
 
-    def as_dict(self) -> dict:
-        return {
-            "mur": self.mu_r,
-            "deltar": self.delta_r,
-            "muf": self.mu_f,
-            "deltaf": self.delta_f,
-        }
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "RicParams":
-        return cls(*(json_int(obj[k], k) for k in ("mur", "deltar", "muf", "deltaf")))
-
 
 Atom = FdcParams | BdcParams | AicParams | RicParams
 
-_ATOM_KINDS = {
-    "fdc": FdcParams,
-    "bdc": BdcParams,
-    "aic": AicParams,
-    "ric": RicParams,
-}
+_ATOM_KINDS = {cls.kind: cls for cls in (FdcParams, BdcParams, AicParams, RicParams)}
 
 
 def atom_kind(atom: Atom) -> str:
-    for kind, cls in _ATOM_KINDS.items():
-        if isinstance(atom, cls):
-            return kind
-    raise TypeError(f"not a condition atom: {atom!r}")
+    if not isinstance(atom, _Params):
+        raise TypeError(f"not a condition atom: {atom!r}")
+    return atom.kind
 
 
 def atom_from_dict(obj: dict) -> Atom:

@@ -185,57 +185,27 @@ def pointwise(fn, *signals: Signal) -> Signal:
 # at least one tick because the source runs were separated.
 
 
-def _level_runs(s: Signal, level: int) -> list[tuple[Tick | None, Tick | None]]:
-    """Maximal half-open intervals [a, b) where s == level; None is +-inf."""
-    runs = []
-    val, start = s.initial, None
-    for t in s.switches:
-        if val == level:
-            runs.append((start, t))
-        else:
-            start = t
-        val ^= 1
-    if val == level:
-        runs.append((start, None))
-    return runs
-
-
-def _shrink_runs(runs, d: Tick, m: Tick):
-    out = []
-    for a, b in runs:
-        na = None if a is None else a + d
-        nb = None if b is None else b + d - m
-        if na is not None and nb is not None and nb <= na:
-            continue
-        out.append((na, nb))
-    return out
-
-
-def _runs_to_signal(runs, level: int) -> Signal:
-    """Signal equal to `level` exactly on the given disjoint runs."""
-    initial = 1 - level
-    switches = []
-    for a, b in runs:
-        if a is None:
-            initial = level
-        else:
-            switches.append(a)
-        if b is not None:
-            switches.append(b)
-    return Signal._trusted(initial, tuple(switches))
-
-
 def _require_int(value, what: str) -> None:
     if isinstance(value, bool) or not isinstance(value, int):
         raise SignalError(f"{what} must be an integer, got {value!r}")
 
 
 def _window(s: Signal, level: int, d: Tick, m: Tick) -> Signal:
+    """`level` exactly where s held `level` over [t - d, t - d + m]: one
+    pass over the switches, mapping each run of `level` as above."""
     _require_int(d, "window offset")
     _require_int(m, "window width")
     if m < 0:
         raise SignalError(f"window width must be >= 0, got {m}")
-    return _runs_to_signal(_shrink_runs(_level_runs(s, level), d, m), level)
+    sw = s.switches
+    lead = int(s.initial == level)  # 1 when (-inf, sw[0]) is a run; it never vanishes
+    out = [sw[0] + d - m] if lead and sw else []
+    for a, b in zip(sw[lead::2], sw[lead + 1 :: 2]):  # the bounded runs
+        if b - a > m:
+            out += (a + d, b + d - m)
+    if sw and s.final == level:  # [sw[-1], +inf) is a run; it never vanishes
+        out.append(sw[-1] + d)
+    return Signal._trusted(s.initial, tuple(out))  # the unbounded runs kept s's ends
 
 
 def window_and(s: Signal, d: Tick, m: Tick) -> Signal:

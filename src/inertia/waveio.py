@@ -10,7 +10,8 @@ reads (`_` digit groups, non-ASCII digits, `a/b`, decimals, exponents of
 at most 4 digits), goes through Fraction.  A tick may have at most 4300
 digits, the most Python writes back as text.  On output, `writable` is
 the one place that bound is checked: every tick written here and every
-integer of the CLI's verdicts passes it.
+integer of the CLI's verdicts passes it.  `writable_name` refuses a net
+name that is empty or holds whitespace or `#`.
 
 VCD output is emission-only and deterministic: no timestamps of the run,
 identifiers assigned in sorted name order, same-tick changes sorted by
@@ -124,10 +125,29 @@ def writable(n: int, what: str) -> int:
     while n >= _TICK_LIMIT:  # count the digits without writing n
         n //= _TICK_LIMIT
         digits += MAX_TICK_DIGITS
-    raise WaveParseError(
-        f"{what} of {digits + len(str(n))} digits, more than the "
-        f"{MAX_TICK_DIGITS} that can be written"
+    raise _too_long(what, digits + len(str(n)))
+
+
+def _too_long(what: str, digits: int) -> WaveParseError:
+    return WaveParseError(
+        f"{what} of {digits} digits, more than the {MAX_TICK_DIGITS} that can be written"
     )
+
+
+# a name that waveform lines, which split on whitespace and end at `#`,
+# and VCD $var lines can carry
+_NAME = re.compile(r"[^\s#]+")
+
+
+def writable_name(name: str) -> str:
+    """name, when a waveform or VCD line can carry it; otherwise a
+    WaveParseError.  The one check of names on output."""
+    if not _NAME.fullmatch(name):
+        raise WaveParseError(
+            f"net name {shown(name)}: a name must be non-empty, "
+            "without whitespace or '#'"
+        )
+    return name
 
 
 def _parse_tick(token: str, resolution: int, ln: int) -> Tick:
@@ -135,23 +155,25 @@ def _parse_tick(token: str, resolution: int, ln: int) -> Tick:
     # 1e2000000 would make Fraction build a 2,000,001-digit number
     if exponent and len(exponent[1].replace("_", "")) > MAX_EXPONENT_DIGITS:
         raise WaveParseError(
-            f"line {ln}: time {token!r} has an exponent of more than "
+            f"line {ln}: time {shown(token)} has an exponent of more than "
             f"{MAX_EXPONENT_DIGITS} digits"
         )
     try:
         value = Fraction(token)
     except (ValueError, ZeroDivisionError):
-        raise WaveParseError(f"line {ln}: bad time {token!r}") from None
+        digits = sum(c.isdecimal() for c in token)
+        if digits > MAX_TICK_DIGITS and _INT_TEXT.fullmatch(token):  # int()'s limit
+            raise _too_long(f"line {ln}: time {shown(token)}: a tick", digits) from None
+        raise WaveParseError(f"line {ln}: bad time {shown(token)}") from None
     scaled = value * resolution
     if scaled.denominator != 1:
         raise WaveParseError(
-            f"line {ln}: time {token} does not land on a tick at resolution {resolution}"
+            f"line {ln}: time {shown(token)} does not land on a tick "
+            f"at resolution {resolution}"
         )
     tick = int(scaled)
-    if not -_TICK_LIMIT < tick < _TICK_LIMIT:
-        raise WaveParseError(
-            f"line {ln}: time {token!r} is a tick of more than {MAX_TICK_DIGITS} digits"
-        )
+    if not -_TICK_LIMIT < tick < _TICK_LIMIT:  # 1e4300, say, or int()'s limit lifted
+        writable(tick, f"line {ln}: time {shown(token)}: a tick")
     return tick
 
 
@@ -203,9 +225,11 @@ def parse_waveforms(text: str, resolution: int = 1) -> dict[str, Signal]:
 
 def emit_waveforms(signals: dict[str, Signal]) -> str:
     """Canonical waveform text; round-trips through parse_waveforms.  A
-    tick of more than MAX_TICK_DIGITS digits is refused, as on input."""
+    tick of more than MAX_TICK_DIGITS digits, or a name that the text
+    cannot carry, is refused."""
     lines = []
     for name, sig in signals.items():
+        writable_name(name)
         ticks = sig.switches  # increasing, so the ends bound every tick
         if ticks:
             writable(ticks[0], f"net {name!r}: a tick")
@@ -237,7 +261,8 @@ def emit_vcd(signals: dict[str, Signal], cfg: RunConfig = RunConfig()) -> str:
     identifiers in sorted name order, changes under one timestamp sorted
     by name.  When any switch is negative, all timestamps are shifted up
     by a common offset announced in a $comment.  An offset or shifted
-    timestamp of more than MAX_TICK_DIGITS digits is refused.
+    timestamp of more than MAX_TICK_DIGITS digits, or a name that the
+    text cannot carry, is refused.
     """
     names = sorted(signals)
     start = min(
@@ -245,6 +270,7 @@ def emit_vcd(signals: dict[str, Signal], cfg: RunConfig = RunConfig()) -> str:
     )
     offset = writable(-start, "a VCD tick offset")
     for name in names:  # a net's last switch is its latest
+        writable_name(name)
         ticks = signals[name].switches
         if ticks:
             writable(ticks[-1] + offset, f"net {name!r}: a VCD timestamp")

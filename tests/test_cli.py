@@ -543,6 +543,16 @@ AIC_ATOMS = '{"kind": "aic", "deltar": 1, "deltaf": 1}'
     pytest.param(lambda tmp: [
         "oracle", "witness", "--atoms", f'{{"kind":"bdc","mr":0,"dr":{NINES},"mf":0,"df":0}}',
     ], "condition reads the input further back than the 12-tick limit", id="witness-reach"),
+    pytest.param(lambda tmp: [
+        "simulate", "--netlist", wave_file(tmp, "net.json", BUF),
+        "--stimuli", wave_file(tmp, "stim.wave", "a 0 1\n"), f"--horizon={NINES}:0",
+    ], "empty horizon: need lo <= hi", id="horizon-order"),
+    # a time read past int()'s digit limit, cut short in the message
+    pytest.param(lambda tmp: [
+        "check", "--cond", "aic", "--params", AIC_ATOMS,
+        "--output", wave_file(tmp, "u.wave", f"u 0 {'9' * 5000}\n"),
+    ], f"line 1: time {'9' * 40!r}... (5000 chars): a tick of 5000 digits, "
+       "more than the 4300 that can be written", id="long-time"),
 ])
 def test_an_integer_grown_past_the_bound_exits_2_with_one_error_line(
     capsys, tmp_path, argv, message
@@ -711,6 +721,43 @@ def test_oracle_verify_seed_env(capsys, monkeypatch):
 
 
 # -- malformed input -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--cond", "bdc-min", "--name", "x y"],
+    ["solve", "--cond", "bdc-min", "--name", ""],
+    ["solve", "--cond", "bridc-det", "--name", "x#1"],
+    ["simulate", "--horizon", "0:10"],
+], ids=["space", "empty", "hash", "vcd-gate"])
+def test_a_net_name_the_text_cannot_carry_exits_2(capsys, tmp_path, argv):
+    if argv[0] == "solve":
+        argv = argv + ["--params", BDC, "--input", wave_file(tmp_path, "u.wave", "u 0 0 3\n")]
+    else:  # a gate name that a VCD $var line cannot carry
+        net = NETLIST.replace('"y"', '"y z"')
+        argv = argv + ["--netlist", wave_file(tmp_path, "net.json", net),
+                       "--stimuli", wave_file(tmp_path, "stim.wave", "a 0 0\nb 0 1\n")]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: net name ")
+    assert err.endswith(": a name must be non-empty, without whitespace or '#'\n")
+
+
+@pytest.mark.parametrize("field, edit", [
+    ("netlist: 'inputs'", lambda obj: obj.update(inputs="ab")),
+    ("netlist: 'outputs'", lambda obj: obj.update(outputs="y")),
+    ("netlist: 'gates'", lambda obj: obj.update(gates={"y": obj["gates"][0]})),
+    ("gate 'y': 'inputs'", lambda obj: obj["gates"][0].update(inputs="ab")),
+], ids=["inputs", "outputs", "gates", "gate-inputs"])
+def test_a_netlist_field_that_is_not_a_list_exits_2_naming_it(capsys, tmp_path, field, edit):
+    obj = json.loads(NETLIST)
+    edit(obj)
+    code, out, err = run(
+        capsys,
+        "simulate", "--netlist", wave_file(tmp_path, "net.json", json.dumps(obj)),
+        "--stimuli", wave_file(tmp_path, "stim.wave", "a 0 0\nb 0 1\n"), "--horizon", "0:10",
+    )
+    assert (code, out) == (2, "")
+    assert err == f"error: {field} must be a JSON list\n"
 
 
 def test_bad_parameter_json(capsys):

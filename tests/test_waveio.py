@@ -15,6 +15,8 @@ from inertia.waveio import (
     emit_waveforms,
     parse_config,
     parse_waveforms,
+    shown,
+    writable,
 )
 
 
@@ -81,7 +83,9 @@ def test_a_tick_too_long_to_write_back_is_refused():
     # the order check's message and emit_waveforms could not print it
     with pytest.raises(WaveParseError) as err:
         parse_waveforms("u 0 1e4300 0\n")
-    assert str(err.value) == "line 1: time '1e4300' is a tick of more than 4300 digits"
+    assert str(err.value) == (
+        "line 1: time '1e4300': a tick of 4301 digits, more than the 4300 that can be written"
+    )
     big = "9" * 4300
     assert emit_waveforms(parse_waveforms(f"u 0 -{big} {big}\n")) == f"u 0 -{big} {big}\n"
 
@@ -102,24 +106,31 @@ def test_emit_refuses_a_tick_it_cannot_write(tick, digits):
 BIG = "1" + "0" * 4300  # one digit past the tick limit
 
 
-@pytest.mark.parametrize("times, token", [
-    (BIG, BIG), ("-9" + BIG + " 0", "-9" + BIG),
-    ("5 " + BIG + " 3", BIG),  # out of order too: the long tick is named first
-], ids=["one", "negative", "unordered"])
-def test_the_tick_limit_holds_without_ints_digit_limit(times, token):
+@pytest.mark.parametrize("times, token, digits", [
+    (BIG, BIG, 4301), ("-9" + BIG + " 0", "-9" + BIG, 4302),
+    ("5 " + BIG + " 3", BIG, 4301),  # out of order too: the long tick is named first
+    ("9" * 5000, "9" * 5000, 5000),
+], ids=["one", "negative", "unordered", "5000-digits"])
+def test_the_tick_limit_holds_without_ints_digit_limit(times, token, digits):
     # under the interpreter's default digit limit (Python 3.10.7 and later)
-    # int() and Fraction refuse such a token as a bad time; with the limit
-    # lifted, the integer line path must still refuse the tick
+    # int() and Fraction refuse such a token; with the limit lifted, the
+    # integer line path must still refuse the tick.  Both give one message,
+    # which does not echo the token in full
     limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
-    if limit is not None:
-        sys.set_int_max_str_digits(0)
-    try:
-        with pytest.raises(WaveParseError) as err:
-            parse_waveforms(f"u 0 {times}\n")
-    finally:
-        if limit is not None:
-            sys.set_int_max_str_digits(limit)
-    assert str(err.value) == f"line 1: time {token!r} is a tick of more than 4300 digits"
+    for lifted in (False, True):
+        if limit is not None and lifted:
+            sys.set_int_max_str_digits(0)
+        try:
+            with pytest.raises(WaveParseError) as err:
+                parse_waveforms(f"u 0 {times}\n")
+        finally:
+            if limit is not None:
+                sys.set_int_max_str_digits(limit)
+        assert str(err.value) == (
+            f"line 1: time {shown(token)}: a tick of {digits} digits, "
+            "more than the 4300 that can be written"
+        )
+        assert len(str(err.value)) < 150
 
 
 def reference_tick(token, resolution, ln):
@@ -128,11 +139,11 @@ def reference_tick(token, resolution, ln):
     try:
         value = Fraction(token)
     except (ValueError, ZeroDivisionError):
-        raise WaveParseError(f"line {ln}: bad time {token!r}") from None
+        raise WaveParseError(f"line {ln}: bad time {shown(token)}") from None
     scaled = value * resolution
     if scaled.denominator != 1:
         raise WaveParseError(
-            f"line {ln}: time {token} does not land on a tick at resolution {resolution}"
+            f"line {ln}: time {shown(token)} does not land on a tick at resolution {resolution}"
         )
     return int(scaled)
 
@@ -187,9 +198,14 @@ def reference_line(tokens, resolution):
     back as text, then the order check."""
     times = []
     for tok in tokens:
+        what = f"line 1: time {shown(tok)}: a tick"
+        digits = len(tok.lstrip("+-"))
+        if tok.lstrip("+-").isdecimal() and digits > 4300:  # int() may refuse it
+            raise WaveParseError(
+                f"{what} of {digits} digits, more than the 4300 that can be written"
+            )
         times.append(reference_tick(tok, resolution, 1))
-        if abs(times[-1]) >= 10**4300:  # str() refuses more digits
-            raise WaveParseError(f"line 1: time {tok!r} is a tick of more than 4300 digits")
+        writable(times[-1], what)  # str() refuses more than 4300 digits
     for a, b in zip(times, times[1:]):
         if b <= a:
             raise WaveParseError(f"line 1: switch times must strictly increase ({a} then {b})")
