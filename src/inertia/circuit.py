@@ -33,6 +33,7 @@ from .conditions import (
     require_cc,
 )
 from .signals import Signal, Tick, switch_walk
+from .waveio import shown_int
 
 MAX_GATE_ARITY = 8
 
@@ -65,7 +66,7 @@ class FixedDelay(BridcDelay):
 
     def __init__(self, d: int):
         if d < 0:
-            raise NetlistError(f"fixed delay must be >= 0, got {d}")
+            raise NetlistError(f"fixed delay must be >= 0, got d={shown_int(d)}")
         super().__init__(BdcParams(0, d, 0, d))
 
     @property

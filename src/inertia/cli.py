@@ -39,7 +39,7 @@ from .conditions import (
 )
 from .oracle import GridConfig, HorizonError, enumerate_solutions, find_empty_witness
 from .signals import SignalError
-from .verify import THEOREM_CHECKS, run_check
+from .verify import THEOREM_CHECKS, SuiteError, run_check
 from .waveio import (
     RunConfig,
     WaveParseError,
@@ -336,8 +336,6 @@ def _cmd_oracle_verify(args: argparse.Namespace) -> int:
     cfg = _load_config(args.config)
     seed = _resolve_seed(args, cfg)
     trials = None if args.trials is None else parse_int(args.trials, "bad --trials")
-    if trials is not None and trials < 1:
-        raise CliError(f"--trials must be at least 1, got {trials}")
     report = run_check(args.theorem, trials, seed)
     print(report.summary())
     for failure in report.failures:
@@ -461,6 +459,7 @@ def main(argv: list[str] | None = None) -> int:
         NetlistError,
         HorizonError,
         ConsistencyError,
+        SuiteError,
         UnicodeDecodeError,
         OSError,
     ) as exc:

@@ -22,6 +22,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field, fields
 
 from .signals import Signal, switch_walk, window_and, window_or
+from .waveio import shown_int
 
 
 class ConsistencyError(ValueError):
@@ -64,7 +65,7 @@ class FdcParams(_Params):
 
     def __post_init__(self):
         if self.d < 0:
-            raise ValueError(f"fixed delay must be >= 0, got {self.d}")
+            raise ValueError(f"fixed delay must be >= 0, got d={shown_int(self.d)}")
 
 
 @dataclass(frozen=True)
@@ -80,9 +81,13 @@ class BdcParams(_Params):
 
     def __post_init__(self):
         if not (0 <= self.mr <= self.dr):
-            raise ValueError(f"need 0 <= mr <= dr, got mr={self.mr} dr={self.dr}")
+            raise ValueError(
+                f"need 0 <= mr <= dr, got mr={shown_int(self.mr)} dr={shown_int(self.dr)}"
+            )
         if not (0 <= self.mf <= self.df):
-            raise ValueError(f"need 0 <= mf <= df, got mf={self.mf} df={self.df}")
+            raise ValueError(
+                f"need 0 <= mf <= df, got mf={shown_int(self.mf)} df={shown_int(self.df)}"
+            )
 
 
 @dataclass(frozen=True)
@@ -97,7 +102,8 @@ class AicParams(_Params):
     def __post_init__(self):
         if self.delta_r < 0 or self.delta_f < 0:
             raise ValueError(
-                f"hold times must be >= 0, got ({self.delta_r}, {self.delta_f})"
+                f"hold times must be >= 0, got delta_r={shown_int(self.delta_r)} "
+                f"delta_f={shown_int(self.delta_f)}"
             )
 
 
@@ -115,11 +121,13 @@ class RicParams(_Params):
     def __post_init__(self):
         if not (0 <= self.mu_r <= self.delta_r):
             raise ValueError(
-                f"need 0 <= mu_r <= delta_r, got mu_r={self.mu_r} delta_r={self.delta_r}"
+                f"need 0 <= mu_r <= delta_r, got mu_r={shown_int(self.mu_r)} "
+                f"delta_r={shown_int(self.delta_r)}"
             )
         if not (0 <= self.mu_f <= self.delta_f):
             raise ValueError(
-                f"need 0 <= mu_f <= delta_f, got mu_f={self.mu_f} delta_f={self.delta_f}"
+                f"need 0 <= mu_f <= delta_f, got mu_f={shown_int(self.mu_f)} "
+                f"delta_f={shown_int(self.delta_f)}"
             )
 
 
@@ -201,7 +209,7 @@ def require_cc(p: BdcParams) -> None:
 def fdc_member(u: Signal, x: Signal, d: int) -> bool:
     """x is the fixed-delay image of u: x(t) = u(t - d)."""
     if d < 0:
-        raise ValueError(f"fixed delay must be >= 0, got {d}")
+        raise ValueError(f"fixed delay must be >= 0, got d={shown_int(d)}")
     return x == u.translate(d)
 
 

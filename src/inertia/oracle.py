@@ -2,25 +2,29 @@
 
 Every condition atom is a per-tick constraint on the output x that reads
 the input only through the window u(t - reach .. t), plus hold counters
-carried from earlier ticks.  `_tick_rule` states that constraint once per
-expression, as a table over the window's values (an int of one nibble,
-and bytes of one byte, per window), and exact procedures read it:
+carried from earlier ticks.  Two tables state these rules once.
+`_tick_rule`, per expression, says what each window lets x(t) be and
+switch to (an int of one nibble, and bytes of one byte, per window).
+`_Steps`, per pair of holds and switch cap, moves one output's state
+(its bit, forced ticks left and switch count) one tick under a nibble.
+Exact procedures read them:
 
 * Grid enumeration.  Candidate outputs are bit vectors on a bounded tick
   horizon, constant outside it (extending their two end bits).  The DFS
   enumerator and the counting DP slide the window over the input's
-  sampled values.  Beyond the horizon plus reach + 1 ticks both the
-  input and any candidate are constant, so the constraints repeat
-  verbatim and checking that range decides them for all time;
-  edge-triggered constraints are vacuous outside the horizon because
-  candidates cannot switch there.  When the expression licenses every
-  edge and holds nothing, the ticks are independent and
+  sampled values and walk the step table.  Beyond the horizon plus
+  reach + 1 ticks both the input and any candidate are constant, so the
+  constraints repeat verbatim and checking that range decides them for
+  all time; edge-triggered constraints are vacuous outside the horizon
+  because candidates cannot switch there.  When the expression licenses
+  every edge and holds nothing, the ticks are independent and
   `pointwise_bounds` reads the least and greatest solutions straight
-  off the table.
+  off the tick rule.
 * The emptiness decider `find_empty_witness`, a breadth-first search
   over all inputs that either returns a shortest input admitting no
-  output or proves that every input admits one.  It moves the output
-  hold counters by one lookup in a table kept per pair of holds.
+  output or proves that every input admits one.  It moves each output
+  value's least hold count by one lookup in `_HoldSteps`, a table
+  derived from the step table.
 
 This module deliberately shares none of the run-based window code it is
 used to cross-check: only Signal plumbing (construction and pointwise
@@ -110,8 +114,8 @@ def _tick_rule(expr: CondExpr) -> tuple[int, int, bytes, int, int]:
     Nibble w of the table (bits 4w .. 4w + 3), and byte w of rule, apply
     when the input window holds u(t - k) in bit k of w, for k = 0..reach.
     Its bit b says whether x(t) may be b, and its bit 2 + b whether x
-    may switch to b at t.  After a rise x stays 1 for rise_hold more
-    ticks, after a fall 0 for fall_hold.
+    may switch to b at t.  rise_hold and fall_hold are the longest hold
+    after a rise and after a fall, which `_Steps` enforces.
     """
     reach = expr.reach
     if reach > MAX_REACH:
@@ -135,12 +139,48 @@ def _tick_rule(expr: CondExpr) -> tuple[int, int, bytes, int, int]:
     return reach, table, bytes(rule), rise_hold, fall_hold
 
 
+class _Steps(dict):
+    """The output-hold rule, stated once: key state << 4 | nibble maps to
+    the states one output may take at the next tick under that
+    `_tick_rule` nibble, bit 0 first.  A state packs (switches * span +
+    forced) << 1 | bit: the output's bit, the ticks it is still forced
+    to hold it and, under a cap, its switch count (0 without one).
+    Staying spends one forced tick.  A switch needs no forced tick left
+    and a licensed edge, then starts the new value's hold; a switch past
+    the cap is dropped.  A key is worked out on its first lookup."""
+
+    def __init__(self, rise_hold: int, fall_hold: int, cap: int | None):
+        self.hold = (fall_hold, rise_hold)  # by the bit switched to
+        self.span = max(self.hold) + 1
+        self.cap = cap
+
+    def __missing__(self, key: int) -> tuple[int, ...]:
+        m, state = key & 15, key >> 4
+        b = state & 1
+        switches, forced = divmod(state >> 1, self.span)
+        nxt = [None, None]  # by the next bit
+        if m >> b & 1:  # stay, one forced tick less
+            nxt[b] = state - 2 if forced else state
+        if not forced and m >> 3 - b & 1 and (self.cap is None or switches < self.cap):
+            # switch to 1 - b, counted under a cap, and start its hold
+            switches += self.cap is not None
+            nxt[1 - b] = (switches * self.span + self.hold[1 - b]) << 1 | 1 - b
+        self[key] = tuple(s for s in nxt if s is not None)
+        return self[key]
+
+
+_steps = lru_cache(maxsize=64)(_Steps)
+# the states, free of holds and switches, of the values set in a 2-bit mask
+_STATES_AT = ((), (0,), (1,), (0, 1))
+
+
 class _Prepared:
     """Per-(input, expression, grid) constraint tables for the DFS and DP.
 
     moves[i] is the `_tick_rule` nibble that applies at tick lo + i.
     head and tail set bit b when x may hold b at every tick before lo,
-    and at every tick after hi.
+    and at every tick after hi.  first holds the `_Steps` states x may
+    take at tick lo, and steps the table for the holds and the cap.
     """
 
     def __init__(self, u: Signal, expr: CondExpr, grid: GridConfig):
@@ -151,10 +191,10 @@ class _Prepared:
             # the tick is named only when short enough to write
             at = f" at tick {switches[i]}" if abs(switches[i]) < 10**40 else ""
             raise HorizonError(f"input switch {i + 1} of {len(switches)}{at} leaves the grid")
-        r, _, rule, self.rise_hold, self.fall_hold = _tick_rule(expr)
+        r, _, rule, rise_hold, fall_hold = _tick_rule(expr)
+        self.steps = _steps(rise_hold, fall_hold, grid.max_switches)
         self.lo = lo
         self.n = hi - lo + 1
-        self.max_switches = grid.max_switches
 
         # One window per tick, straight from the switch list: u is
         # constant before lo, so the window of tick lo - 1 is that of
@@ -175,6 +215,7 @@ class _Prepared:
                 moves.extend([m] * (end - t - r - 1))
             t, v = end, v ^ 1
         self.moves = moves
+        self.first = _STATES_AT[self.head & moves[0]]
         # ticks hi + 1 .. hi + r + 1, where u holds its final value; the
         # last window is that of every later tick
         v = u.final
@@ -198,40 +239,18 @@ def iter_solutions(u: Signal, expr: CondExpr, grid: GridConfig) -> Iterator[Sign
     ctx = _Prepared(u, expr, grid)
     n = ctx.n
     moves = ctx.moves
-    cap = ctx.max_switches
+    steps = ctx.steps
     bits = [0] * n
 
-    def rec(i: int, prev: int, f1: int, f0: int, nsw: int) -> Iterator[Signal]:
-        if i == n:
-            if ctx.tail >> prev & 1:
+    def rec(i: int, states: tuple[int, ...]) -> Iterator[Signal]:
+        for state in states:  # bit 0 first
+            bits[i] = state & 1
+            if i + 1 < n:
+                yield from rec(i + 1, steps[state << 4 | moves[i + 1]])
+            elif ctx.tail >> (state & 1) & 1:
                 yield _bits_signal(ctx.lo, bits)
-            return
-        m = moves[i]
-        for b in (0, 1):
-            if not m >> b & 1:
-                continue
-            if i <= f1 and b == 0:
-                continue
-            if i <= f0 and b == 1:
-                continue
-            nf1, nf0, ns = f1, f0, nsw
-            if i == 0:
-                if not ctx.head >> b & 1:
-                    continue
-            elif b != prev:
-                ns = nsw + 1
-                if cap is not None and ns > cap:
-                    continue
-                if not m >> (2 + b) & 1:
-                    continue
-                if b == 1:
-                    nf1 = i + ctx.rise_hold
-                else:
-                    nf0 = i + ctx.fall_hold
-            bits[i] = b
-            yield from rec(i + 1, b, nf1, nf0, ns)
 
-    return rec(0, 0, -1, -1, 0)
+    return rec(0, ctx.first)
 
 
 def enumerate_solutions(u: Signal, expr: CondExpr, grid: GridConfig) -> list[Signal]:
@@ -248,40 +267,23 @@ def enumerate_solutions(u: Signal, expr: CondExpr, grid: GridConfig) -> list[Sig
 def solution_count(u: Signal, expr: CondExpr, grid: GridConfig) -> int:
     """Exact |solutions| on the grid, in time linear in the horizon.
 
-    Dynamic program over the output's current bit, the ticks it is still
-    forced to hold that bit and, under a cap, its switch count; equivalent
-    to the DFS but immune to exponential blowup, which makes emptiness
-    checks cheap inside sweeps and witness confirmations.
+    Dynamic program over the states of the step table: it walks the same
+    steps as the DFS, but counts the outputs in each state instead of
+    listing them, which makes emptiness checks cheap inside sweeps and
+    witness confirmations.
     """
     ctx = _Prepared(u, expr, grid)
-    moves = ctx.moves
-    cap = ctx.max_switches
-    hold = (ctx.fall_hold, ctx.rise_hold)  # by the bit switched to
-    span = max(hold) + 1
-    # state (switches * span + forced ticks left) * 2 + bit -> outputs;
-    # the switch count stays 0 without a cap
-    states = {b: 1 for b in (0, 1) if (ctx.head & moves[0]) >> b & 1}
-    for m in moves[1:]:
+    steps = ctx.steps
+    states = dict.fromkeys(ctx.first, 1)  # state -> outputs in it
+    for m in ctx.moves[1:]:
         nxt: dict[int, int] = {}
-        for key, cnt in states.items():
-            b = key & 1
-            left = key >> 1
-            forced = left % span
-            if m >> b & 1:  # stay, one forced tick less
-                k = key - 2 if forced else key
-                nxt[k] = nxt.get(k, 0) + cnt
-            if not forced and m >> (3 - b) & 1:  # switch to 1 - b
-                nsw = left // span
-                if cap is not None:
-                    nsw += 1
-                    if nsw > cap:
-                        continue
-                k = (nsw * span + hold[1 - b]) << 1 | 1 - b
+        for state, cnt in states.items():
+            for k in steps[state << 4 | m]:
                 nxt[k] = nxt.get(k, 0) + cnt
         states = nxt
         if not states:
             return 0
-    return sum(cnt for key, cnt in states.items() if ctx.tail >> (key & 1) & 1)
+    return sum(cnt for state, cnt in states.items() if ctx.tail >> (state & 1) & 1)
 
 
 def free_tick_count(u: Signal, expr: CondExpr, grid: GridConfig) -> int:
@@ -327,26 +329,26 @@ def pointwise_bounds(
 class _HoldSteps(dict):
     """The decider's move on the hold counts under (rise_hold, fall_hold):
     key (k0 + 1 << width | k1 + 1) << 4 | nibble maps to the next counts
-    packed the same way, or to -1 when no output survives.  A key is
+    packed the same way, or to -1 when no output survives.  kb is the
+    least forced count of an output at b, taken from the uncapped
+    `_Steps` table, and kb + 1 is 0 when no output sits at b.  A key is
     worked out on its first lookup: a search meets few of the 16 << 2 *
     width keys, and for long holds there are too many to list."""
 
     def __init__(self, rise_hold: int, fall_hold: int):
-        self.rise_hold, self.fall_hold = rise_hold, fall_hold
+        self.steps = _steps(rise_hold, fall_hold, None)
         self.width = (max(rise_hold, fall_hold) + 1).bit_length()
 
     def __missing__(self, key: int) -> int:
-        m, width = key & 15, self.width
-        k0, k1 = (key >> 4 + width) - 1, (key >> 4 & (1 << width) - 1) - 1
-        # stay at a value, one forced tick less; or switch from a value
-        # that is free to leave, and start its hold
-        n0 = k0 - (k0 > 0) if k0 >= 0 and m & 1 else -1
-        n1 = k1 - (k1 > 0) if k1 >= 0 and m & 2 else -1
-        if k1 == 0 and m & 4:
-            n0 = self.fall_hold if n0 < 0 else min(n0, self.fall_hold)
-        if k0 == 0 and m & 8:
-            n1 = self.rise_hold if n1 < 0 else min(n1, self.rise_hold)
-        self[key] = -1 if n0 < 0 and n1 < 0 else (n0 + 1) << width | n1 + 1
+        width, m = self.width, key & 15
+        least = [0, 0]  # by value, its least count + 1; 0 for none
+        for b, shift in ((0, 4 + width), (1, 4)):
+            k = key >> shift & (1 << width) - 1
+            if k:
+                for state in self.steps[(k - 1 << 1 | b) << 4 | m]:
+                    v, c = state & 1, (state >> 1) + 1
+                    least[v] = min(least[v] or c, c)
+        self[key] = least[0] << width | least[1] or -1
         return self[key]
 
 

@@ -66,10 +66,15 @@ from .oracle import (
     solution_count,
 )
 from .signals import Signal
+from .waveio import shown_int
 
 MAX_REPORTED = 12
 # t1 lists a draw's solutions with the DFS only up to 2**ENUMERATED_FREE
 ENUMERATED_FREE = 10
+
+
+class SuiteError(ValueError):
+    """A suite name or trial count that `run_check` refuses."""
 
 
 @dataclass
@@ -715,15 +720,16 @@ THEOREM_CHECKS = {
 
 def run_check(name: str, trials: int | None = None, seed: int | None = None) -> CheckReport:
     """Run one suite, timed; `trials` or `seed` left at None takes the
-    suite's own default."""
+    suite's own default.  An unknown name, or a trial count below 1,
+    raises SuiteError."""
     try:
         fn = THEOREM_CHECKS[name]
     except KeyError:
-        raise ValueError(
+        raise SuiteError(
             f"unknown theorem {name!r}; choose from {', '.join(sorted(THEOREM_CHECKS))}"
         ) from None
     if trials is not None and trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
+        raise SuiteError(f"trials must be at least 1, got {shown_int(trials)}")
     given = {k: v for k, v in (("trials", trials), ("seed", seed)) if v is not None}
     t0 = time.monotonic()
     rep = fn(**given)

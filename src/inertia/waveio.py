@@ -8,7 +8,8 @@ comment.  At resolution 1 a line whose times are all plain ASCII
 integers is read with int(); every other time, in any form Fraction
 reads (`_` digit groups, non-ASCII digits, `a/b`, decimals, exponents of
 at most 4 digits), goes through Fraction.  A tick may have at most 4300
-digits, the most Python writes back as text.  On output, `writable` is
+significant digits, the most Python writes back as text: zeros that lead
+a digit run, or end the decimals, do not count.  On output, `writable` is
 the one place that bound is checked: every tick written here and every
 integer of the CLI's verdicts passes it.  `writable_name` refuses a net
 name that is empty or holds whitespace or `#`.
@@ -51,7 +52,7 @@ class RunConfig:
                 f"or fs, got {self.time_unit!r}"
             )
         if self.resolution < 1:
-            raise WaveParseError(f"resolution must be >= 1, got {self.resolution}")
+            raise WaveParseError(f"resolution must be >= 1, got {shown_int(self.resolution)}")
 
 
 def shown(text: str) -> str:
@@ -105,6 +106,7 @@ def parse_config(text: str) -> RunConfig:
 # accepted tick can be written back out
 MAX_TICK_DIGITS = 4300
 _TICK_LIMIT = 10**MAX_TICK_DIGITS
+_SHOWN_LIMIT = 10**40
 # a line's times when every one is a plain ASCII integer of at most
 # MAX_TICK_DIGITS digits, so inside the bound: int() would also take `_`
 # and non-ASCII digits, which stay on the Fraction path
@@ -113,6 +115,19 @@ _INT_TIMES = re.compile(rf"{_PLAIN_INT}(?:[ \t]+{_PLAIN_INT})*", re.ASCII)
 # the exponent of a decimal token, digits grouped by `_` as Fraction allows
 _EXPONENT = re.compile(r"[eE][+-]?(\d+(?:_\d+)*)\Z")
 MAX_EXPONENT_DIGITS = 4
+# the zeros, with the `_` between them, that lead a digit run not after
+# the point; and the decimals when they end the token or meet its exponent
+_LEADING_ZEROS = re.compile(r"(?<![\d_.])(?:0_?)*0(?=\d)")
+_DECIMALS = re.compile(r"\.(\d+(?:_\d+)*)(?=[eE]|\Z)")
+
+
+def _digit_count(n: int) -> int:
+    """The digits of n, counted without writing out a long n."""
+    n, digits = abs(n), 0
+    while n >= _TICK_LIMIT:
+        n //= _TICK_LIMIT
+        digits += MAX_TICK_DIGITS
+    return digits + len(str(n))
 
 
 def writable(n: int, what: str) -> int:
@@ -121,11 +136,16 @@ def writable(n: int, what: str) -> int:
     on output."""
     if -_TICK_LIMIT < n < _TICK_LIMIT:
         return n
-    n, digits = abs(n), 0
-    while n >= _TICK_LIMIT:  # count the digits without writing n
-        n //= _TICK_LIMIT
-        digits += MAX_TICK_DIGITS
-    raise _too_long(what, digits + len(str(n)))
+    raise _too_long(what, _digit_count(n))
+
+
+def shown_int(n: int) -> str:
+    """n for an error message: in full up to 40 digits, otherwise cut to
+    its first digits (when str() can write it) and its digit count."""
+    if -_SHOWN_LIMIT < n < _SHOWN_LIMIT:
+        return str(n)
+    head = str(n)[:40] if -_TICK_LIMIT < n < _TICK_LIMIT else "-" * (n < 0)
+    return f"{head}... ({_digit_count(n)} digits)"
 
 
 def _too_long(what: str, digits: int) -> WaveParseError:
@@ -150,6 +170,18 @@ def writable_name(name: str) -> str:
     return name
 
 
+def _significant(token: str) -> str:
+    """token without the zeros that leave its value as it is: those that
+    lead a digit run other than the decimals, and those that end the
+    decimals.  Fraction would count them against int()'s digit limit."""
+    token = _LEADING_ZEROS.sub("", token)
+    decimals = _DECIMALS.search(token)
+    if decimals:
+        kept = decimals[1].rstrip("0_") or "0"
+        token = token[: decimals.start(1)] + kept + token[decimals.end(1):]
+    return token
+
+
 def _parse_tick(token: str, resolution: int, ln: int) -> Tick:
     exponent = _EXPONENT.search(token)
     # 1e2000000 would make Fraction build a 2,000,001-digit number
@@ -158,11 +190,12 @@ def _parse_tick(token: str, resolution: int, ln: int) -> Tick:
             f"line {ln}: time {shown(token)} has an exponent of more than "
             f"{MAX_EXPONENT_DIGITS} digits"
         )
+    significant = _significant(token)
     try:
-        value = Fraction(token)
+        value = Fraction(significant)
     except (ValueError, ZeroDivisionError):
-        digits = sum(c.isdecimal() for c in token)
-        if digits > MAX_TICK_DIGITS and _INT_TEXT.fullmatch(token):  # int()'s limit
+        digits = sum(c.isdecimal() for c in significant)
+        if digits > MAX_TICK_DIGITS and _INT_TEXT.fullmatch(significant):  # int()'s limit
             raise _too_long(f"line {ln}: time {shown(token)}: a tick", digits) from None
         raise WaveParseError(f"line {ln}: bad time {shown(token)}") from None
     scaled = value * resolution

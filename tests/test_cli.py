@@ -504,6 +504,7 @@ BUF = json.dumps({"inputs": ["a"], "outputs": ["y"], "gates": [
     {"name": "y", "inputs": ["a"], "table": [0, 1], "delay": {"kind": "fixed", "d": 0}},
 ]})
 AIC_ATOMS = '{"kind": "aic", "deltar": 1, "deltaf": 1}'
+CUT = f"-{NINES[:39]}... (4300 digits)"  # -NINES as an error message shows it
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -553,6 +554,30 @@ AIC_ATOMS = '{"kind": "aic", "deltar": 1, "deltaf": 1}'
         "--output", wave_file(tmp, "u.wave", f"u 0 {'9' * 5000}\n"),
     ], f"line 1: time {'9' * 40!r}... (5000 chars): a tick of 5000 digits, "
        "more than the 4300 that can be written", id="long-time"),
+    # values out of range: the field is named and the value cut short
+    pytest.param(lambda tmp: [*VERIFY, "--trials", f"-{NINES}"],
+                 f"trials must be at least 1, got {CUT}", id="trials"),
+    pytest.param(lambda tmp: [
+        *VERIFY, "--config", wave_file(tmp, "run.cfg", f"resolution = -{NINES}\n"),
+    ], f"resolution must be >= 1, got {CUT}", id="resolution"),
+    pytest.param(lambda tmp: [
+        "consistent", "--cond", "cc", "--params", f'{{"mr":-{NINES},"dr":2,"mf":0,"df":2}}',
+    ], f"bad bdc parameters: need 0 <= mr <= dr, got mr={CUT} dr=2", id="bdc-mr"),
+    pytest.param(lambda tmp: [
+        "consistent", "--cond", "baidc", "--params", BDC, "--hold",
+        f'{{"deltar":-{NINES},"deltaf":1}}',
+    ], f"bad aic parameters: hold times must be >= 0, got delta_r={CUT} delta_f=1",
+        id="aic-deltar"),
+    pytest.param(lambda tmp: [
+        "consistent", "--cond", "bridc", "--params", BDC, "--edge",
+        f'{{"mur":-{NINES},"deltar":1,"muf":0,"deltaf":1}}',
+    ], f"bad ric parameters: need 0 <= mu_r <= delta_r, got mu_r={CUT} delta_r=1",
+        id="ric-mur"),
+    pytest.param(lambda tmp: [
+        "simulate",
+        "--netlist", wave_file(tmp, "net.json", BUF.replace('"d": 0', f'"d": -{NINES}')),
+        "--stimuli", wave_file(tmp, "stim.wave", "a 0 1\n"), "--horizon=0:4",
+    ], f"gate 'y': fixed delay must be >= 0, got d={CUT}", id="fixed-d"),
 ])
 def test_an_integer_grown_past_the_bound_exits_2_with_one_error_line(
     capsys, tmp_path, argv, message
@@ -560,6 +585,16 @@ def test_an_integer_grown_past_the_bound_exits_2_with_one_error_line(
     code, out, err = run(capsys, *argv(tmp_path))
     assert (code, out) == (2, "")
     assert err == f"error: {message}\n"
+    assert len(err) < 200
+
+
+@pytest.mark.parametrize("time", ["0" * 4301 + "1", "1." + "0" * 5000], ids=["lead", "end"])
+def test_zeros_that_pad_a_time_are_not_counted_as_digits(capsys, tmp_path, time):
+    code, out, _err = run(
+        capsys, "solve", "--cond", "bdc-min", "--params", '{"mr":0,"dr":0,"mf":0,"df":0}',
+        "--input", wave_file(tmp_path, "u.wave", f"u 0 {time}\n"),
+    )
+    assert (code, out) == (0, "x 0 1\n")
 
 
 ENUMERATE = ["oracle", "enumerate", "--atoms", AIC_ATOMS, "--grid", "0:4"]
@@ -703,7 +738,7 @@ def test_oracle_verify_refuses_a_trial_count_below_one(capsys, trials):
         capsys, "oracle", "verify", "--theorem", "t14e", "--trials", trials
     )
     assert (code, out) == (2, "")
-    assert err == f"error: --trials must be at least 1, got {trials}\n"
+    assert err == f"error: trials must be at least 1, got {trials}\n"
 
 
 def test_oracle_verify_seed_env(capsys, monkeypatch):

@@ -64,6 +64,24 @@ def test_parameter_ranges_are_enforced():
         FdcParams(-1)
 
 
+HUGE = 10**5000  # more digits than str() writes
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: FdcParams(-HUGE), "fixed delay must be >= 0, got d=-... (5001 digits)"),
+    (lambda: BdcParams(0, 2, HUGE, 2),
+     "need 0 <= mf <= df, got mf=... (5001 digits) df=2"),
+    (lambda: AicParams(1, -HUGE),
+     "hold times must be >= 0, got delta_r=1 delta_f=-... (5001 digits)"),
+    (lambda: RicParams(0, -(10**45), 0, 0),
+     f"need 0 <= mu_r <= delta_r, got mu_r=0 delta_r=-{'1' + '0' * 38}... (46 digits)"),
+], ids=["fdc", "bdc", "aic", "ric"])
+def test_a_range_error_names_the_field_and_cuts_the_value_short(make, message):
+    with pytest.raises(ValueError) as err:
+        make()
+    assert str(err.value) == message
+
+
 @pytest.mark.parametrize(
     "atom",
     [

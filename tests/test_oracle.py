@@ -1,11 +1,14 @@
 """Brute-force enumeration layer.
 
-The DFS enumerator and the counting dynamic program are independent
-implementations of the same set; they are played against each other on
-random instances.  Both read the per-tick rule, which is checked window
-by window against each atom's definition.  The exact emptiness decider is pinned on known empty
-and known nonempty parameter combinations, and played against the
-counting DP on random expressions: every witness it returns must have no
+The DFS enumerator and the counting dynamic program walk one step table,
+so checking them against each other shows little.  Both are instead
+checked against brute force: every output bit vector on small grids is
+judged by `cond_member`, the run-based membership code, and the DFS must
+list exactly the members, in order, while the DP counts them.  Both read
+the per-tick rule, which is checked window by window against each atom's
+definition.  The exact emptiness decider is pinned on known empty and
+known nonempty parameter combinations, and played against the counting
+DP on random expressions: every witness it returns must have no
 solution, and when it returns None every small input must have one.  Its
 witnesses on the baidc sweep are pinned by digest, and checked to be
 shortest against every input that switches early enough.
@@ -26,6 +29,7 @@ from inertia.conditions import (
     FdcParams,
     RicParams,
     bdc_member,
+    cond_member,
 )
 from inertia.oracle import (
     GridConfig,
@@ -269,6 +273,39 @@ SMALL_INPUTS = [
     for times in combinations(range(9), k)
     for init in (0, 1)
 ]
+
+
+def test_dfs_and_count_list_exactly_the_members_on_small_grids():
+    # Every output bit vector on the grid is judged by cond_member, the
+    # run-based membership code, which shares nothing with the oracle's
+    # step table.  The DFS must list exactly the members, in lexicographic
+    # order, and the DP must count them.
+    rng = random.Random(20261020)
+    vectors = 0
+    seen = {"AicParams": 0, "RicParams": 0, "capped": 0}  # cases with members
+    for case in range(60):
+        cap = (None, 1, 3)[case % 3]
+        lo, n = rng.randint(-3, 0), rng.randint(5, 9)
+        grid = GridConfig(lo, lo + n - 1, cap)
+        expr = CondExpr(tuple(_random_atom(rng) for _ in range(rng.randint(1, 3))))
+        times = sorted(rng.sample(range(lo, lo + n), rng.randint(0, 3)))
+        u = Signal(rng.randint(0, 1), tuple(times))
+        members, capped = [], 0
+        for bits in product((0, 1), repeat=n):
+            x = Signal(bits[0], tuple(lo + j for j in range(1, n) if bits[j] != bits[j - 1]))
+            if cond_member(u, x, expr):
+                if cap is None or len(x.switches) <= cap:
+                    members.append(x)
+                else:
+                    capped += 1
+        vectors += 2**n
+        assert list(iter_solutions(u, expr, grid)) == members, (expr, u, grid)
+        assert solution_count(u, expr, grid) == len(members), (expr, u, grid)
+        for kind in {type(a).__name__ for a in expr.atoms} & seen.keys():
+            seen[kind] += bool(members)
+        seen["capped"] += bool(members and capped)
+    assert vectors > 10_000, vectors
+    assert min(seen.values()) >= 3, seen
 
 
 def _most_hold(expr: CondExpr) -> int:

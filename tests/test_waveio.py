@@ -110,7 +110,8 @@ BIG = "1" + "0" * 4300  # one digit past the tick limit
     (BIG, BIG, 4301), ("-9" + BIG + " 0", "-9" + BIG, 4302),
     ("5 " + BIG + " 3", BIG, 4301),  # out of order too: the long tick is named first
     ("9" * 5000, "9" * 5000, 5000),
-], ids=["one", "negative", "unordered", "5000-digits"])
+    ("0" * 99 + BIG, "0" * 99 + BIG, 4301),  # leading zeros are not counted
+], ids=["one", "negative", "unordered", "5000-digits", "zero-padded"])
 def test_the_tick_limit_holds_without_ints_digit_limit(times, token, digits):
     # under the interpreter's default digit limit (Python 3.10.7 and later)
     # int() and Fraction refuse such a token; with the limit lifted, the
@@ -131,6 +132,20 @@ def test_the_tick_limit_holds_without_ints_digit_limit(times, token, digits):
             "more than the 4300 that can be written"
         )
         assert len(str(err.value)) < 150
+
+
+@pytest.mark.parametrize("token, resolution", [
+    ("0" * 4301 + "1", 1),
+    ("1." + "0" * 5000, 1),
+    ("-" + "0" * 4400 + "0.1" + "0" * 4400, 10),  # tick -1
+    ("+0_0" + "0" * 4400 + "1.0" + "0" * 4400 + "e0000", 1),
+    ("0" * 4400 + "3/" + "0" * 4400 + "3", 1),
+], ids=["integer", "decimal", "negative", "exponent", "ratio"])
+def test_zeros_that_leave_a_time_as_it_is_count_against_no_limit(token, resolution):
+    # leading zeros, and zeros that end the decimals, are not significant:
+    # under int()'s default digit limit Fraction would refuse all of these
+    tick = -1 if token.startswith("-") else 1
+    assert parse_waveforms(f"u 0 {token}\n", resolution)["u"].switches == (tick,)
 
 
 def reference_tick(token, resolution, ln):
