@@ -21,7 +21,6 @@ correlation), for acyclic netlists only.
 """
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from itertools import product
 
@@ -32,7 +31,7 @@ from .conditions import (
     json_int,
     require_cc,
 )
-from .signals import Signal, Tick, switch_walk
+from .signals import Signal, Tick, Value, switch_walk
 from .waveio import shown_int
 
 MAX_GATE_ARITY = 8
@@ -45,15 +44,16 @@ class NetlistError(ValueError):
 # -- delay model ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BridcDelay:
+class BridcDelay(Value):
     """Deterministic bounded/inertial delay driven by BdcParams (mu = m,
     delta = d); memories > 0 swallow pulses shorter than the memory."""
 
-    params: BdcParams
+    __slots__ = _fields = ("params",)
 
-    def __post_init__(self):
-        require_cc(self.params)
+    def __init__(self, params: BdcParams):
+        require_cc(params)
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "_key", (params,))
 
     @property
     def min_latency(self) -> int:
@@ -63,6 +63,8 @@ class BridcDelay:
 
 class FixedDelay(BridcDelay):
     """Pure shift by d ticks: the window pair BdcParams(0, d, 0, d)."""
+
+    __slots__ = ()
 
     def __init__(self, d: int):
         if d < 0:
@@ -97,32 +99,31 @@ def delay_from_dict(obj: dict) -> BridcDelay:
 # -- netlist ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Gate:
+class Gate(Value):
     """Truth table plus output delay; the gate name is its output net.
 
     Table indexing is most-significant-bit-first over `inputs`: the row
     for input bits (b0, b1, ...) is table[b0 << (k-1) | ... | b_{k-1}].
     """
 
-    name: str
-    inputs: tuple[str, ...]
-    table: tuple[int, ...]
-    delay: BridcDelay
+    __slots__ = _fields = ("name", "inputs", "table", "delay")
 
-    def __post_init__(self):
-        for name in ("inputs", "table"):  # tuple() returns a tuple as it is
-            object.__setattr__(self, name, tuple(getattr(self, name)))
-        k = len(self.inputs)
+    def __init__(self, name: str, inputs: tuple, table: tuple, delay: BridcDelay):
+        inputs, table = tuple(inputs), tuple(table)  # tuple() returns a tuple as it is
+        k = len(inputs)
         if k > MAX_GATE_ARITY:
-            raise NetlistError(f"gate {self.name!r} has {k} inputs, max is {MAX_GATE_ARITY}")
-        if len(self.table) != 1 << k:
+            raise NetlistError(f"gate {name!r} has {k} inputs, max is {MAX_GATE_ARITY}")
+        if len(table) != 1 << k:
             raise NetlistError(
-                f"gate {self.name!r} needs a table of {1 << k} entries, "
-                f"got {len(self.table)}"
+                f"gate {name!r} needs a table of {1 << k} entries, got {len(table)}"
             )
-        if any(v not in (0, 1) for v in self.table):
-            raise NetlistError(f"gate {self.name!r} table entries must be 0/1")
+        if any(v not in (0, 1) for v in table):
+            raise NetlistError(f"gate {name!r} table entries must be 0/1")
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "inputs", inputs)
+        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "delay", delay)
+        object.__setattr__(self, "_key", (name, inputs, table, delay))
 
     def eval_bits(self, bits) -> int:
         idx = 0
@@ -131,29 +132,29 @@ class Gate:
         return self.table[idx]
 
 
-@dataclass(frozen=True)
-class Netlist:
-    inputs: tuple[str, ...]
-    gates: tuple[Gate, ...]
-    outputs: tuple[str, ...]
+class Netlist(Value):
+    __slots__ = _fields = ("inputs", "gates", "outputs")
 
-    def __post_init__(self):
-        for name in ("inputs", "gates", "outputs"):
-            object.__setattr__(self, name, tuple(getattr(self, name)))
-        driven = list(self.inputs) + [g.name for g in self.gates]
+    def __init__(self, inputs: tuple, gates: tuple, outputs: tuple):
+        inputs, gates, outputs = tuple(inputs), tuple(gates), tuple(outputs)
+        driven = list(inputs) + [g.name for g in gates]
         seen = set()
         for net in driven:
             if net in seen:
                 raise NetlistError(f"net {net!r} driven more than once")
             seen.add(net)
-        for g in self.gates:
+        for g in gates:
             for net in g.inputs:
                 if net not in seen:
                     raise NetlistError(f"gate {g.name!r} reads undriven net {net!r}")
-        for net in self.outputs:
+        for net in outputs:
             if net not in seen:
                 raise NetlistError(f"output net {net!r} is undriven")
-        _gate_order(self.gates, zero_latency_only=True)
+        _gate_order(gates, zero_latency_only=True)
+        object.__setattr__(self, "inputs", inputs)
+        object.__setattr__(self, "gates", gates)
+        object.__setattr__(self, "outputs", outputs)
+        object.__setattr__(self, "_key", (inputs, gates, outputs))
 
     @property
     def has_feedback(self) -> bool:
@@ -391,16 +392,17 @@ def simulate(
 # -- envelope propagation ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Envelope:
+class Envelope(Value):
     """Pointwise bracket low <= high on a net's admissible waveforms."""
 
-    low: Signal
-    high: Signal
+    __slots__ = _fields = ("low", "high")
 
-    def __post_init__(self):
-        if not self.low.leq(self.high):
+    def __init__(self, low: Signal, high: Signal):
+        if not low.leq(high):
             raise NetlistError("envelope needs low <= high pointwise")
+        object.__setattr__(self, "low", low)
+        object.__setattr__(self, "high", high)
+        object.__setattr__(self, "_key", (low, high))
 
     @classmethod
     def exact(cls, s: Signal) -> "Envelope":

@@ -97,7 +97,7 @@ def _load_wave(path: str, cfg: RunConfig, role: str, name: str | None = None):
         raise CliError(f"{role} file {path} contains no waveforms")
     if name is not None:
         if name not in waves:
-            raise CliError(f"{role} file {path} has no waveform named {name!r}")
+            raise CliError(f"{role} file {path} has no waveform named {shown(name)}")
         return waves[name]
     if len(waves) > 1:
         raise CliError(

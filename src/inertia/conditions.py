@@ -11,7 +11,7 @@ Four atomic conditions relate a gate input u to an admissible output x:
 * RIC  - relative inertia: an edge of x is allowed only when u held the
   corresponding value over a bounded past window.
 
-Parameter tuples are frozen dataclasses and only validate their own
+Parameter tuples are immutable values and only validate their own
 ranges; consistency (solvability for every input) is decided separately,
 so inconsistent tuples can be constructed, queried and reported.
 CondExpr conjoins atoms, which is how inertial conditions (BDC + AIC,
@@ -19,9 +19,8 @@ BDC + RIC) are expressed.
 """
 
 from bisect import bisect_right
-from dataclasses import dataclass, field, fields
 
-from .signals import Signal, switch_walk, window_and, window_or
+from .signals import Signal, Value, switch_walk, window_and, window_or
 from .waveio import shown_int
 
 
@@ -40,95 +39,96 @@ def json_int(value, key: str) -> int:
     return value
 
 
-class _Params:
+class _Params(Value):
     """The JSON form of a condition atom: its fields in order, each under
     the matching key of the class's `json_keys`, and its `kind`."""
 
+    __slots__ = ()
     kind: str
     json_keys: tuple[str, ...]
 
     def as_dict(self) -> dict:
-        return {k: getattr(self, f.name) for k, f in zip(self.json_keys, fields(self))}
+        return dict(zip(self.json_keys, self._key))
 
     @classmethod
     def from_dict(cls, obj: dict):
         return cls(*(json_int(obj[k], k) for k in cls.json_keys))
 
 
-@dataclass(frozen=True)
 class FdcParams(_Params):
     """Fixed transmission delay of d ticks."""
 
-    d: int
+    __slots__ = _fields = ("d",)
     kind = "fdc"
     json_keys = ("d",)
 
-    def __post_init__(self):
-        if self.d < 0:
-            raise ValueError(f"fixed delay must be >= 0, got d={shown_int(self.d)}")
+    def __init__(self, d: int):
+        if d < 0:
+            raise ValueError(f"fixed delay must be >= 0, got d={shown_int(d)}")
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "_key", (d,))
 
 
-@dataclass(frozen=True)
 class BdcParams(_Params):
     """Bounded-delay parameters (rise memory/bound, fall memory/bound)."""
 
-    mr: int
-    dr: int
-    mf: int
-    df: int
+    __slots__ = _fields = ("mr", "dr", "mf", "df")
     kind = "bdc"
-    json_keys = ("mr", "dr", "mf", "df")
+    json_keys = _fields
 
-    def __post_init__(self):
-        if not (0 <= self.mr <= self.dr):
-            raise ValueError(
-                f"need 0 <= mr <= dr, got mr={shown_int(self.mr)} dr={shown_int(self.dr)}"
-            )
-        if not (0 <= self.mf <= self.df):
-            raise ValueError(
-                f"need 0 <= mf <= df, got mf={shown_int(self.mf)} df={shown_int(self.df)}"
-            )
+    def __init__(self, mr: int, dr: int, mf: int, df: int):
+        if not (0 <= mr <= dr):
+            raise ValueError(f"need 0 <= mr <= dr, got mr={shown_int(mr)} dr={shown_int(dr)}")
+        if not (0 <= mf <= df):
+            raise ValueError(f"need 0 <= mf <= df, got mf={shown_int(mf)} df={shown_int(df)}")
+        object.__setattr__(self, "mr", mr)
+        object.__setattr__(self, "dr", dr)
+        object.__setattr__(self, "mf", mf)
+        object.__setattr__(self, "df", df)
+        object.__setattr__(self, "_key", (mr, dr, mf, df))
 
 
-@dataclass(frozen=True)
 class AicParams(_Params):
     """Absolute inertia: hold times after a rise / a fall of the output."""
 
-    delta_r: int
-    delta_f: int
+    __slots__ = _fields = ("delta_r", "delta_f")
     kind = "aic"
     json_keys = ("deltar", "deltaf")
 
-    def __post_init__(self):
-        if self.delta_r < 0 or self.delta_f < 0:
+    def __init__(self, delta_r: int, delta_f: int):
+        if delta_r < 0 or delta_f < 0:
             raise ValueError(
-                f"hold times must be >= 0, got delta_r={shown_int(self.delta_r)} "
-                f"delta_f={shown_int(self.delta_f)}"
+                f"hold times must be >= 0, got delta_r={shown_int(delta_r)} "
+                f"delta_f={shown_int(delta_f)}"
             )
+        object.__setattr__(self, "delta_r", delta_r)
+        object.__setattr__(self, "delta_f", delta_f)
+        object.__setattr__(self, "_key", (delta_r, delta_f))
 
 
-@dataclass(frozen=True)
 class RicParams(_Params):
     """Relative inertia: input-hold windows that license output edges."""
 
-    mu_r: int
-    delta_r: int
-    mu_f: int
-    delta_f: int
+    __slots__ = _fields = ("mu_r", "delta_r", "mu_f", "delta_f")
     kind = "ric"
     json_keys = ("mur", "deltar", "muf", "deltaf")
 
-    def __post_init__(self):
-        if not (0 <= self.mu_r <= self.delta_r):
+    def __init__(self, mu_r: int, delta_r: int, mu_f: int, delta_f: int):
+        if not (0 <= mu_r <= delta_r):
             raise ValueError(
-                f"need 0 <= mu_r <= delta_r, got mu_r={shown_int(self.mu_r)} "
-                f"delta_r={shown_int(self.delta_r)}"
+                f"need 0 <= mu_r <= delta_r, got mu_r={shown_int(mu_r)} "
+                f"delta_r={shown_int(delta_r)}"
             )
-        if not (0 <= self.mu_f <= self.delta_f):
+        if not (0 <= mu_f <= delta_f):
             raise ValueError(
-                f"need 0 <= mu_f <= delta_f, got mu_f={shown_int(self.mu_f)} "
-                f"delta_f={shown_int(self.delta_f)}"
+                f"need 0 <= mu_f <= delta_f, got mu_f={shown_int(mu_f)} "
+                f"delta_f={shown_int(delta_f)}"
             )
+        object.__setattr__(self, "mu_r", mu_r)
+        object.__setattr__(self, "delta_r", delta_r)
+        object.__setattr__(self, "mu_f", mu_f)
+        object.__setattr__(self, "delta_f", delta_f)
+        object.__setattr__(self, "_key", (mu_r, delta_r, mu_f, delta_f))
 
 
 Atom = FdcParams | BdcParams | AicParams | RicParams
@@ -150,24 +150,22 @@ def atom_from_dict(obj: dict) -> Atom:
     return cls.from_dict(obj)
 
 
-@dataclass(frozen=True)
-class CondExpr:
+class CondExpr(Value):
     """Conjunction of condition atoms over the same input/output pair.
 
     reach is how many ticks back from t the atoms read the input to
-    constrain the output at t.
+    constrain the output at t; `==`, the hash and the repr leave it out.
     """
 
-    atoms: tuple[Atom, ...]
-    reach: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("atoms", "reach")
+    _fields = ("atoms",)
 
-    def __post_init__(self):
-        if not isinstance(self.atoms, tuple):
-            object.__setattr__(self, "atoms", tuple(self.atoms))
-        if not self.atoms:
+    def __init__(self, atoms: tuple[Atom, ...]):
+        atoms = tuple(atoms)
+        if not atoms:
             raise ValueError("a condition expression needs at least one atom")
         back = 0
-        for a in self.atoms:
+        for a in atoms:
             if isinstance(a, BdcParams):
                 back = max(back, a.dr, a.df)
             elif isinstance(a, FdcParams):
@@ -176,19 +174,22 @@ class CondExpr:
                 back = max(back, a.delta_r, a.delta_f)
             elif not isinstance(a, AicParams):
                 atom_kind(a)  # raises its TypeError
+        object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "reach", back)
+        object.__setattr__(self, "_key", (atoms,))
 
 
 # -- consistency of BDC parameters ----------------------------------------
 
 
-def cc_failures(p: BdcParams) -> list[str]:
-    """The consistency inequalities that p violates (empty when consistent)."""
+def cc_failures(p: BdcParams, show=str) -> list[str]:
+    """The consistency inequalities that p violates (empty when
+    consistent), each with its values written by `show`."""
     bad = []
     if not p.dr >= p.df - p.mf:
-        bad.append(f"dr >= df - mf fails ({p.dr} >= {p.df} - {p.mf})")
+        bad.append(f"dr >= df - mf fails ({show(p.dr)} >= {show(p.df)} - {show(p.mf)})")
     if not p.df >= p.dr - p.mr:
-        bad.append(f"df >= dr - mr fails ({p.df} >= {p.dr} - {p.mr})")
+        bad.append(f"df >= dr - mr fails ({show(p.df)} >= {show(p.dr)} - {show(p.mr)})")
     return bad
 
 
@@ -198,9 +199,8 @@ def cc_holds(p: BdcParams) -> bool:
 
 
 def require_cc(p: BdcParams) -> None:
-    bad = cc_failures(p)
-    if bad:
-        raise ConsistencyError(f"CC violated for {p}: " + "; ".join(bad))
+    if not cc_holds(p):  # values cut short: the message may echo long integers
+        raise ConsistencyError("CC violated: " + "; ".join(cc_failures(p, shown_int)))
 
 
 # -- membership predicates -------------------------------------------------

@@ -32,7 +32,6 @@ sampling) is common.
 """
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
 
@@ -42,7 +41,7 @@ from .conditions import (
     CondExpr,
     FdcParams,
 )
-from .signals import Signal, Tick
+from .signals import Signal, Tick, Value
 
 MAX_SPAN = 80
 MAX_REACH = 12  # the tick tables have 2**(MAX_REACH + 1) entries
@@ -54,25 +53,26 @@ class HorizonError(ValueError):
     """Horizon too large (or malformed) for exhaustive enumeration."""
 
 
-@dataclass(frozen=True)
-class GridConfig:
+class GridConfig(Value):
     """Enumeration window: candidate switches confined to (lo, hi].
 
     max_switches, when set, drops candidates with more switches; leave it
     None for completeness proofs and use it to keep searches tractable.
     """
 
-    lo: Tick
-    hi: Tick
-    max_switches: int | None = None
+    __slots__ = _fields = ("lo", "hi", "max_switches")
 
-    def __post_init__(self):
-        if self.lo >= self.hi:
+    def __init__(self, lo: Tick, hi: Tick, max_switches: int | None = None):
+        if lo >= hi:
             raise HorizonError("need lo < hi")
-        if self.hi - self.lo > MAX_SPAN:  # not named: the span may be too long to write
+        if hi - lo > MAX_SPAN:  # not named: the span may be too long to write
             raise HorizonError(f"horizon spans more than the {MAX_SPAN}-tick limit")
-        if self.max_switches is not None and self.max_switches < 0:
+        if max_switches is not None and max_switches < 0:
             raise HorizonError("max_switches must be >= 0 or None")
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
+        object.__setattr__(self, "max_switches", max_switches)
+        object.__setattr__(self, "_key", (lo, hi, max_switches))
 
 
 def _held(w: int, d: int, m: int, v: int) -> bool:

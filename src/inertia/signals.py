@@ -16,7 +16,6 @@ All operations are pure; Signal instances are immutable and hashable.
 """
 
 import bisect
-from dataclasses import dataclass
 
 Tick = int
 
@@ -25,8 +24,36 @@ class SignalError(ValueError):
     """Malformed signal construction or operator argument."""
 
 
-@dataclass(frozen=True)
-class Signal:
+class Value:
+    """Base of the immutable records: `__init__` stores each field named in
+    `_fields` and `__slots__`, and `_key`, the tuple of their values, which
+    `==` within one class, the hash and the `Name(field=value, ...)` repr read."""
+
+    __slots__ = ("_key",)
+
+    def __setattr__(self, name, *_value):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key == other._key
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key)
+
+    def __repr__(self):
+        args = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._key))
+        return f"{type(self).__qualname__}({args})"
+
+    def __setstate__(self, state):  # copy and pickle restore the slots here
+        for name, value in state[1].items():
+            object.__setattr__(self, name, value)
+
+
+class Signal(Value):
     """Right-continuous 0/1 step function.
 
     `initial` is the value on (-inf, switches[0]); each switch flips the
@@ -36,21 +63,22 @@ class Signal:
     check, through `_trusted`.
     """
 
-    initial: int
-    switches: tuple[Tick, ...] = ()
+    __slots__ = _fields = ("initial", "switches")
 
-    def __post_init__(self):
-        if self.initial not in (0, 1):
-            raise SignalError(f"initial value must be 0 or 1, got {self.initial!r}")
-        if not isinstance(self.switches, tuple):
-            object.__setattr__(self, "switches", tuple(self.switches))
+    def __init__(self, initial: int, switches: tuple[Tick, ...] = ()):
+        if initial not in (0, 1):
+            raise SignalError(f"initial value must be 0 or 1, got {initial!r}")
+        switches = tuple(switches)  # tuple() returns a tuple as it is
         prev = None
-        for t in self.switches:
+        for t in switches:
             if isinstance(t, bool) or not isinstance(t, int):
                 raise SignalError(f"switch times must be integers, got {t!r}")
             if prev is not None and t <= prev:
                 raise SignalError(f"switch times must strictly increase ({prev} then {t})")
             prev = t
+        object.__setattr__(self, "initial", initial)
+        object.__setattr__(self, "switches", switches)
+        object.__setattr__(self, "_key", (initial, switches))
 
     @classmethod
     def _trusted(cls, initial: int, switches: tuple[Tick, ...]) -> "Signal":
@@ -59,6 +87,7 @@ class Signal:
         s = object.__new__(cls)
         object.__setattr__(s, "initial", initial)
         object.__setattr__(s, "switches", switches)
+        object.__setattr__(s, "_key", (initial, switches))
         return s
 
     def __repr__(self):

@@ -26,7 +26,6 @@ at None takes the suite's own signature default.
 """
 
 import time
-from dataclasses import dataclass, field
 from itertools import islice, product
 from random import Random
 
@@ -77,13 +76,13 @@ class SuiteError(ValueError):
     """A suite name or trial count that `run_check` refuses."""
 
 
-@dataclass
 class CheckReport:
-    name: str
-    trials: int
-    failures: list[str] = field(default_factory=list)
-    info: dict = field(default_factory=dict)
-    seconds: float = 0.0
+    def __init__(self, name: str, trials: int):
+        self.name = name
+        self.trials = trials
+        self.failures: list[str] = []
+        self.info: dict = {}
+        self.seconds = 0.0
 
     @property
     def ok(self) -> bool:

@@ -22,10 +22,8 @@ documented offset (VCD time must not be negative).
 
 import operator
 import re
-from dataclasses import dataclass
-from fractions import Fraction
 
-from .signals import Signal, Tick
+from .signals import Signal, Tick, Value
 
 
 class WaveParseError(ValueError):
@@ -37,22 +35,23 @@ class WaveParseError(ValueError):
 _TIME_UNIT = re.compile(r"(1|10|100) ?(s|ms|us|ns|ps|fs)")
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(Value):
     """Run-wide I/O settings."""
 
-    time_unit: str = "1ns"
-    resolution: int = 1
-    seed: int = 0
+    __slots__ = _fields = ("time_unit", "resolution", "seed")
 
-    def __post_init__(self):
-        if not _TIME_UNIT.fullmatch(self.time_unit):
+    def __init__(self, time_unit: str = "1ns", resolution: int = 1, seed: int = 0):
+        if not _TIME_UNIT.fullmatch(time_unit):
             raise WaveParseError(
                 f"time_unit must be 1, 10 or 100 followed by s, ms, us, ns, ps "
-                f"or fs, got {self.time_unit!r}"
+                f"or fs, got {time_unit!r}"
             )
-        if self.resolution < 1:
-            raise WaveParseError(f"resolution must be >= 1, got {shown_int(self.resolution)}")
+        if resolution < 1:
+            raise WaveParseError(f"resolution must be >= 1, got {shown_int(resolution)}")
+        object.__setattr__(self, "time_unit", time_unit)
+        object.__setattr__(self, "resolution", resolution)
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "_key", (time_unit, resolution, seed))
 
 
 def shown(text: str) -> str:
@@ -183,6 +182,7 @@ def _significant(token: str) -> str:
 
 
 def _parse_tick(token: str, resolution: int, ln: int) -> Tick:
+    from fractions import Fraction  # imported here: only this slow path needs it
     exponent = _EXPONENT.search(token)
     # 1e2000000 would make Fraction build a 2,000,001-digit number
     if exponent and len(exponent[1].replace("_", "")) > MAX_EXPONENT_DIGITS:

@@ -578,6 +578,12 @@ CUT = f"-{NINES[:39]}... (4300 digits)"  # -NINES as an error message shows it
         "--netlist", wave_file(tmp, "net.json", BUF.replace('"d": 0', f'"d": -{NINES}')),
         "--stimuli", wave_file(tmp, "stim.wave", "a 0 1\n"), "--horizon=0:4",
     ], f"gate 'y': fixed delay must be >= 0, got d={CUT}", id="fixed-d"),
+    # a CC failure names the failed inequality, its values cut short
+    pytest.param(lambda tmp: [
+        "solve", "--cond", "bdc-min", "--params", f'{{"mr":0,"dr":{NINES},"mf":0,"df":0}}',
+        "--input", wave_file(tmp, "u.wave", "u 0 2 5\n"),
+    ], f"CC violated: df >= dr - mr fails (0 >= {NINES[:40]}... (4300 digits) - 0)",
+        id="cc"),
 ])
 def test_an_integer_grown_past_the_bound_exits_2_with_one_error_line(
     capsys, tmp_path, argv, message
@@ -818,6 +824,16 @@ def test_missing_file(capsys, tmp_path):
         "--input", str(tmp_path / "nope.wave"),
     )
     assert code == 2
+
+
+def test_a_missing_waveform_name_is_cut_short(capsys, tmp_path):
+    x = wave_file(tmp_path, "x.wave", "x 0 2\n")
+    code, out, err = run(
+        capsys, "check", "--cond", "aic", "--params", AIC_ATOMS, "--output", x,
+        "--output-name", NINES,
+    )
+    assert (code, out) == (2, "")
+    assert err == f"error: output file {x} has no waveform named {NINES[:40]!r}... (4300 chars)\n"
 
 
 def test_module_entry_point():

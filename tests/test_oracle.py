@@ -16,7 +16,6 @@ shortest against every input that switches early enough.
 
 import hashlib
 import random
-from dataclasses import replace
 from itertools import combinations, product
 
 import pytest
@@ -394,7 +393,7 @@ def _includes_without_df_link(real):
 def _rise_memory_one_less(real):
     def mutant(p, q):
         r = real(p, q)
-        return r and replace(r, mr=max(r.mr - 1, 0))
+        return r and BdcParams(max(r.mr - 1, 0), r.dr, r.mf, r.df)
 
     return mutant
 

@@ -1,0 +1,99 @@
+"""The immutable records: construction, equality, hashing, repr, copies.
+
+Every record class shares one value base, so one table drives the whole
+contract: each row builds a record by keyword and by position, and its
+repr is pinned to the text the package has always printed.
+"""
+
+import copy
+import pickle
+import subprocess
+import sys
+
+import pytest
+
+from inertia import (
+    AicParams,
+    BdcParams,
+    BridcDelay,
+    CondExpr,
+    Envelope,
+    FdcParams,
+    FixedDelay,
+    Gate,
+    GridConfig,
+    Netlist,
+    RicParams,
+    RunConfig,
+    Signal,
+)
+
+BDC = BdcParams(1, 2, 1, 2)
+AND = Gate("y", ("a", "b"), (0, 0, 0, 1), BridcDelay(BDC))
+BDC_TEXT = "BdcParams(mr=1, dr=2, mf=1, df=2)"
+AND_TEXT = (
+    f"Gate(name='y', inputs=('a', 'b'), table=(0, 0, 0, 1), delay=BridcDelay(params={BDC_TEXT}))"
+)
+
+RECORDS = [
+    (Signal, {"initial": 0, "switches": (1, 3)}, "Signal(0, [1, 3])"),
+    (RunConfig, {"time_unit": "10ps", "resolution": 3, "seed": 7},
+     "RunConfig(time_unit='10ps', resolution=3, seed=7)"),
+    (GridConfig, {"lo": 0, "hi": 4}, "GridConfig(lo=0, hi=4, max_switches=None)"),
+    (FdcParams, {"d": 3}, "FdcParams(d=3)"),
+    (BdcParams, {"mr": 1, "dr": 2, "mf": 1, "df": 2}, BDC_TEXT),
+    (AicParams, {"delta_r": 1, "delta_f": 2}, "AicParams(delta_r=1, delta_f=2)"),
+    (RicParams, {"mu_r": 1, "delta_r": 2, "mu_f": 0, "delta_f": 3},
+     "RicParams(mu_r=1, delta_r=2, mu_f=0, delta_f=3)"),
+    (CondExpr, {"atoms": (BDC, AicParams(1, 1))},
+     f"CondExpr(atoms=({BDC_TEXT}, AicParams(delta_r=1, delta_f=1)))"),
+    (BridcDelay, {"params": BDC}, f"BridcDelay(params={BDC_TEXT})"),
+    (FixedDelay, {"d": 3}, "FixedDelay(3)"),
+    (Gate, {"name": "y", "inputs": ("a", "b"), "table": (0, 0, 0, 1),
+            "delay": BridcDelay(BDC)}, AND_TEXT),
+    (Netlist, {"inputs": ("a", "b"), "gates": (AND,), "outputs": ("y",)},
+     f"Netlist(inputs=('a', 'b'), gates=({AND_TEXT},), outputs=('y',))"),
+    (Envelope, {"low": Signal(0, (2, 4)), "high": Signal(0, (1, 5))},
+     "Envelope(low=Signal(0, [2, 4]), high=Signal(0, [1, 5]))"),
+]
+
+
+@pytest.mark.parametrize("cls, fields, text", RECORDS, ids=[r[0].__name__ for r in RECORDS])
+def test_a_record_is_an_immutable_value(cls, fields, text):
+    value = cls(**fields)
+    twin = cls(*fields.values())
+    assert twin == value and not twin != value
+    assert hash(twin) == hash(value)
+    assert repr(value) == text
+    for name in fields:
+        assert getattr(value, name) == fields[name]
+        with pytest.raises(AttributeError):
+            setattr(value, name, fields[name])
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    with pytest.raises(AttributeError):
+        value.extra = 1
+    for copied in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert type(copied) is cls and copied == value
+        assert hash(copied) == hash(value) and repr(copied) == text
+
+
+def test_records_of_different_classes_differ_on_equal_fields():
+    # the oracle's per-atom table cache is keyed on the atom itself
+    assert BdcParams(1, 2, 1, 2) != RicParams(1, 2, 1, 2)
+    assert FixedDelay(2) != BridcDelay(BdcParams(0, 2, 0, 2))
+    assert GridConfig(0, 4) != (0, 4, None)
+
+
+def test_cond_expr_reach_is_derived_and_kept_by_copies():
+    expr = CondExpr([BdcParams(0, 3, 0, 2), RicParams(0, 5, 0, 1)])
+    assert expr.atoms == (BdcParams(0, 3, 0, 2), RicParams(0, 5, 0, 1))
+    assert expr.reach == 5
+    assert pickle.loads(pickle.dumps(expr)).reach == copy.copy(expr).reach == 5
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_fractions():
+    # their imports cost more start-up time than all of the package's own code
+    code = "import sys, inertia.cli; print({'dataclasses', 'fractions'} & set(sys.modules))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (0, "set()\n")
