@@ -29,6 +29,7 @@ from .conditions import (
     bdc_max_solution,
     bdc_min_solution,
     json_int,
+    known_keys,
     require_cc,
 )
 from .signals import Signal, Tick, Value, switch_walk
@@ -90,6 +91,7 @@ def delay_from_dict(obj: dict) -> BridcDelay:
         raise NetlistError(f"a delay must be an object, got {obj!r}")
     kind = obj.get("kind")
     if kind == "fixed":
+        known_keys(obj, ("d",))
         return FixedDelay(json_int(obj["d"], "d"))
     if kind == "bridc":
         return BridcDelay(BdcParams.from_dict(obj))

@@ -67,12 +67,15 @@ def _load_config(path: str | None) -> RunConfig:
 
 
 def _parse_json(text: str, what: str):
-    """The JSON value in text.  Malformed text raises a JSONDecodeError and
-    an integer of more than 4300 digits a plain ValueError; both exit 2."""
+    """The JSON value in text.  Malformed text raises a JSONDecodeError, an
+    integer of more than 4300 digits a plain ValueError and deep nesting a
+    RecursionError; all exit 2."""
     try:
         return json.loads(text)
     except ValueError as exc:
         raise CliError(f"bad {what} JSON: {exc}") from None
+    except RecursionError:
+        raise CliError(f"bad {what} JSON: nested too deep") from None
 
 
 def _load_json(text: str, what: str) -> dict:

@@ -21,7 +21,7 @@ BDC + RIC) are expressed.
 from bisect import bisect_right
 
 from .signals import Signal, Value, switch_walk, window_and, window_or
-from .waveio import shown_int
+from .waveio import shown, shown_int
 
 
 class ConsistencyError(ValueError):
@@ -39,6 +39,14 @@ def json_int(value, key: str) -> int:
     return value
 
 
+def known_keys(obj: dict, keys: tuple[str, ...]) -> None:
+    """Refuse a JSON object with a key other than `kind` and keys, so that
+    a misspelt key does not pass unnoticed."""
+    for key in obj:
+        if key != "kind" and key not in keys:
+            raise ValueError(f"unknown key {shown(key)}; expected {', '.join(keys)}")
+
+
 class _Params(Value):
     """The JSON form of a condition atom: its fields in order, each under
     the matching key of the class's `json_keys`, and its `kind`."""
@@ -52,6 +60,7 @@ class _Params(Value):
 
     @classmethod
     def from_dict(cls, obj: dict):
+        known_keys(obj, cls.json_keys)
         return cls(*(json_int(obj[k], k) for k in cls.json_keys))
 
 

@@ -118,6 +118,8 @@ MAX_EXPONENT_DIGITS = 4
 # the point; and the decimals when they end the token or meet its exponent
 _LEADING_ZEROS = re.compile(r"(?<![\d_.])(?:0_?)*0(?=\d)")
 _DECIMALS = re.compile(r"\.(\d+(?:_\d+)*)(?=[eE]|\Z)")
+# what Fraction reads as a decimal before its exponent
+_DECIMAL_TEXT = re.compile(r"[+-]?(?:\d+(?:_\d+)*)?(?:\.(?:\d+(?:_\d+)*)?)?")
 
 
 def _digit_count(n: int) -> int:
@@ -194,9 +196,15 @@ def _parse_tick(token: str, resolution: int, ln: int) -> Tick:
     try:
         value = Fraction(significant)
     except (ValueError, ZeroDivisionError):
-        digits = sum(c.isdecimal() for c in significant)
+        mantissa = _EXPONENT.sub("", significant)
+        digits = sum(c.isdecimal() for c in mantissa.lstrip("+-0"))
         if digits > MAX_TICK_DIGITS and _INT_TEXT.fullmatch(significant):  # int()'s limit
             raise _too_long(f"line {ln}: time {shown(token)}: a tick", digits) from None
+        if digits > MAX_TICK_DIGITS and _DECIMAL_TEXT.fullmatch(mantissa):
+            raise WaveParseError(
+                f"line {ln}: time {shown(token)}: a decimal of {digits} digits, "
+                f"more than the {MAX_TICK_DIGITS} that can be read"
+            ) from None
         raise WaveParseError(f"line {ln}: bad time {shown(token)}") from None
     scaled = value * resolution
     if scaled.denominator != 1:
