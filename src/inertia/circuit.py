@@ -16,13 +16,14 @@ switches, not the tick distance, and results are exact and
 bit-reproducible regardless of gate listing order.
 
 Envelope propagation pushes lower/upper signal pairs through the same
-netlist conservatively (per-gate corner enumeration, no cross-net
-correlation), for acyclic netlists only.
+netlist conservatively (per gate, the table's extremes over the boxes of
+input bits that the envelopes allow, with no cross-net correlation), for
+acyclic netlists only.
 """
 
 from bisect import bisect_right
+from functools import lru_cache
 from heapq import heapify, heappop, heappush
-from itertools import product
 
 from .conditions import (
     BdcParams,
@@ -32,8 +33,8 @@ from .conditions import (
     known_keys,
     require_cc,
 )
-from .signals import Signal, Tick, Value, switch_walk
-from .waveio import shown_int
+from .signals import Signal, Tick, Value
+from .waveio import shown, shown_int
 
 MAX_GATE_ARITY = 8
 
@@ -88,14 +89,14 @@ def delay_to_dict(model: BridcDelay) -> dict:
 
 def delay_from_dict(obj: dict) -> BridcDelay:
     if not isinstance(obj, dict):
-        raise NetlistError(f"a delay must be an object, got {obj!r}")
+        raise NetlistError(f"a delay must be an object, got {shown(obj)}")
     kind = obj.get("kind")
     if kind == "fixed":
         known_keys(obj, ("d",))
         return FixedDelay(json_int(obj["d"], "d"))
     if kind == "bridc":
         return BridcDelay(BdcParams.from_dict(obj))
-    raise NetlistError(f"unknown delay kind in {obj!r}")
+    raise NetlistError(f"unknown delay kind in {shown(obj)}")
 
 
 # -- netlist ----------------------------------------------------------------
@@ -114,13 +115,13 @@ class Gate(Value):
         inputs, table = tuple(inputs), tuple(table)  # tuple() returns a tuple as it is
         k = len(inputs)
         if k > MAX_GATE_ARITY:
-            raise NetlistError(f"gate {name!r} has {k} inputs, max is {MAX_GATE_ARITY}")
+            raise NetlistError(f"gate {shown(name)} has {k} inputs, max is {MAX_GATE_ARITY}")
         if len(table) != 1 << k:
             raise NetlistError(
-                f"gate {name!r} needs a table of {1 << k} entries, got {len(table)}"
+                f"gate {shown(name)} needs a table of {1 << k} entries, got {len(table)}"
             )
         if any(v not in (0, 1) for v in table):
-            raise NetlistError(f"gate {name!r} table entries must be 0/1")
+            raise NetlistError(f"gate {shown(name)} table entries must be 0/1")
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "inputs", inputs)
         object.__setattr__(self, "table", table)
@@ -143,15 +144,15 @@ class Netlist(Value):
         seen = set()
         for net in driven:
             if net in seen:
-                raise NetlistError(f"net {net!r} driven more than once")
+                raise NetlistError(f"net {shown(net)} driven more than once")
             seen.add(net)
         for g in gates:
             for net in g.inputs:
                 if net not in seen:
-                    raise NetlistError(f"gate {g.name!r} reads undriven net {net!r}")
+                    raise NetlistError(f"gate {shown(g.name)} reads undriven net {shown(net)}")
         for net in outputs:
             if net not in seen:
-                raise NetlistError(f"output net {net!r} is undriven")
+                raise NetlistError(f"output net {shown(net)} is undriven")
         _gate_order(gates, zero_latency_only=True)
         object.__setattr__(self, "inputs", inputs)
         object.__setattr__(self, "gates", gates)
@@ -238,8 +239,8 @@ def _gate_from_dict(g: dict) -> Gate:
         table = tuple(json_int(v, "a table entry") for v in g["table"])
         delay = delay_from_dict(g["delay"])
     except ValueError as exc:  # bad numbers, delay bounds or kind
-        raise NetlistError(f"gate {name!r}: {exc}") from None
-    inputs = _json_list(g, "inputs", f"gate {name!r}")
+        raise NetlistError(f"gate {shown(name)}: {exc}") from None
+    inputs = _json_list(g, "inputs", f"gate {shown(name)}")
     return Gate(name, tuple(str(i) for i in inputs), table, delay)
 
 
@@ -411,29 +412,45 @@ class Envelope(Value):
         return cls(s, s)
 
 
-def _table_envelope(g: Gate, envs: list[Envelope]) -> Envelope:
-    """Corner enumeration: extremes of the table over all input bit
-    combinations consistent with the input envelopes, per segment."""
+@lru_cache(maxsize=1024)
+def _extremes(table: tuple) -> list[tuple[int, int]]:
+    """(min, max) of a truth table over each box of input bits, indexed by
+    the box's key: the sum of (low_i + high_i) * 3**(k-1-i), so trit 1
+    marks an unknown input.  A box with an unknown input is the union of
+    the two boxes that fix it; the list has 3**k entries."""
+    if len(table) == 1:
+        return [(table[0], table[0])]
+    half = len(table) // 2  # input 0 is the high bit of the table index
+    zero, one = _extremes(table[:half]), _extremes(table[half:])
+    return zero + [(a & c, b | d) for (a, b), (c, d) in zip(zero, one)] + one
+
+
+def _table_envelope(g: Gate, envs: list[Envelope]) -> tuple[Signal, Signal]:
+    """The least and greatest table output over the boxes the envelopes
+    allow: one walk over the ticks where bounds switch, each switch
+    moving the box's key by its input's weight, and one lookup per tick."""
+    ext = _extremes(g.table)
     k = len(envs)
-    sigs = [e.low for e in envs] + [e.high for e in envs]
-
-    def extremes(bits) -> tuple[int, int]:
-        ranges = [range(a, b + 1) for a, b in zip(bits[:k], bits[k:])]
-        vals = {g.eval_bits(combo) for combo in product(*ranges)}
-        return min(vals), max(vals)
-
-    lo0, hi0 = extremes([s.initial for s in sigs])
+    key, moves = 0, {}  # tick -> the key's move there
+    for j, s in enumerate(b for e in envs for b in (e.low, e.high)):
+        w = 3 ** (k - 1 - j // 2)
+        key += s.initial * w
+        w = -w if s.initial else w  # the first switch leaves the initial value
+        for t in s.switches:
+            moves[t] = moves.get(t, 0) + w
+            w = -w
+    lv, hv = lo0, hi0 = ext[key]
     lo_sw, hi_sw = [], []
-    lo_val, hi_val = lo0, hi0
-    for t, bits in switch_walk(*sigs):
-        lv, hv = extremes(bits)
-        if lv != lo_val:
+    for t in sorted(moves):
+        key += moves[t]
+        lo, hi = ext[key]
+        if lo != lv:
             lo_sw.append(t)
-            lo_val = lv
-        if hv != hi_val:
+            lv = lo
+        if hi != hv:
             hi_sw.append(t)
-            hi_val = hv
-    return Envelope(Signal(lo0, tuple(lo_sw)), Signal(hi0, tuple(hi_sw)))
+            hv = hi
+    return Signal._trusted(lo0, tuple(lo_sw)), Signal._trusted(hi0, tuple(hi_sw))
 
 
 def envelope_propagate(
@@ -455,9 +472,7 @@ def envelope_propagate(
 
     envs: dict[str, Envelope] = dict(input_envelopes)
     for g in gates:
-        stage = _table_envelope(g, [envs[i] for i in g.inputs])
+        low, high = _table_envelope(g, [envs[i] for i in g.inputs])
         p = g.delay.params
-        envs[g.name] = Envelope(
-            bdc_min_solution(stage.low, p), bdc_max_solution(stage.high, p)
-        )
+        envs[g.name] = Envelope(bdc_min_solution(low, p), bdc_max_solution(high, p))
     return envs

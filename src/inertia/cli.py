@@ -353,8 +353,17 @@ def _add_config(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="key=value run configuration file")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Errors exit 2 as one `error: ` line, not a usage block that echoes
+    the bad value in full."""
+
+    def error(self, message):
+        cut = f"{message[:100]}... ({len(message)} chars)"
+        raise CliError(message if len(message) <= 120 else cut)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="inertia",
         description="Delay-condition algebra for asynchronous switching signals.",
     )
@@ -451,9 +460,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
     except (
         CliError,

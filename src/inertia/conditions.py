@@ -155,7 +155,7 @@ def atom_from_dict(obj: dict) -> Atom:
     try:
         cls = _ATOM_KINDS[obj["kind"]]
     except KeyError:
-        raise ValueError(f"unknown condition kind in {obj!r}") from None
+        raise ValueError(f"unknown condition kind in {shown(obj)}") from None
     return cls.from_dict(obj)
 
 

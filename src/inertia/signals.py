@@ -7,10 +7,11 @@ total and exact: with integer window offsets, both operands of any
 pointwise inequality are again tick-aligned step signals, so checking at
 ticks decides the inequality everywhere.
 
-Kernels that read several signals at once (`pointwise` and the Boolean
-operators, `Signal.leq`, and elsewhere the deterministic inertial
-transfer and envelope corners) share one merged walk, `switch_walk`,
-whose cost follows the number of switches, not the tick distance.
+Kernels that combine several signals (`pointwise` and the Boolean
+operators, and elsewhere the deterministic inertial transfer) share one
+merged walk, `switch_walk`; `Signal.leq` checks each run of 1s with one
+bisection.  Their cost follows the number of switches, not the tick
+distance.
 
 All operations are pure; Signal instances are immutable and hashable.
 """
@@ -146,11 +147,16 @@ class Signal(Value):
         return pointwise(lambda a, b: a ^ b, self, other)
 
     def leq(self, other: "Signal") -> bool:
-        """Pointwise self(t) <= other(t) at every tick."""
-        if self.initial > other.initial:
+        """Pointwise self(t) <= other(t) at every tick: other is 1 where
+        each run of 1s of self starts and does not switch before it ends."""
+        a, b = self.switches, other.switches
+        lead = self.initial  # 1 when (-inf, a[0]) is a run of 1s
+        if lead and (not other.initial or b and (not a or b[0] < a[0])):
             return False
-        for _t, (a, b) in switch_walk(self, other):
-            if a > b:
+        k = 0
+        for start, end in zip(a[lead::2], a[lead + 1 :: 2] + (None,)):
+            k = bisect.bisect_right(b, start, k)
+            if other.initial == k & 1 or k < len(b) and (end is None or b[k] < end):
                 return False
         return True
 

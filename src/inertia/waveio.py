@@ -54,9 +54,14 @@ class RunConfig(Value):
         object.__setattr__(self, "_key", (time_unit, resolution, seed))
 
 
-def shown(text: str) -> str:
-    """text for an error message, cut to a short prefix."""
-    return repr(text) if len(text) <= 40 else f"{text[:40]!r}... ({len(text)} chars)"
+def shown(value) -> str:
+    """value for an error message, cut to a short prefix: a string by the
+    repr of its first 40 characters, any other value, such as a JSON
+    object, by the first 40 characters of its repr."""
+    if not isinstance(value, str):
+        text = repr(value)
+        return text if len(text) <= 40 else f"{text[:40]}... ({len(text)} chars)"
+    return repr(value) if len(value) <= 40 else f"{value[:40]!r}... ({len(value)} chars)"
 
 
 # what int() reads as an integer; when it still fails, the only cause is

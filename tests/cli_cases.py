@@ -113,6 +113,7 @@ CUT = f"-{NINES[:39]}... (4300 digits)"  # -NINES as an error message shows it
 # (the recursion limit of 1000 frames, or from 3.12 on a C-level limit of
 # some thousands), yet one argument within the 128 KiB that Linux allows
 DEEP = "[" * 50_000 + "]" * 50_000
+XS = "x" * 3000  # a JSON string or an option value far past the 40 characters shown
 
 
 def netlist(inputs: list, outputs: list, *gates: tuple) -> dict:
@@ -431,6 +432,27 @@ CASES = [
     simulate("an_unknown_json_key_exits_2[delay]",
              and_gate(delay={"kind": "fixed", "d": 2, "dd": 1}), 2,
              "gate 'y': unknown key 'dd'; expected d"),
+    # a long JSON value or option value is cut short
+    Case("a_long_value_is_cut_short[atom-kind]",
+         ["oracle", "witness", "--atoms", json.dumps({"kind": XS})], 2,
+         f"bad condition atom: unknown condition kind in {{'kind': '{XS[:30]}... (3012 chars)"),
+    simulate("a_long_value_is_cut_short[delay-kind]", and_gate(delay={"kind": XS}), 2,
+             f"gate 'y': unknown delay kind in {{'kind': '{XS[:30]}... (3012 chars)"),
+    simulate("a_long_value_is_cut_short[delay-value]", and_gate(delay=[XS]), 2,
+             f"gate 'y': a delay must be an object, got ['{XS[:38]}... (3004 chars)"),
+    simulate("a_long_value_is_cut_short[gate-name]", and_gate(XS, delay={"kind": "bogus"}), 2,
+             f"gate '{XS[:40]}'... (3000 chars): unknown delay kind in {{'kind': 'bogus'}}"),
+    # argparse's own errors: one line, the value cut short
+    Case("a_long_value_is_cut_short[option-choice]",
+         ["check", "--cond", XS, "--params", AIC, "--output", "x.wave"], 2,
+         f"argument --cond: invalid choice: '{XS[:66]}... (… chars)"),
+    Case("an_argument_error_is_one_line[invalid-choice]",
+         ["check", "--cond", "zzz", "--params", AIC, "--output", "x.wave"], 2,
+         "argument --cond: invalid choice: 'zzz' (choose from …)"),
+    Case("an_argument_error_is_one_line[missing-option]", ["check", "--cond", "aic"], 2,
+         "the following arguments are required: --params, --output"),
+    Case("an_argument_error_is_one_line[missing-command]", [], 2,
+         "the following arguments are required: command"),
 ]
 
 # Integers past int()'s limit of 4300 digits on reading text, a limit

@@ -1,11 +1,16 @@
 """Gate-level netlists: structure checks, simulation, envelopes.
 
 The switch-list simulator is played against the dense tick sweep in
-`dense_reference` on random small netlists.
+`dense_reference` on random small netlists.  The envelope kernel is
+played against a dense box enumeration, and both engines are judged by
+the oracle gate by gate: a gate's trace is the one output that its
+window and edge licensing admit, and every output that its window
+admits lies inside the propagated envelope.
 """
 
 import random
 import time
+from itertools import product
 
 import pytest
 from dense_reference import dense_simulate
@@ -18,6 +23,7 @@ from inertia.circuit import (
     Gate,
     Netlist,
     NetlistError,
+    _table_envelope,
     delay_from_dict,
     delay_to_dict,
     envelope_propagate,
@@ -25,8 +31,9 @@ from inertia.circuit import (
     netlist_to_dict,
     simulate,
 )
-from inertia.conditions import BdcParams, ConsistencyError
-from inertia.signals import Signal
+from inertia.conditions import BdcParams, CondExpr, ConsistencyError, RicParams
+from inertia.oracle import GridConfig, enumerate_solutions
+from inertia.signals import Signal, pointwise
 
 NOT = (1, 0)
 AND = (0, 0, 0, 1)
@@ -440,3 +447,162 @@ def test_envelope_brackets_the_simulation():
 def test_envelope_ordering_is_validated():
     with pytest.raises(NetlistError):
         Envelope(Signal.const(1), Signal.const(0))
+
+
+# -- the envelope kernel against a dense box enumeration --------------------------
+
+
+def dense_table_envelope(g, envs, lo, hi):
+    """Per tick lo..hi, the min and max of g.table over the box of input
+    bits between the envelopes' bounds there."""
+    lows = [e.low.values_on(lo, hi) for e in envs]
+    highs = [e.high.values_on(lo, hi) for e in envs]
+    out = []
+    for j in range(hi - lo + 1):
+        box = product(*(range(low[j], high[j] + 1) for low, high in zip(lows, highs)))
+        vals = [g.eval_bits(bits) for bits in box]
+        out.append((min(vals), max(vals)))
+    return out
+
+
+def check_table_envelope(g, envs):
+    ticks = [t for e in envs for s in (e.low, e.high) for t in s.switches]
+    lo, hi = min(ticks, default=0) - 2, max(ticks, default=0) + 2
+    low, high = _table_envelope(g, envs)
+    # the kernel's signals skip the canonical-form check, so rebuild them
+    assert (Signal(*low._key), Signal(*high._key)) == (low, high)
+    got = list(zip(low.values_on(lo, hi), high.values_on(lo, hi)))
+    assert got == dense_table_envelope(g, envs, lo, hi), f"{g} {envs}"
+
+
+def random_table(rng, k):
+    """Random bits, or a threshold on the count of 1 inputs (AND, OR and
+    majorities among them), whose extremes over a box vary more."""
+    if rng.random() < 0.5:
+        return tuple(rng.randint(0, 1) for _ in range(1 << k))
+    least = rng.randint(0, k + 1)
+    return tuple(int(i.bit_count() >= least) for i in range(1 << k))
+
+
+def table_gate(table):
+    """A gate of the table, reading inputs i0, i1, ..."""
+    k = len(table).bit_length() - 1
+    return Gate("y", tuple(f"i{i}" for i in range(k)), table, FixedDelay(0))
+
+
+def random_bracket(rng, pool, size):
+    """An exact envelope, or a & b <= a | b, of signals switching on the pool."""
+    a, b = (Signal(rng.randint(0, 1), tuple(sorted(rng.sample(pool, size)))) for _ in "ab")
+    return Envelope.exact(a) if rng.random() < 0.3 else Envelope(a & b, a | b)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.integers(0, 2**32))
+def test_table_envelope_matches_the_dense_box_enumeration(seed):
+    rng = random.Random(seed)
+    k = rng.randint(0, 8)
+    # a few shared ticks, negative ones included, so that several bounds
+    # switch on one tick
+    pool = rng.sample(range(-12, 13), rng.randint(1, 8))
+    envs = [random_bracket(rng, pool, rng.randint(0, len(pool))) for _ in range(k)]
+    check_table_envelope(table_gate(random_table(rng, k)), envs)
+
+
+def test_an_arity_8_gate_with_100_switch_unknown_bounds_matches_the_dense_box_enumeration():
+    rng = random.Random(8)
+    envs = []
+    for _ in range(8):
+        a = Signal(rng.randint(0, 1), tuple(sorted(rng.sample(range(-800, 800, 4), 100))))
+        # a, unknown from two ticks before each rise to the tick of it: the
+        # runs of a last 4 ticks or more, so none vanishes or merges
+        envs.append(Envelope(a & a.translate(1), a | a.translate(-2)))
+    assert {len(s.switches) for e in envs for s in (e.low, e.high)} == {100}
+    # OR, a majority and AND, whose extremes over a box differ, and random bits
+    tables = [tuple(int(i.bit_count() >= least) for i in range(256)) for least in (1, 4, 8)]
+    tables.append(tuple(rng.randint(0, 1) for _ in range(256)))
+    for table in tables:
+        check_table_envelope(table_gate(table), envs)
+
+
+def random_acyclic(rng, exact):
+    """Up to 4 gates of arity 1 or 2, each reading inputs a and b or an
+    earlier gate, and an envelope for each input: exact, or unknown on
+    one to three ticks.  Every switch of the inputs lies within 0..30, and
+    a gate's delay moves a switch by at most 4 ticks."""
+    nets, gates = ["a", "b"], []
+    for name in ("g0", "g1", "g2", "g3")[: rng.randint(1, 4)]:
+        k = rng.randint(1, 2)
+        reads = tuple(rng.choice(nets) for _ in range(k))
+        table = tuple(rng.randint(0, 1) for _ in range(1 << k))
+        gates.append(Gate(name, reads, table, random_delay(rng)))
+        nets.append(name)
+    envs = {}
+    for net in "ab":
+        s = Signal(rng.randint(0, 1), tuple(sorted(rng.sample(range(0, 27), rng.randint(0, 3)))))
+        if exact or rng.random() < 0.5:
+            envs[net] = Envelope.exact(s)
+        else:  # unknown on a short pulse
+            t = rng.randint(0, 27)
+            pulse = Signal(0, (t, t + rng.randint(1, 3)))
+            envs[net] = Envelope(s & ~pulse, s | pulse)
+    return Netlist(("a", "b"), tuple(gates), tuple(nets[2:])), envs
+
+
+def between(env, lo, hi, rng):
+    """Signals from env.low to env.high whose switches all lie in (lo,
+    hi]: every one when there are at most 8, else the two ends and 6
+    drawn at random."""
+    low, high = env.low.values_on(lo, hi), env.high.values_on(lo, hi)
+    free = [j for j, (x, y) in enumerate(zip(low, high)) if x < y]
+    if len(free) <= 3:
+        picks = [[j for j, b in zip(free, bits) if b] for bits in product((0, 1), repeat=len(free))]
+    else:
+        picks = [[], free] + [rng.sample(free, rng.randint(1, len(free))) for _ in range(6)]
+    out = []
+    for ones in picks:
+        bits = list(low)
+        for j in ones:
+            bits[j] = 1
+        sw = [lo + j for j in range(1, len(bits)) if bits[j] != bits[j - 1]]
+        out.append(Signal(bits[0], tuple(sw)))
+    return out
+
+
+GRID = GridConfig(-1, 47)  # covers every switch of random_acyclic's traces and envelopes
+
+
+def table_output(g, signals):
+    return pointwise(lambda *bits: g.eval_bits(bits), *signals)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.integers(0, 2**32))
+def test_a_gate_outputs_the_only_solution_of_its_window_and_its_edge_licensing(seed):
+    n, envs = random_acyclic(random.Random(seed), exact=True)
+    traces = simulate(n, {net: e.low for net, e in envs.items()}, (GRID.lo, GRID.hi))
+    for g in n.gates:
+        p = g.delay.params
+        expr = CondExpr((p, RicParams(p.mr, p.dr, p.mf, p.df)))
+        y = table_output(g, [traces[net] for net in g.inputs])
+        assert enumerate_solutions(y, expr, GRID) == [traces[g.name]], (netlist_to_dict(n), g)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.integers(0, 2**32), st.booleans())
+def test_every_output_a_gate_window_admits_lies_inside_the_envelopes(seed, exact):
+    """Each gate is judged on its own, on every choice of its input
+    signals from their envelopes; with exact inputs a single gate's
+    envelope ends are solutions themselves."""
+    rng = random.Random(seed)
+    n, inputs = random_acyclic(rng, exact)
+    envs = envelope_propagate(n, inputs)
+    assert all(GRID.lo < t <= GRID.hi for e in envs.values() for t in e.low.switches + e.high.switches)
+    for g in n.gates:
+        env = envs[g.name]
+        expr = CondExpr((g.delay.params,))
+        choices = [between(envs[net], GRID.lo, GRID.hi, rng) for net in g.inputs]
+        for signals in product(*choices):
+            sols = enumerate_solutions(table_output(g, signals), expr, GRID)
+            assert all(env.low.leq(x) and x.leq(env.high) for x in sols), (netlist_to_dict(n), g)
+            if all(len(c) == 1 for c in choices):  # exact inputs: the ends are tight
+                assert env.low in sols and env.high in sols

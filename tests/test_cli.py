@@ -343,6 +343,14 @@ def test_oracle_verify_seed_env(capsys, monkeypatch):
     assert SEED_ENV in err
 
 
+@pytest.mark.parametrize("argv", [["--help"], ["check", "--help"]])
+def test_help_still_exits_0(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: inertia")
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "inertia", "algebra", "--op", "compose",

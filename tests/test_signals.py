@@ -11,7 +11,7 @@ import operator
 from functools import reduce
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from inertia.signals import (
     Signal,
@@ -216,11 +216,22 @@ def test_pointwise_matches_dense_evaluation(name, ops):
         assert out.value_at(t) == fn(*(s.value_at(t) for s in ops))
 
 
+# one example per way the run kernel of `leq` can decide
+@example([Signal(1, ()), Signal(1, (4,))])  # a 1-run without ends meets a switch
+@example([Signal(1, (3,)), Signal(1, (3, 5))])  # other switches where the first run ends
+@example([Signal(0, (2, 5)), Signal(0, (2, 5))])  # equal switch lists
+@example([Signal(0, (2, 5)), Signal(1, (2, 5))])  # equal switch lists, other flipped
+@example([Signal(0, (2,)), Signal(0, (2, 6))])  # the last run never ends
+@example([Signal(0, (2, 6)), Signal(1, (2, 7))])  # other switches where a run starts
 @given(operands(2, 2))
 def test_leq_matches_dense_comparison(ops):
     a, b = ops
-    # the random pair mostly fails; the bracketed pairs always hold
-    for low, high in ((a, b), (b, a), (a, a | b), (a & b, b), (a, a)):
+    # the random pair mostly fails; the bracketed pairs always hold; a
+    # and ~a, and a and a with its first switch dropped, share switches
+    shared = Signal(1 - a.initial, a.switches[1:])
+    pairs = ((a, b), (b, a), (a, a | b), (a & b, b), (a, a), (a, ~a), (~a, a), (a, shared),
+             (shared, a))
+    for low, high in pairs:
         dense = all(low.value_at(t) <= high.value_at(t) for t in range(-20, 21))
         assert low.leq(high) == dense
 
