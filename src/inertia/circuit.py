@@ -205,8 +205,10 @@ def _gate_order(gates, zero_latency_only: bool) -> list[Gate]:
     loop = loop[loop.index(name):]
     first = loop.index(min(loop))
     loop = loop[first:] + loop[:first]
+    ring = loop + loop[:1] if len(loop) <= 8 else [*loop[:8], f"... ({len(loop)} gates)"]
     kind = "zero-delay cycle" if zero_latency_only else "cycle"
-    raise NetlistError(f"{kind} through gates " + " -> ".join(loop + loop[:1]))
+    names = " -> ".join(n if len(n) <= 40 else shown(n, 20) for n in ring)
+    raise NetlistError(f"{kind} through gates {names}")
 
 
 def netlist_to_dict(n: Netlist) -> dict:
@@ -261,13 +263,12 @@ def netlist_from_dict(obj: dict) -> Netlist:
 
 def _check_inputs(n: Netlist, given: dict, what: str) -> None:
     """Refuse `given` unless it has exactly one entry per netlist input."""
-    missing = [net for net in n.inputs if net not in given]
-    if missing:
-        raise NetlistError(f"missing {what} for inputs: {missing}")
     known = set(n.inputs)  # not the tuple: a scan per entry is quadratic
-    extra = [net for net in given if net not in known]
-    if extra:
-        raise NetlistError(f"{what} for unknown inputs: {extra}")
+    for fault, nets in ((f"missing {what} for inputs", [i for i in n.inputs if i not in given]),
+                        (f"{what} for unknown inputs", [i for i in given if i not in known])):
+        if nets:
+            more = f", ... ({len(nets)} inputs)" if len(nets) > 3 else ""
+            raise NetlistError(f"{fault}: {', '.join(map(shown, nets[:3]))}{more}")
 
 
 def _prehistory(n: Netlist, inputs: dict[str, Signal]) -> dict[str, int]:

@@ -47,7 +47,20 @@ def known_keys(obj: dict, keys: tuple[str, ...]) -> None:
             raise ValueError(f"unknown key {shown(key)}; expected {', '.join(keys)}")
 
 
-class _Params(Value):
+class _IntValue(Value):
+    """A record of ints only keeps its hash (no hash seed changes it) for the oracle's caches."""
+
+    __slots__ = ("_hash",)
+
+    def _keep(self, *key):
+        object.__setattr__(self, "_key", key)
+        object.__setattr__(self, "_hash", hash(key))
+
+    def __hash__(self):
+        return self._hash
+
+
+class _Params(_IntValue):
     """The JSON form of a condition atom: its fields in order, each under
     the matching key of the class's `json_keys`, and its `kind`."""
 
@@ -75,7 +88,7 @@ class FdcParams(_Params):
         if d < 0:
             raise ValueError(f"fixed delay must be >= 0, got d={shown_int(d)}")
         object.__setattr__(self, "d", d)
-        object.__setattr__(self, "_key", (d,))
+        self._keep(d)
 
 
 class BdcParams(_Params):
@@ -94,7 +107,7 @@ class BdcParams(_Params):
         object.__setattr__(self, "dr", dr)
         object.__setattr__(self, "mf", mf)
         object.__setattr__(self, "df", df)
-        object.__setattr__(self, "_key", (mr, dr, mf, df))
+        self._keep(mr, dr, mf, df)
 
 
 class AicParams(_Params):
@@ -112,7 +125,7 @@ class AicParams(_Params):
             )
         object.__setattr__(self, "delta_r", delta_r)
         object.__setattr__(self, "delta_f", delta_f)
-        object.__setattr__(self, "_key", (delta_r, delta_f))
+        self._keep(delta_r, delta_f)
 
 
 class RicParams(_Params):
@@ -137,7 +150,7 @@ class RicParams(_Params):
         object.__setattr__(self, "delta_r", delta_r)
         object.__setattr__(self, "mu_f", mu_f)
         object.__setattr__(self, "delta_f", delta_f)
-        object.__setattr__(self, "_key", (mu_r, delta_r, mu_f, delta_f))
+        self._keep(mu_r, delta_r, mu_f, delta_f)
 
 
 Atom = FdcParams | BdcParams | AicParams | RicParams
@@ -159,7 +172,7 @@ def atom_from_dict(obj: dict) -> Atom:
     return cls.from_dict(obj)
 
 
-class CondExpr(Value):
+class CondExpr(_IntValue):
     """Conjunction of condition atoms over the same input/output pair.
 
     reach is how many ticks back from t the atoms read the input to
@@ -185,7 +198,7 @@ class CondExpr(Value):
                 atom_kind(a)  # raises its TypeError
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "reach", back)
-        object.__setattr__(self, "_key", (atoms,))
+        self._keep(atoms)
 
 
 # -- consistency of BDC parameters ----------------------------------------

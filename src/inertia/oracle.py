@@ -4,9 +4,9 @@ Every condition atom is a per-tick constraint on the output x that reads
 the input only through the window u(t - reach .. t), plus hold counters
 carried from earlier ticks.  Two tables state these rules once.
 `_tick_rule`, per expression, says what each window lets x(t) be and
-switch to (an int of one nibble, and bytes of one byte, per window).
+switch to: one byte per window, ANDed from each atom's `_atom_table`.
 `_Steps`, per pair of holds and switch cap, moves one output's state
-(its bit, forced ticks left and switch count) one tick under a nibble.
+(its bit, forced ticks left and switch count) one tick under a byte.
 Exact procedures read them:
 
 * Grid enumeration.  Candidate outputs are bit vectors on a bounded tick
@@ -83,8 +83,8 @@ def _held(w: int, d: int, m: int, v: int) -> bool:
 
 @lru_cache(maxsize=4096)
 def _atom_table(reach: int, atom) -> int:
-    """One window atom's table over the windows of `reach`, laid out as
-    in `_tick_rule`; a sweep meets each (reach, atom) pair many times."""
+    """One window atom's bytes over the windows of `reach`, as an int of
+    byte w at bits 8w .. 8w + 7; a sweep meets each pair many times."""
     table = 0
     for w in range(1 << (reach + 1)):
         # BDC and FDC bound x(t) and license every edge; RIC licenses
@@ -97,32 +97,30 @@ def _atom_table(reach: int, atom) -> int:
         else:  # RicParams
             code = 3 | _held(w, atom.delta_f, atom.mu_f, 0) << 2 | (
                 _held(w, atom.delta_r, atom.mu_r, 1)) << 3
-        table |= code << 4 * w
+        table |= code << 8 * w
     return table
 
 
-# byte -> its low nibble, and its high nibble
-_LOW = bytes(b & 15 for b in range(256))
-_HIGH = bytes(b >> 4 for b in range(256))
+# by reach, the table with every byte 15
+_EVERY = [int.from_bytes(b"\x0f" * (2 << r), "little") for r in range(MAX_REACH + 1)]
 
 
 @lru_cache(maxsize=256)
-def _tick_rule(expr: CondExpr) -> tuple[int, int, bytes, int, int]:
+def _tick_rule(expr: CondExpr) -> tuple[int, bytes, int, int]:
     """Every atom's constraint on the output x at one tick t, stated once:
-    (reach, table, rule, rise_hold, fall_hold).
+    (reach, rule, rise_hold, fall_hold).
 
-    Nibble w of the table (bits 4w .. 4w + 3), and byte w of rule, apply
-    when the input window holds u(t - k) in bit k of w, for k = 0..reach.
-    Its bit b says whether x(t) may be b, and its bit 2 + b whether x
-    may switch to b at t.  rise_hold and fall_hold are the longest hold
-    after a rise and after a fall, which `_Steps` enforces.
+    Byte w of rule applies when the window holds u(t - k) in bit k of w,
+    for k = 0..reach.  Its bit b says whether x(t) may be b, and its bit
+    2 + b whether x may switch to b at t.  rise_hold and fall_hold are
+    the longest hold after a rise and after a fall, which `_Steps` enforces.
     """
     reach = expr.reach
     if reach > MAX_REACH:
         raise HorizonError(
             f"condition reads the input further back than the {MAX_REACH}-tick limit"
         )
-    table = every = (1 << (4 << reach + 1)) - 1
+    table = _EVERY[reach]
     rise_hold = fall_hold = 0
     for a in expr.atoms:
         if isinstance(a, AicParams):
@@ -131,18 +129,15 @@ def _tick_rule(expr: CondExpr) -> tuple[int, int, bytes, int, int]:
         else:
             table &= _atom_table(reach, a)
     # x may switch to a value only where it may take it: bit 2 + b keeps
-    # only what bit b, shifted up by 2, allows
-    table &= table << 2 | every // 15 * 3
-    packed = table.to_bytes(1 << reach, "little")  # nibbles 2j and 2j + 1 in byte j
-    rule = bytearray(2 << reach)
-    rule[::2], rule[1::2] = packed.translate(_LOW), packed.translate(_HIGH)
-    return reach, table, bytes(rule), rise_hold, fall_hold
+    # only what bit b, shifted up by 2, allows; // 5 makes every byte 3
+    table &= table << 2 | _EVERY[reach] // 5
+    return reach, table.to_bytes(2 << reach, "little"), rise_hold, fall_hold
 
 
 class _Steps(dict):
-    """The output-hold rule, stated once: key state << 4 | nibble maps to
+    """The output-hold rule, stated once: key state << 4 | byte maps to
     the states one output may take at the next tick under that
-    `_tick_rule` nibble, bit 0 first.  A state packs (switches * span +
+    `_tick_rule` byte, bit 0 first.  A state packs (switches * span +
     forced) << 1 | bit: the output's bit, the ticks it is still forced
     to hold it and, under a cap, its switch count (0 without one).
     Staying spends one forced tick.  A switch needs no forced tick left
@@ -177,7 +172,7 @@ _STATES_AT = ((), (0,), (1,), (0, 1))
 class _Prepared:
     """Per-(input, expression, grid) constraint tables for the DFS and DP.
 
-    moves[i] is the `_tick_rule` nibble that applies at tick lo + i.
+    moves[i] is the `_tick_rule` byte that applies at tick lo + i.
     head and tail set bit b when x may hold b at every tick before lo,
     and at every tick after hi.  first holds the `_Steps` states x may
     take at tick lo, and steps the table for the holds and the cap.
@@ -191,7 +186,7 @@ class _Prepared:
             # the tick is named only when short enough to write
             at = f" at tick {switches[i]}" if abs(switches[i]) < 10**40 else ""
             raise HorizonError(f"input switch {i + 1} of {len(switches)}{at} leaves the grid")
-        r, _, rule, rise_hold, fall_hold = _tick_rule(expr)
+        r, rule, rise_hold, fall_hold = _tick_rule(expr)
         self.steps = _steps(rise_hold, fall_hold, grid.max_switches)
         self.lo = lo
         self.n = hi - lo + 1
@@ -207,18 +202,18 @@ class _Prepared:
         moves: list[int] = []
         t = lo
         for end in (*switches, hi + 1):  # u is v on ticks t .. end - 1
-            for _ in range(min(end - t, r + 1)):
+            k = end - t
+            for _ in range(k if k <= r else r + 1):
                 w = (w << 1 | v) & full
-                m = rule[w]
-                moves.append(m)
-            if end - t > r + 1:
-                moves.extend([m] * (end - t - r - 1))
+                moves.append(rule[w])
+            if k > r + 1:
+                moves += [rule[w]] * (k - r - 1)
             t, v = end, v ^ 1
         self.moves = moves
         self.first = _STATES_AT[self.head & moves[0]]
-        # ticks hi + 1 .. hi + r + 1, where u holds its final value; the
-        # last window is that of every later tick
-        v = u.final
+        # ticks hi + 1 .. hi + r + 1, where u holds its final value (v before
+        # the loop's last flip); the last window is that of every later tick
+        v ^= 1
         tail = 3
         for _ in range(r + 1):
             w = (w << 1 | v) & full
@@ -305,9 +300,8 @@ def pointwise_bounds(
     output between the two returned ones, 2**k of them when they differ
     at k ticks.
     """
-    reach, table, _, rise_hold, fall_hold = _tick_rule(expr)
-    values = ((1 << (4 << reach + 1)) - 1) // 15 * 3  # bits 0 and 1 of every nibble
-    if table >> 2 & values != table & values or rise_hold or fall_hold:
+    _, rule, rise_hold, fall_hold = _tick_rule(expr)
+    if any(m >> 2 != m & 3 for m in rule) or rise_hold or fall_hold:
         raise ValueError(f"{expr} licenses edges or holds the output")
     if grid.max_switches is not None:
         raise ValueError("pointwise bounds need a grid without a switch cap")
@@ -328,7 +322,7 @@ def pointwise_bounds(
 
 class _HoldSteps(dict):
     """The decider's move on the hold counts under (rise_hold, fall_hold):
-    key (k0 + 1 << width | k1 + 1) << 4 | nibble maps to the next counts
+    key (k0 + 1 << width | k1 + 1) << 4 | byte maps to the next counts
     packed the same way, or to -1 when no output survives.  kb is the
     least forced count of an output at b, taken from the uncapped
     `_Steps` table, and kb + 1 is 0 when no output sits at b.  A key is
@@ -374,7 +368,7 @@ def find_empty_witness(expr: CondExpr) -> Signal | None:
     window's byte of the `_tick_rule` rule, then the counts' move under
     it in the `_HoldSteps` table of the expression's holds.
     """
-    reach, _, rule, rise_hold, fall_hold = _tick_rule(expr)
+    reach, rule, rise_hold, fall_hold = _tick_rule(expr)
     steps = _hold_steps(rise_hold, fall_hold)
     keep = (1 << reach) - 1
     # a state packs (window bits, k0 + 1, k1 + 1) into one int, with
@@ -382,9 +376,9 @@ def find_empty_witness(expr: CondExpr) -> Signal | None:
     width = steps.width
     shift = 2 * width
     counts = (1 << shift) - 1
-    # state -> (the state it was first reached from, or None for a
-    # prehistory, and the input bit that led to it)
-    parent: dict[int, tuple[int | None, int]] = {}
+    # state -> link << 1 | the input bit that led to it: link is the state
+    # it was first reached from, or -1 for a prehistory
+    parent: dict[int, int] = {}
     frontier = []
     for c in (0, 1):
         m = rule[(keep << 1 | 1) * c]
@@ -392,7 +386,7 @@ def find_empty_witness(expr: CondExpr) -> Signal | None:
             return Signal(c, ())
         root = (keep * c << width | m & 1) << width | m >> 1 & 1
         if root not in parent:
-            parent[root] = (None, c)
+            parent[root] = -1 << 1 | c
             frontier.append(root)
     while frontier:
         if len(parent) > MAX_SEARCH_STATES:
@@ -401,28 +395,30 @@ def find_empty_witness(expr: CondExpr) -> Signal | None:
                 f"the condition's reach or holds are too large"
             )
         nxt = []
-        for state in frontier:
+        for state in frontier:  # input bits 0 and 1 written out: a loop costs more
             win = state >> shift << 1
             held = (state & counts) << 4
-            for bit in (0, 1):
-                w = win | bit
-                step = steps[held | rule[w]]
-                if step < 0:
-                    return _witness(parent, state, bit)
-                child = (w & keep) << shift | step
-                if child not in parent:
-                    parent[child] = (state, bit)
-                    nxt.append(child)
+            s0 = steps[held | rule[win]]
+            s1 = steps[held | rule[win | 1]]
+            if s0 < 0 or s1 < 0:
+                return _witness(parent, state << 1 | (s0 >= 0))
+            child = (win & keep) << shift | s0
+            if child not in parent:
+                parent[child] = state << 1
+                nxt.append(child)
+            child = ((win | 1) & keep) << shift | s1
+            if child not in parent:
+                parent[child] = state << 1 | 1
+                nxt.append(child)
         frontier = nxt
     return None
 
 
-def _witness(parent: dict, state: int, bit: int) -> Signal:
-    """The input that reaches `state` and then reads `bit`: its
-    prehistory value, then its value at ticks 0, 1, ..."""
-    path = [bit]
-    while state is not None:
-        state, b = parent[state]
-        path.append(b)
-    path.reverse()
-    return _bits_signal(-1, path)
+def _witness(parent: dict[int, int], link: int) -> Signal:
+    """The input that ends with `link`, a state << 1 | the bit read next,
+    traced back through `parent`: its prehistory value, then ticks 0, 1, ..."""
+    path = [link & 1]
+    while link >= 0:
+        link = parent[link >> 1]
+        path.append(link & 1)
+    return _bits_signal(-1, path[::-1])

@@ -54,14 +54,14 @@ class RunConfig(Value):
         object.__setattr__(self, "_key", (time_unit, resolution, seed))
 
 
-def shown(value) -> str:
+def shown(value, limit: int = 40) -> str:
     """value for an error message, cut to a short prefix: a string by the
-    repr of its first 40 characters, any other value, such as a JSON
-    object, by the first 40 characters of its repr."""
+    repr of its first `limit` characters, any other value, such as a JSON
+    object, by the first `limit` characters of its repr."""
     if not isinstance(value, str):
         text = repr(value)
-        return text if len(text) <= 40 else f"{text[:40]}... ({len(text)} chars)"
-    return repr(value) if len(value) <= 40 else f"{value[:40]!r}... ({len(value)} chars)"
+        return text if len(text) <= limit else f"{text[:limit]}... ({len(text)} chars)"
+    return repr(value) if len(value) <= limit else f"{value[:limit]!r}... ({len(value)} chars)"
 
 
 # what int() reads as an integer; when it still fails, the only cause is

@@ -114,6 +114,7 @@ CUT = f"-{NINES[:39]}... (4300 digits)"  # -NINES as an error message shows it
 # some thousands), yet one argument within the 128 KiB that Linux allows
 DEEP = "[" * 50_000 + "]" * 50_000
 XS = "x" * 3000  # a JSON string or an option value far past the 40 characters shown
+YS = "y" * 3000
 
 
 def netlist(inputs: list, outputs: list, *gates: tuple) -> dict:
@@ -442,6 +443,13 @@ CASES = [
              f"gate 'y': a delay must be an object, got ['{XS[:38]}... (3004 chars)"),
     simulate("a_long_value_is_cut_short[gate-name]", and_gate(XS, delay={"kind": "bogus"}), 2,
              f"gate '{XS[:40]}'... (3000 chars): unknown delay kind in {{'kind': 'bogus'}}"),
+    simulate("a_long_value_is_cut_short[loop-names]",
+             netlist(["a"], [XS], (XS, [YS], [0, 1], FIXED_0), (YS, [XS], [0, 1], FIXED_0)), 2,
+             f"zero-delay cycle through gates '{XS[:20]}'... (3000 chars) -> "
+             f"'{YS[:20]}'... (3000 chars) -> '{XS[:20]}'... (3000 chars)"),
+    simulate("a_long_value_is_cut_short[missing-input]",
+             netlist([XS], ["y"], ("y", [XS], [0, 1], FIXED_0)), 2,
+             f"missing stimuli for inputs: '{XS[:40]}'... (3000 chars)"),
     # argparse's own errors: one line, the value cut short
     Case("a_long_value_is_cut_short[option-choice]",
          ["check", "--cond", XS, "--params", AIC, "--output", "x.wave"], 2,

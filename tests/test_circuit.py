@@ -195,6 +195,39 @@ def test_netlist_from_dict_refuses_numbers_that_are_not_integers(key, value):
 # -- simulation ------------------------------------------------------------------
 
 
+def test_a_loop_is_named_by_its_first_8_gates_each_cut_short():
+    # each gate reads the one named before it, so the loop runs backwards
+    names = [f"g{k:02d}" for k in range(12)]
+    gates = tuple(Gate(n, (names[k - 1],), BUF, FixedDelay(0)) for k, n in enumerate(names))
+    with pytest.raises(NetlistError) as caught:
+        Netlist((), gates, ())
+    assert str(caught.value) == (
+        "zero-delay cycle through gates g00 -> g11 -> g10 -> g09 -> g08 -> g07 -> g06 -> g05"
+        " -> ... (12 gates)"
+    )
+    short, long = "x" * 40, "y" * 41
+    gates = (Gate(short, (long,), BUF, FixedDelay(0)), Gate(long, (short,), BUF, FixedDelay(0)))
+    with pytest.raises(NetlistError) as caught:
+        Netlist((), gates, ())
+    assert str(caught.value) == (
+        f"zero-delay cycle through gates {short} -> '{long[:20]}'... (41 chars) -> {short}"
+    )
+
+
+def test_inputs_at_fault_are_named_at_most_3_and_cut_short():
+    ins = tuple(f"i{k}" for k in range(5))
+    n = Netlist(ins, (Gate("y", ("i0",), BUF, FixedDelay(1)),), ("y",))
+    with pytest.raises(NetlistError, match=r"^missing stimuli for inputs: 'i0', 'i1', 'i2', "
+                                           r"\.\.\. \(5 inputs\)$"):
+        simulate(n, {}, (0, 5))
+    stim = dict.fromkeys(ins + ("z" * 3000,), Signal.const(0))
+    with pytest.raises(NetlistError) as caught:
+        simulate(n, stim, (0, 5))
+    assert str(caught.value) == f"stimuli for unknown inputs: '{'z' * 40}'... (3000 chars)"
+    with pytest.raises(NetlistError, match=r"^missing envelopes for inputs: 'i1', 'i2', 'i3', "):
+        envelope_propagate(n, {"i0": Envelope.exact(Signal.const(0))})
+
+
 def test_simulation_input_checks():
     n = single(Gate("y", ("a",), BUF, FixedDelay(1)))
     with pytest.raises(NetlistError):

@@ -10,13 +10,14 @@ definition.  The exact emptiness decider is pinned on known empty and
 known nonempty parameter combinations, and played against the counting
 DP on random expressions: every witness it returns must have no
 solution, and when it returns None every small input must have one.  Its
-witnesses on the baidc sweep are pinned by digest, and checked to be
-shortest against every input that switches early enough.
+witnesses on the baidc sweep and on every 9th pair of the t45 sweep are
+pinned by digest, and checked to be shortest against every input that
+switches early enough.
 """
 
 import hashlib
 import random
-from itertools import combinations, product
+from itertools import combinations, islice, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -201,12 +202,10 @@ def test_tick_rule_matches_each_atoms_definition(atoms):
     # the atoms' tables are cached by (reach, atom); drawn atoms recur
     # under other reaches, so a table kept for the wrong reach shows here
     expr = CondExpr(tuple(atoms))
-    reach, table, rule, rise_hold, fall_hold = oracle._tick_rule(expr)
+    reach, rule, rise_hold, fall_hold = oracle._tick_rule(expr)
     assert reach == expr.reach
     for w in range(1 << (reach + 1)):
-        assert table >> 4 * w & 15 == reference_nibble(atoms, w), (atoms, w)
-        assert rule[w] == table >> 4 * w & 15, (atoms, w)
-    assert table >> (4 << reach + 1) == 0
+        assert rule[w] == reference_nibble(atoms, w), (atoms, w)
     assert len(rule) == 1 << (reach + 1)
     holds = [a for a in atoms if isinstance(a, AicParams)]
     assert rise_hold == max((a.delta_r for a in holds), default=0)
@@ -331,17 +330,31 @@ def test_decider_agrees_with_the_counting_dp():
     assert min(seen.values()) >= 15, seen
 
 
-def test_decider_witnesses_on_the_hold_sweep_are_pinned():
-    # the baidc suite's sweep, in its order; any change to the search
-    # order or to its tables shows as another digest
+def witness_digest(exprs) -> tuple[int, str]:
+    """How many of exprs have a witness, and the first 16 hex digits of a
+    digest of every witness in order; any change to the search order or
+    to its tables shows as another digest."""
     digest = hashlib.sha256()
     found = 0
-    for p, a, b in product(verify._sweep_bdc(4), range(5), range(5)):
-        w = find_empty_witness(CondExpr((p, AicParams(a, b))))
+    for expr in exprs:
+        w = find_empty_witness(expr)
         found += w is not None
         digest.update(b"none\n" if w is None else f"{w.initial} {list(w.switches)}\n".encode())
-    assert found == 2048
-    assert digest.hexdigest().startswith("7db56cd26c1b3174")
+    return found, digest.hexdigest()[:16]
+
+
+def test_decider_witnesses_on_the_hold_sweep_are_pinned():
+    # the baidc suite's sweep, in its order
+    sweep = product(verify._sweep_bdc(4), range(5), range(5))
+    exprs = (CondExpr((p, AicParams(a, b))) for p, a, b in sweep)
+    assert witness_digest(exprs) == (2048, "7db56cd26c1b3174")
+
+
+def test_decider_witnesses_on_the_licensing_sweep_are_pinned():
+    # every 9th pair of the t45 suite's sweep, in its order: 5,625 searches
+    sweep = product(verify._sweep_bdc(4, cc=None), verify._sweep_ric(4))
+    exprs = (CondExpr(pair) for pair in islice(sweep, 0, None, 9))
+    assert witness_digest(exprs) == (4526, "13a324fe89d65666")
 
 
 def test_decider_witnesses_are_shortest():

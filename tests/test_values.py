@@ -2,10 +2,13 @@
 
 Every record class shares one value base, so one table drives the whole
 contract: each row builds a record by keyword and by position, and its
-repr is pinned to the text the package has always printed.
+repr is pinned to the text the package has always printed.  Records of
+ints only keep their hash, which must then hold in a process of another
+hash seed.
 """
 
 import copy
+import os
 import pickle
 import subprocess
 import sys
@@ -90,6 +93,61 @@ def test_cond_expr_reach_is_derived_and_kept_by_copies():
     assert expr.atoms == (BdcParams(0, 3, 0, 2), RicParams(0, 5, 0, 1))
     assert expr.reach == 5
     assert pickle.loads(pickle.dumps(expr)).reach == copy.copy(expr).reach == 5
+
+
+def _ints_only(value) -> bool:
+    if isinstance(value, tuple):
+        return all(map(_ints_only, value))
+    return _ints_only(value._key) if hasattr(value, "_key") else type(value) is int
+
+
+@pytest.mark.parametrize("cls, fields, text", RECORDS, ids=[r[0].__name__ for r in RECORDS])
+def test_only_a_record_of_ints_keeps_its_hash(cls, fields, text):
+    # a string's hash changes with the hash seed, so a kept one would be
+    # wrong in another process; the oracle's caches hash the condition
+    # records on every lookup
+    value = cls(**fields)
+    keeps = cls in (FdcParams, BdcParams, AicParams, RicParams, CondExpr)
+    assert hasattr(value, "_hash") == keeps
+    assert not keeps or (_ints_only(value._key) and value._hash == hash(value._key))
+
+
+def test_hashing_a_condition_does_not_rehash_its_atoms():
+    expr = CondExpr((BDC, RicParams(1, 2, 0, 3), AicParams(1, 1)))
+    calls = []
+
+    def count(frame, event, arg):
+        if event == "call" and frame.f_code.co_name == "__hash__":
+            calls.append(frame.f_locals["self"])
+
+    sys.setprofile(count)
+    try:
+        for _ in range(10):
+            hash(expr)
+    finally:
+        sys.setprofile(None)
+    assert calls == [expr] * 10
+
+
+def test_a_kept_hash_holds_in_a_process_of_another_hash_seed():
+    # the child looks up records pickled here in a dict keyed by equal
+    # records of its own; that the name's hash differs shows the seeds do
+    expr = CondExpr((BDC, RicParams(1, 2, 0, 3)))
+    seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+    code = (
+        "import pickle, sys\n"
+        "from inertia import BdcParams, BridcDelay, CondExpr, Gate, RicParams\n"
+        "expr, gate, name_hash = pickle.loads(sys.stdin.buffer.read())\n"
+        "bdc = BdcParams(1, 2, 1, 2)\n"
+        "fresh = {CondExpr((bdc, RicParams(1, 2, 0, 3))): 'expr',\n"
+        "         Gate('y', ('a', 'b'), (0, 0, 0, 1), BridcDelay(bdc)): 'gate'}\n"
+        "print(fresh.get(expr), fresh.get(gate), hash('y') != name_hash)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], input=pickle.dumps((expr, AND, hash("y"))),
+        capture_output=True, env={**os.environ, "PYTHONHASHSEED": seed},
+    )
+    assert (proc.returncode, proc.stdout) == (0, b"expr gate True\n"), proc.stderr
 
 
 def test_importing_the_cli_loads_neither_dataclasses_nor_fractions():
