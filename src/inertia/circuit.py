@@ -6,14 +6,13 @@ transfer driven by a BdcParams window pair (mu = m, delta = d): memories
 filter pulses shorter than the memory, and a fixed delay is the window
 with zero memory, a pure shift.  Feedback is legal only through delays
 that look back at least one tick, which makes the tick-by-tick fixed
-point unique.  One linear Kahn sort orders each gate after the gates
-it reads and names any loop left over; it validates netlists (counting
-the reads of zero-latency gates only), numbers the simulator's nets,
-decides `has_feedback` and orders envelope propagation.  The simulator
-works on switch lists: a gate's output can only move where its table
-output switched a window bound earlier, so cost follows the number of
-switches, not the tick distance, and results are exact and
-bit-reproducible regardless of gate listing order.
+point unique.  One linear walk over the strongly connected components
+of the read graph orders the gates and finds the loops, for netlist
+checks (counting the reads of zero-latency gates only), envelopes and
+the simulator.  The simulator works on switch lists: a gate on no loop
+gets its whole trace at once and only loops run event by event, so cost
+follows the number of switches, not the tick distance, and results are
+exact and bit-reproducible regardless of gate listing order.
 
 Envelope propagation pushes lower/upper signal pairs through the same
 netlist conservatively (per gate, the table's extremes over the boxes of
@@ -29,11 +28,12 @@ from .conditions import (
     BdcParams,
     bdc_max_solution,
     bdc_min_solution,
+    bridc_det_output,
     json_int,
     known_keys,
     require_cc,
 )
-from .signals import Signal, Tick, Value
+from .signals import Signal, Tick, Value, pointwise
 from .waveio import shown, shown_int
 
 MAX_GATE_ARITY = 8
@@ -161,54 +161,86 @@ class Netlist(Value):
 
     @property
     def has_feedback(self) -> bool:
-        try:
-            _gate_order(self.gates, zero_latency_only=False)
-        except NetlistError:
-            return True
-        return False
+        return any(loop for _, loop in _components(self.gates))
+
+
+def _reads(g: Gate, zero_latency_only: bool) -> tuple:
+    """The nets g reads; under zero_latency_only none when its output lags them."""
+    return () if zero_latency_only and g.delay.min_latency > 0 else g.inputs
+
+
+def _components(gates, zero_latency_only: bool = False) -> list[tuple[list[Gate], bool]]:
+    """The strongly connected components of the read graph, each with
+    whether it is a loop (of several gates, or of one reading itself) and
+    listed after every component it reads: Tarjan's walk, on an explicit
+    stack so that a long chain needs no recursion."""
+    by_name = {g.name: g for g in gates}
+    reads = {g.name: _reads(g, zero_latency_only) for g in gates}
+    num, low = {}, {}  # when the walk met each gate (len(gates) once listed); least reached
+    stack, comps = [], []
+    for root in by_name:
+        if root in num:
+            continue
+        num[root] = low[root] = len(num)
+        stack.append(root)
+        walk = [(root, iter(reads[root]))]
+        while walk:
+            v, it = walk[-1]
+            for w in it:
+                if w in num:
+                    if num[w] < low[v]:
+                        low[v] = num[w]
+                elif w in by_name:  # a gate not met yet: walk on from it
+                    num[w] = low[w] = len(num)
+                    stack.append(w)
+                    walk.append((w, iter(reads[w])))
+                    break
+            else:
+                walk.pop()
+                if walk and low[v] < low[walk[-1][0]]:
+                    low[walk[-1][0]] = low[v]
+                if low[v] == num[v]:  # v is the first of its component met
+                    comp = []
+                    while not comp or w != v:
+                        w = stack.pop()
+                        num[w] = len(by_name)
+                        comp.append(by_name[w])
+                    comps.append((comp, len(comp) > 1 or v in reads[v]))
+    return comps
 
 
 def _gate_order(gates, zero_latency_only: bool) -> list[Gate]:
-    """The gates, each after the gates it reads, in time linear in the
-    netlist: a Kahn sort on in-degree counters, seeded with the ready
-    gates in name order.  Under zero_latency_only a gate whose output
-    lags its inputs reads none.  When gates are left over, each of them
-    reads another, so walking from the smallest one along its first
-    left-over input must close a loop; that loop is raised in reads
-    order from its smallest name, as `x -> y -> x`.
-    """
+    """The gates, each after the gates it reads (see `_components`).
+    Gates on a loop or reading one each read another, so walking from the
+    smallest along its first such input closes a loop, raised in reads
+    order from its smallest name as `x -> y -> x`: at most 8 names, of at
+    most 130 characters in all, before `... (n gates)`."""
+    comps = _components(gates, zero_latency_only)
+    if not any(loop for _, loop in comps):
+        return [comp[0] for comp, _ in comps]
+    pending: set[str] = set()  # the gates on a loop or reading one
+    for comp, loop in comps:
+        if loop or not pending.isdisjoint(_reads(comp[0], zero_latency_only)):
+            pending.update(g.name for g in comp)
     by_name = {g.name: g for g in gates}
-    pending = dict.fromkeys(by_name, 0)
-    readers: dict[str, list[str]] = {name: [] for name in by_name}
-    for g in gates:
-        if zero_latency_only and g.delay.min_latency > 0:
-            continue
-        for net in g.inputs:
-            if net in by_name:
-                pending[g.name] += 1
-                readers[net].append(g.name)
-    order = sorted(name for name, k in pending.items() if not k)
-    for name in order:  # the loop also visits the gates appended to order
-        for r in readers[name]:
-            pending[r] -= 1
-            if not pending[r]:
-                order.append(r)
-    if len(order) == len(by_name):
-        return [by_name[name] for name in order]
-
     walk: dict[str, None] = {}  # the gates walked, in order
-    name = min(n for n, k in pending.items() if k)
+    name = min(pending)
     while name not in walk:
         walk[name] = None
-        name = next(net for net in by_name[name].inputs if pending.get(net))
+        name = next(net for net in by_name[name].inputs if net in pending)
     loop = list(walk)
     loop = loop[loop.index(name):]
     first = loop.index(min(loop))
     loop = loop[first:] + loop[:first]
-    ring = loop + loop[:1] if len(loop) <= 8 else [*loop[:8], f"... ({len(loop)} gates)"]
+    ring = [n if len(n) <= 40 else shown(n, 20) for n in loop[:8]]
+    if len(loop) <= 8 and len(" -> ".join(ring + ring[:1])) <= 130:
+        ring += ring[:1]
+    else:  # at most 130 characters of names, so that the message stays one short line
+        while len(" -> ".join(ring)) > 130:
+            ring.pop()
+        ring.append(f"... ({len(loop)} gates)")
     kind = "zero-delay cycle" if zero_latency_only else "cycle"
-    names = " -> ".join(n if len(n) <= 40 else shown(n, 20) for n in ring)
-    raise NetlistError(f"{kind} through gates {names}")
+    raise NetlistError(f"{kind} through gates {' -> '.join(ring)}")
 
 
 def netlist_to_dict(n: Netlist) -> dict:
@@ -289,36 +321,40 @@ def _prehistory(n: Netlist, inputs: dict[str, Signal]) -> dict[str, int]:
     raise NetlistError("feedback does not settle to a constant prehistory")
 
 
-def simulate(
-    n: Netlist, inputs: dict[str, Signal], horizon: tuple[Tick, Tick]
-) -> dict[str, Signal]:
-    """Exact simulation; returns every net restricted to [lo, hi].
+def _cut(s: Signal, hi: Tick) -> Signal:
+    """s without its switches after hi."""
+    k = bisect_right(s.switches, hi)
+    return s if k == len(s.switches) else Signal._trusted(s.initial, s.switches[:k])
 
-    Nets are numbered once, stimuli in name order and then gates in
-    zero-latency topological rank, and all state lives in flat lists
-    indexed by that id.  Each gate keeps the switch list of its
-    zero-delay table output y and its current table index: a net's flip
-    XORs one mask into the index of every gate reading it, with all of
-    the net's input positions in that mask.  A rise of y at s can raise
-    the output only at s + dr, a fall only at s + df; these candidate
-    ticks, and each stimulus's next switch (the stimuli are merged one
-    switch at a time), sit on a heap keyed by tick * nets + id, so they
-    pop in (tick, id) order and a gate reading a zero-latency driver
-    sees that driver's switch at the same tick first.  At a candidate
-    tick t the output rises (falls) when y held 1 (0) over
-    [t - d, t - d + m].  Two flips of y in one tick cancel, as a dense
-    sweep never sees them.  Starting from the exact constant prehistory,
-    the result does not depend on where the horizon or the first
-    stimulus lies.
+
+def _transfer(g: Gate, traces: dict[str, Signal], hi: Tick) -> Signal:
+    """The trace of a gate on no loop, in one piece: the table image of
+    its inputs' traces through its delay, cut at hi."""
+    if len(set(g.table)) == 1:  # a constant image, gates of no inputs included
+        return Signal._trusted(g.table[0], ())
+    u = pointwise(lambda *bits: g.eval_bits(bits), *[traces[net] for net in g.inputs])
+    p = g.delay.params  # a shift when both memories are 0, or for an image that never switches
+    x = u.translate(p.dr) if p.mr == p.mf == 0 or not u.switches else bridc_det_output(u, p)
+    return _cut(x, hi)
+
+
+def _event_loop(gates: list[Gate], traces: dict, pre: dict, hi: Tick) -> None:
+    """Run one feedback loop event by event up to hi, with the traces of
+    the nets it reads from outside as stimuli; add its gates' traces.
+
+    Nets get ids, external nets first (in name order), then gates in
+    zero-latency topological rank.  Each gate keeps the switches of its
+    zero-delay table output y and its table index, into which a net's
+    flip XORs one mask (all of the net's input positions).  A rise of y
+    at s can raise the output only at s + dr, a fall only at s + df; these
+    candidates and each external net's next switch sit on a heap keyed by
+    tick * nets + id, so a gate sees a zero-latency driver's switch at the
+    same tick first.  At a candidate tick t the output rises (falls) when
+    y held 1 (0) over [t - d, t - d + m].  Two flips of y in one tick
+    cancel, as a dense sweep never sees them.
     """
-    lo, hi = horizon
-    if lo > hi:
-        raise NetlistError("empty horizon: need lo <= hi")
-    _check_inputs(n, inputs, "stimuli")
-
-    pre = _prehistory(n, inputs)
-    stims = sorted(inputs)
-    gates = _gate_order(n.gates, zero_latency_only=True)
+    stims = sorted({net for g in gates for net in g.inputs} - {g.name for g in gates})
+    gates = _gate_order(gates, zero_latency_only=True)
     names = stims + [g.name for g in gates]
     ident = {net: i for i, net in enumerate(names)}
     nets, n_in = len(names), len(stims)
@@ -345,19 +381,15 @@ def simulate(
     y = list(val0)  # the prehistory is a fixed point
     y_sw: list[list[Tick]] = [[] for _ in names]
     x_sw: list[list[Tick]] = [[] for _ in names]
-    feeds = [iter(inputs[net].switches) for net in stims]
-    heap = []
-    for i, feed in enumerate(feeds):
-        t = next(feed, None)
-        if t is not None and t <= hi:
-            heap.append(t * nets + i)
+    feeds = [iter(traces[net].switches[1:]) for net in stims]  # each cut at hi
+    heap = [sw[0] * nets + i for i, sw in enumerate(traces[net].switches for net in stims) if sw]
     heapify(heap)
 
     while heap:
         t, i = divmod(heappop(heap), nets)
         if i < n_in:
             c = next(feeds[i], None)
-            if c is not None and c <= hi:
+            if c is not None:
                 heappush(heap, c * nets + i)
         else:
             d, m = (df[i], mf[i]) if val[i] else (dr[i], mr[i])
@@ -385,11 +417,40 @@ def simulate(
             if c <= hi:
                 heappush(heap, c * nets + h)
 
+    for i, g in enumerate(gates, n_in):
+        traces[g.name] = Signal._trusted(val0[i], tuple(x_sw[i]))
+
+
+def simulate(
+    n: Netlist, inputs: dict[str, Signal], horizon: tuple[Tick, Tick]
+) -> dict[str, Signal]:
+    """Exact simulation; returns every net restricted to [lo, hi].
+
+    The strongly connected components of the read graph are taken each
+    after those it reads: a gate on no loop gets its whole trace at once
+    (`_transfer`), and a loop, of several gates or of one reading itself,
+    runs event by event (`_event_loop`).  Both start from the exact
+    constant prehistory of the whole netlist, so the result does not
+    depend on where the horizon or the first stimulus lies.
+    """
+    lo, hi = horizon
+    if lo > hi:
+        raise NetlistError("empty horizon: need lo <= hi")
+    _check_inputs(n, inputs, "stimuli")
+
+    pre = _prehistory(n, inputs)
+    traces = {net: _cut(sig, hi) for net, sig in inputs.items()}
+    for comp, loop in _components(n.gates):
+        if loop:
+            _event_loop(comp, traces, pre, hi)
+        else:
+            traces[comp[0].name] = _transfer(comp[0], traces, hi)
+
     out: dict[str, Signal] = {}
     for net in pre:
-        sw = x_sw[ident[net]]
-        k = bisect_right(sw, lo)
-        out[net] = Signal._trusted(pre[net] ^ (k & 1), tuple(sw[k:]))
+        sig = traces[net]
+        k = bisect_right(sig.switches, lo)
+        out[net] = Signal._trusted(sig.initial ^ (k & 1), sig.switches[k:])
     return out
 
 

@@ -20,7 +20,7 @@ BDC + RIC) are expressed.
 
 from bisect import bisect_right
 
-from .signals import Signal, Value, switch_walk, window_and, window_or
+from .signals import Signal, Value, window_and, window_or
 from .waveio import shown, shown_int
 
 
@@ -503,19 +503,18 @@ def bridc_det_output(u: Signal, p: BdcParams) -> Signal:
     window, a high output falls when u held 0 over the fall window; CC
     makes the two windows overlap, so both commands never fire at once.
     The output starts at u's initial value, which is the unique constant
-    prehistory.  With mr == mf == 0 this reproduces a pure shift.
+    prehistory.  With mr == mf == 0 this reproduces a pure shift.  Both
+    commands start at u's initial value too, so each output switch is the
+    awaited command's first switch after the last one: one bisection.
     """
     require_cc(p)
-    rise_cmd = window_and(u, p.dr, p.mr)
-    fall_cmd = window_and(~u, p.df, p.mf)
-    val = u.initial
-    out = []
-    for t, (rise, fall) in switch_walk(rise_cmd, fall_cmd):
-        assert not (rise and fall), "rise and fall windows overlap under CC"
-        if val == 0 and rise:
-            out.append(t)
-            val = 1
-        elif val == 1 and fall:
-            out.append(t)
-            val = 0
+    rise = window_and(u, p.dr, p.mr)  # 1 where the output must be 1
+    fall = window_or(u, p.df, p.mf)  # 0 where the output must be 0
+    assert rise.leq(fall), "rise and fall windows overlap under CC"
+    awaited = (rise.switches, fall.switches)  # by the output's value
+    val, k, out = u.initial, 0, []
+    while k < len(awaited[val]):
+        out.append(awaited[val][k])
+        val ^= 1
+        k = bisect_right(awaited[val], out[-1])
     return Signal._trusted(u.initial, tuple(out))

@@ -7,11 +7,10 @@ total and exact: with integer window offsets, both operands of any
 pointwise inequality are again tick-aligned step signals, so checking at
 ticks decides the inequality everywhere.
 
-Kernels that combine several signals (`pointwise` and the Boolean
-operators, and elsewhere the deterministic inertial transfer) share one
-merged walk, `switch_walk`; `Signal.leq` checks each run of 1s with one
-bisection.  Their cost follows the number of switches, not the tick
-distance.
+`pointwise` (and through it the Boolean operators) combines several
+signals in one merged walk over their switch lists; `Signal.leq` checks
+each run of 1s with one bisection.  Their cost follows the number of
+switches, not the tick distance.
 
 All operations are pure; Signal instances are immutable and hashable.
 """
@@ -161,53 +160,53 @@ class Signal(Value):
         return True
 
 
-def switch_walk(*signals: Signal):
-    """Walk several signals' switch lists together, in tick order.
-
-    Yields (t, bits) once for every tick t at which some operand
-    switches; bits[i] is the value of signals[i] from t up to the next
-    yielded tick.  Before the first yield every operand holds its
-    `initial`.  Operands switching at the same tick yield one step.
-    """
-    k = len(signals)
-    # t * k + i orders by tick, then operand; the switch lists are
-    # already sorted runs, so the sort only merges them
-    codes = [t * k + i for i, s in enumerate(signals) for t in s.switches]
-    if not codes:
-        return
-    codes.sort()
-    bits = [s.initial for s in signals]
-    base = codes[0] - codes[0] % k  # t * k for the tick being collected
-    for code in codes:
-        i = code - base
-        if i >= k:  # the first switch of a later tick
-            yield base // k, tuple(bits)
-            i = code % k
-            base = code - i
-        bits[i] ^= 1
-    yield base // k, tuple(bits)
+def _evaluated(fn, ix: int, k: int) -> int:
+    """fn of the k bits of table index ix, operand 0 the high bit."""
+    new = fn(*[ix >> (k - 1 - i) & 1 for i in range(k)])
+    if new not in (0, 1):
+        raise SignalError(f"combiner must return 0 or 1, got {new!r}")
+    return new
 
 
 def pointwise(fn, *signals: Signal) -> Signal:
     """Combine signals with a bit function applied at every tick.
 
-    Exact: the result can only change where some operand switches, so it
-    is evaluated once per step of `switch_walk`.
+    Exact: the result can only change where some operand switches.  One
+    merged walk over the switch lists keeps the operands' values as one
+    table index (operand 0 is the high bit) and evaluates `fn` once for
+    each index it meets.
     """
     if not signals:
         raise SignalError("pointwise needs at least one signal")
-    initial = fn(*(s.initial for s in signals))
-    if initial not in (0, 1):
-        raise SignalError(f"combiner must return 0 or 1, got {initial!r}")
+    k = len(signals)
+    ix = 0
+    for s in signals:
+        ix = ix << 1 | s.initial
+    val = initial = _evaluated(fn, ix, k)
+    if k == 1:  # the result is constant or switches with the operand
+        sw = signals[0].switches
+        return Signal._trusted(initial, sw if sw and _evaluated(fn, 1 - ix, 1) != val else ())
+    memo = {ix: val}
+    # t * k + i orders by tick, then operand; the switch lists are
+    # already sorted runs, so the sort only merges them
+    codes = [t * k + i for i, s in enumerate(signals) for t in s.switches]
+    codes.sort()
+    codes.append((codes[-1] if codes else 0) + k)  # a later tick closes the last one
+    bit = [1 << (k - 1 - i) for i in range(k)]
+    base = codes[0] - codes[0] % k  # t * k for the tick being collected
     switches = []
-    val = initial
-    for t, bits in switch_walk(*signals):
-        new = fn(*bits)
-        if new != val:
-            if new not in (0, 1):
-                raise SignalError(f"combiner must return 0 or 1, got {new!r}")
-            switches.append(t)
-            val = new
+    for code in codes:
+        i = code - base
+        if i >= k:  # the first switch of a later tick: the last one is done
+            new = memo.get(ix)
+            if new is None:
+                new = memo[ix] = _evaluated(fn, ix, k)
+            if new != val:
+                switches.append(base // k)
+                val = new
+            i = code % k
+            base = code - i
+        ix ^= bit[i]
     return Signal._trusted(initial, tuple(switches))
 
 

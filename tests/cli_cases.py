@@ -151,6 +151,14 @@ CHAIN_NET = netlist(
 INT_WAVE = "x 0 0 2 5\n"
 
 
+def ring_of_8(length: int) -> dict:
+    """A zero-delay loop of 8 buffers, each named by one letter `length`
+    times and reading the one named before it."""
+    names = [chr(97 + k) * length for k in range(8)]
+    return netlist(["a"], [names[0]],
+                   *((n, [names[k - 1]], [0, 1], FIXED_0) for k, n in enumerate(names)))
+
+
 def simulate(case_id, net, code, error=None, *more_argv, stim=AND_STIM, horizon="0:10",
              **more):
     """A `simulate` case: the netlist (an object or JSON text) and the
@@ -447,6 +455,13 @@ CASES = [
              netlist(["a"], [XS], (XS, [YS], [0, 1], FIXED_0), (YS, [XS], [0, 1], FIXED_0)), 2,
              f"zero-delay cycle through gates '{XS[:20]}'... (3000 chars) -> "
              f"'{YS[:20]}'... (3000 chars) -> '{XS[:20]}'... (3000 chars)"),
+    # a loop's names are cut short to 130 characters, here 3 of 8 names
+    simulate("a_long_value_is_cut_short[loop-of-8-names-of-40-chars]", ring_of_8(40), 2,
+             f"zero-delay cycle through gates {'a' * 40} -> {'h' * 40} -> {'g' * 40}"
+             " -> ... (8 gates)"),
+    simulate("a_long_value_is_cut_short[loop-of-8-names-of-41-chars]", ring_of_8(41), 2,
+             "zero-delay cycle through gates "
+             + " -> ".join(f"'{c * 20}'... (41 chars)" for c in "ahg") + " -> ... (8 gates)"),
     simulate("a_long_value_is_cut_short[missing-input]",
              netlist([XS], ["y"], ("y", [XS], [0, 1], FIXED_0)), 2,
              f"missing stimuli for inputs: '{XS[:40]}'... (3000 chars)"),

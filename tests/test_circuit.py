@@ -10,12 +10,14 @@ admits lies inside the propagated envelope.
 
 import random
 import time
+from collections import Counter
 from itertools import product
 
 import pytest
 from dense_reference import dense_simulate
 from hypothesis import given, settings, strategies as st
 
+from inertia import circuit
 from inertia.circuit import (
     BridcDelay,
     Envelope,
@@ -23,6 +25,8 @@ from inertia.circuit import (
     Gate,
     Netlist,
     NetlistError,
+    _components,
+    _prehistory,
     _table_envelope,
     delay_from_dict,
     delay_to_dict,
@@ -40,6 +44,7 @@ AND = (0, 0, 0, 1)
 NOR = (1, 0, 0, 0)
 XOR = (0, 1, 1, 0)
 BUF = (0, 1)
+MAJORITY = (0, 0, 0, 1, 0, 1, 1, 1)  # a Muller C-element when it reads its output
 
 
 def single(gate):
@@ -214,6 +219,16 @@ def test_a_loop_is_named_by_its_first_8_gates_each_cut_short():
     )
 
 
+def test_a_loop_message_stays_one_short_line_whatever_the_names():
+    # 8 names of 40 characters once made a line of 430
+    for size, length in product(range(1, 13), range(1, 50)):
+        names = [chr(97 + k) * length for k in range(size)]
+        gates = tuple(Gate(n, (names[k - 1],), BUF, FixedDelay(0)) for k, n in enumerate(names))
+        with pytest.raises(NetlistError) as caught:
+            Netlist((), gates, ())
+        assert len(f"error: {caught.value}\n") < 200, (size, length)
+
+
 def test_inputs_at_fault_are_named_at_most_3_and_cut_short():
     ins = tuple(f"i{k}" for k in range(5))
     n = Netlist(ins, (Gate("y", ("i0",), BUF, FixedDelay(1)),), ("y",))
@@ -337,17 +352,22 @@ def test_events_do_not_rebuild_the_table_index(monkeypatch):
         (
             Gate("m", ("a", "b"), AND, BridcDelay(BdcParams(1, 2, 1, 2))),
             Gate("y", ("m", "a"), XOR, FixedDelay(1)),
+            Gate("c", ("a", "y", "c"), MAJORITY, FixedDelay(1)),  # a loop
         ),
-        ("y",),
+        ("y", "c"),
     )
-    counts = []
     for k in (1, 100):
-        calls.clear()
         stim = {"a": Signal(0, tuple(range(0, 4 * k, 2))), "b": Signal(0, (1,))}
+        calls.clear()
+        _prehistory(n, stim)
+        settle = Counter(calls)
+        calls.clear()
         simulate(n, stim, (0, 4 * k))
-        counts.append(len(calls))
-    # only the prehistory evaluates tables, however many events follow
-    assert counts[0] == counts[1]
+        evals = Counter(calls) - settle
+        # past the prehistory, a gate on no loop evaluates its table at
+        # most once per table index and the loop only moves its index,
+        # however many events there are
+        assert evals["m"] <= 4 and evals["y"] <= 4 and evals["c"] == 0, evals
 
 
 def test_a_stimulus_far_before_the_horizon_costs_no_ticks():
@@ -361,6 +381,92 @@ def test_unsettled_feedback_is_reported():
     ring = Netlist((), (Gate("y", ("y",), NOT, FixedDelay(1)),), ("y",))
     with pytest.raises(NetlistError):
         simulate(ring, {}, (0, 5))
+
+
+def latch(q, qb, s, r):
+    """A NOR latch of outputs q and qb, set by s and reset by r."""
+    return [Gate(q, (r, qb), NOR, FixedDelay(1)), Gate(qb, (s, q), NOR, FixedDelay(1))]
+
+
+WORKED = {
+    # a latch, a gate on no loop reading it, and a latch fed by that gate
+    "loop-gate-loop": (
+        Netlist(
+            ("s", "r"),
+            (*latch("q", "qb", "s", "r"),
+             Gate("g", ("q", "s"), XOR, BridcDelay(BdcParams(1, 2, 1, 2))),
+             *latch("p", "pb", "g", "r")),
+            ("p",),
+        ),
+        {"s": Signal(0, (3, 5, 9, 10, 14)), "r": Signal(1, (1, 12, 13))},
+    ),
+    # z has no delay and sits between the latch and its reader w; s
+    # switches at ticks where q does, so z's table output flips and flips
+    # back within one tick
+    "zero-delay-gate-between-a-loop-and-its-reader": (
+        Netlist(
+            ("s", "r"),
+            (*latch("q", "qb", "s", "r"),
+             Gate("z", ("q", "s"), XOR, FixedDelay(0)),
+             Gate("w", ("z", "w", "r"), MAJORITY, FixedDelay(1))),
+            ("w",),
+        ),
+        {"s": Signal(0, (4, 5, 8, 9, 12)), "r": Signal(1, (2, 10, 11))},
+    ),
+    "c-element-fed-by-a-chain": (
+        Netlist(
+            ("a", "b"),
+            (Gate("n1", ("a",), NOT, FixedDelay(1)),
+             Gate("n2", ("n1",), BUF, BridcDelay(BdcParams(1, 2, 1, 2))),
+             Gate("c", ("n2", "b", "c"), MAJORITY, FixedDelay(1))),
+            ("c",),
+        ),
+        {"a": Signal(1, (2, 3, 6, 12, 13, 16)), "b": Signal(0, (5, 9, 15))},
+    ),
+    "zero-memory-window-off-the-loops": (
+        Netlist(
+            ("a", "b"),
+            (Gate("x", ("a", "b"), AND, BridcDelay(BdcParams(0, 2, 0, 2))),
+             Gate("y", ("x",), NOT, BridcDelay(BdcParams(0, 0, 0, 0)))),
+            ("y",),
+        ),
+        {"a": Signal(0, (1, 4, 5, 9)), "b": Signal(1, (3, 4, 8))},
+    ),
+    "a-constant-gate-of-no-inputs": (
+        Netlist(
+            ("a",),
+            (Gate("k", (), (1,), FixedDelay(2)),
+             Gate("y", ("k", "a"), AND, BridcDelay(BdcParams(1, 2, 1, 2)))),
+            ("y",),
+        ),
+        {"a": Signal(0, (2, 3, 7))},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", WORKED)
+def test_worked_netlists_match_the_dense_reference(name):
+    n, stim = WORKED[name]
+    for horizon in ((0, 20), (-3, 6), (8, 8)):
+        assert simulate(n, stim, horizon) == dense_simulate(n, stim, horizon), horizon
+
+
+def test_only_feedback_loops_are_simulated_event_by_event(monkeypatch):
+    loops = []
+    event_loop = circuit._event_loop
+
+    def counted(gates, *args):
+        loops.append(sorted(g.name for g in gates))
+        return event_loop(gates, *args)
+
+    monkeypatch.setattr(circuit, "_event_loop", counted)
+    for name, (n, stim) in WORKED.items():
+        loops.clear()
+        simulate(n, stim, (0, 20))
+        want = [sorted(g.name for g in c) for c, loop in _components(n.gates) if loop]
+        assert sorted(loops) == sorted(want), name
+    n, stim = WORKED["zero-memory-window-off-the-loops"]
+    assert not loops and not n.has_feedback  # a netlist without loops runs no event loop
 
 
 def random_delay(rng):

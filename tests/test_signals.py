@@ -18,7 +18,6 @@ from inertia.signals import (
     SignalError,
     forward_window_and,
     pointwise,
-    switch_walk,
     window_and,
     window_or,
 )
@@ -191,19 +190,12 @@ def test_pointwise_and_agrees_with_dense_evaluation(a, b):
         assert c.value_at(t) == (a.value_at(t) & b.value_at(t))
 
 
-@given(operands())
-def test_switch_walk_steps_at_every_switch_tick_with_every_value(ops):
-    steps = list(switch_walk(*ops))
-    assert [t for t, _bits in steps] == sorted({t for s in ops for t in s.switches})
-    for t, bits in steps:
-        assert bits == tuple(s.value_at(t) for s in ops)
-
-
 COMBINERS = {
     "and": lambda *bits: reduce(operator.and_, bits),
     "or": lambda *bits: reduce(operator.or_, bits),
     "xor": lambda *bits: reduce(operator.xor, bits),
     "majority": lambda *bits: int(2 * sum(bits) > len(bits)),
+    "first-and-not-last": lambda *bits: bits[0] & (1 - bits[-1]),  # tells operands apart
 }
 
 
@@ -214,6 +206,14 @@ def test_pointwise_matches_dense_evaluation(name, ops):
     out = revalidated(pointwise(fn, *ops))
     for t in range(-20, 21):
         assert out.value_at(t) == fn(*(s.value_at(t) for s in ops))
+
+
+@given(operands())
+def test_pointwise_evaluates_the_combiner_once_per_operand_values_met(ops):
+    seen = []
+    out = pointwise(lambda *bits: seen.append(bits) or bits[0], *ops)
+    assert out == ops[0]
+    assert sorted(seen) == sorted({tuple(s.value_at(t) for s in ops) for t in range(-20, 21)})
 
 
 # one example per way the run kernel of `leq` can decide
