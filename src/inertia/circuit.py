@@ -54,8 +54,7 @@ class BridcDelay(Value):
 
     def __init__(self, params: BdcParams):
         require_cc(params)
-        object.__setattr__(self, "params", params)
-        object.__setattr__(self, "_key", (params,))
+        self._set(params)
 
     @property
     def min_latency(self) -> int:
@@ -122,11 +121,7 @@ class Gate(Value):
             )
         if any(v not in (0, 1) for v in table):
             raise NetlistError(f"gate {shown(name)} table entries must be 0/1")
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "inputs", inputs)
-        object.__setattr__(self, "table", table)
-        object.__setattr__(self, "delay", delay)
-        object.__setattr__(self, "_key", (name, inputs, table, delay))
+        self._set(name, inputs, table, delay)
 
     def eval_bits(self, bits) -> int:
         idx = 0
@@ -154,10 +149,7 @@ class Netlist(Value):
             if net not in seen:
                 raise NetlistError(f"output net {shown(net)} is undriven")
         _gate_order(gates, zero_latency_only=True)
-        object.__setattr__(self, "inputs", inputs)
-        object.__setattr__(self, "gates", gates)
-        object.__setattr__(self, "outputs", outputs)
-        object.__setattr__(self, "_key", (inputs, gates, outputs))
+        self._set(inputs, gates, outputs)
 
     @property
     def has_feedback(self) -> bool:
@@ -303,18 +295,26 @@ def _check_inputs(n: Netlist, given: dict, what: str) -> None:
             raise NetlistError(f"{fault}: {', '.join(map(shown, nets[:3]))}{more}")
 
 
-def _prehistory(n: Netlist, inputs: dict[str, Signal]) -> dict[str, int]:
-    """Constant fixed point of the zero-delay network at t -> -inf.
+def _prehistory(comps: list[tuple[list[Gate], bool]], inputs: dict[str, Signal]) -> dict[str, int]:
+    """Constant state at t -> -inf of the inputs, the gates on a loop and
+    the gates that a loop reads, directly or not (`comps` as listed by
+    `_components`).
 
     Delays preserve constants, so the prehistory solves v[g] = table(v).
     Computed by parallel sweeps from an all-zero gate state; refusing to
     settle means the feedback has no (reachable) constant prehistory.
+    The swept gates read no gate outside them, so the others, whose
+    constants are their traces' initial values, never change a loop's
+    sweeps.  A chain that feeds a loop still settles one stage per sweep.
     """
     vals = {net: sig.initial for net, sig in inputs.items()}
-    for g in n.gates:
-        vals[g.name] = 0
-    for _ in range(2 * len(n.gates) + 4):
-        new = {g.name: g.eval_bits([vals[i] for i in g.inputs]) for g in n.gates}
+    swept: list[Gate] = []
+    for comp, loop in reversed(comps):  # each reader before the gates it reads
+        if loop or comp[0].name in vals:  # in vals: a swept gate reads it
+            swept += comp
+            vals.update((net, 0) for g in comp for net in g.inputs if net not in inputs)
+    for _ in range(2 * sum(len(comp) for comp, _ in comps) + 4):
+        new = {g.name: g.eval_bits([vals[i] for i in g.inputs]) for g in swept}
         if all(vals[k] == v for k, v in new.items()):
             return vals
         vals.update(new)
@@ -429,8 +429,9 @@ def simulate(
     The strongly connected components of the read graph are taken each
     after those it reads: a gate on no loop gets its whole trace at once
     (`_transfer`), and a loop, of several gates or of one reading itself,
-    runs event by event (`_event_loop`).  Both start from the exact
-    constant prehistory of the whole netlist, so the result does not
+    runs event by event (`_event_loop`) from the constant prehistory of
+    the loops and the gates they read (`_prehistory`).  A trace starts
+    from its constant before the first stimulus, so the result does not
     depend on where the horizon or the first stimulus lies.
     """
     lo, hi = horizon
@@ -438,16 +439,17 @@ def simulate(
         raise NetlistError("empty horizon: need lo <= hi")
     _check_inputs(n, inputs, "stimuli")
 
-    pre = _prehistory(n, inputs)
+    comps = _components(n.gates)
+    pre = _prehistory(comps, inputs)
     traces = {net: _cut(sig, hi) for net, sig in inputs.items()}
-    for comp, loop in _components(n.gates):
+    for comp, loop in comps:
         if loop:
             _event_loop(comp, traces, pre, hi)
         else:
             traces[comp[0].name] = _transfer(comp[0], traces, hi)
 
     out: dict[str, Signal] = {}
-    for net in pre:
+    for net in [*inputs, *(g.name for g in n.gates)]:
         sig = traces[net]
         k = bisect_right(sig.switches, lo)
         out[net] = Signal._trusted(sig.initial ^ (k & 1), sig.switches[k:])
@@ -465,9 +467,7 @@ class Envelope(Value):
     def __init__(self, low: Signal, high: Signal):
         if not low.leq(high):
             raise NetlistError("envelope needs low <= high pointwise")
-        object.__setattr__(self, "low", low)
-        object.__setattr__(self, "high", high)
-        object.__setattr__(self, "_key", (low, high))
+        self._set(low, high)
 
     @classmethod
     def exact(cls, s: Signal) -> "Envelope":

@@ -52,9 +52,12 @@ class _IntValue(Value):
 
     __slots__ = ("_hash",)
 
-    def _keep(self, *key):
-        object.__setattr__(self, "_key", key)
-        object.__setattr__(self, "_hash", hash(key))
+    def _set(self, *values):
+        """`Value._set`, also keeping the hash of values."""
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "_key", values)
+        object.__setattr__(self, "_hash", hash(values))
 
     def __hash__(self):
         return self._hash
@@ -87,8 +90,7 @@ class FdcParams(_Params):
     def __init__(self, d: int):
         if d < 0:
             raise ValueError(f"fixed delay must be >= 0, got d={shown_int(d)}")
-        object.__setattr__(self, "d", d)
-        self._keep(d)
+        self._set(d)
 
 
 class BdcParams(_Params):
@@ -103,11 +105,7 @@ class BdcParams(_Params):
             raise ValueError(f"need 0 <= mr <= dr, got mr={shown_int(mr)} dr={shown_int(dr)}")
         if not (0 <= mf <= df):
             raise ValueError(f"need 0 <= mf <= df, got mf={shown_int(mf)} df={shown_int(df)}")
-        object.__setattr__(self, "mr", mr)
-        object.__setattr__(self, "dr", dr)
-        object.__setattr__(self, "mf", mf)
-        object.__setattr__(self, "df", df)
-        self._keep(mr, dr, mf, df)
+        self._set(mr, dr, mf, df)
 
 
 class AicParams(_Params):
@@ -123,9 +121,7 @@ class AicParams(_Params):
                 f"hold times must be >= 0, got delta_r={shown_int(delta_r)} "
                 f"delta_f={shown_int(delta_f)}"
             )
-        object.__setattr__(self, "delta_r", delta_r)
-        object.__setattr__(self, "delta_f", delta_f)
-        self._keep(delta_r, delta_f)
+        self._set(delta_r, delta_f)
 
 
 class RicParams(_Params):
@@ -146,11 +142,7 @@ class RicParams(_Params):
                 f"need 0 <= mu_f <= delta_f, got mu_f={shown_int(mu_f)} "
                 f"delta_f={shown_int(delta_f)}"
             )
-        object.__setattr__(self, "mu_r", mu_r)
-        object.__setattr__(self, "delta_r", delta_r)
-        object.__setattr__(self, "mu_f", mu_f)
-        object.__setattr__(self, "delta_f", delta_f)
-        self._keep(mu_r, delta_r, mu_f, delta_f)
+        self._set(mu_r, delta_r, mu_f, delta_f)
 
 
 Atom = FdcParams | BdcParams | AicParams | RicParams
@@ -196,9 +188,8 @@ class CondExpr(_IntValue):
                 back = max(back, a.delta_r, a.delta_f)
             elif not isinstance(a, AicParams):
                 atom_kind(a)  # raises its TypeError
-        object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "reach", back)
-        self._keep(atoms)
+        self._set(atoms)
 
 
 # -- consistency of BDC parameters ----------------------------------------
@@ -447,9 +438,6 @@ def ric_to_aic(r: RicParams) -> AicParams | None:
             r.delta_f - r.delta_r + r.mu_r, r.delta_r - r.delta_f + r.mu_f
         )
     return None
-
-
-_BRIDC_CASES = ("b.i", "b.ii", "b.iii", "b.iv")
 
 
 def bridc_consistency_cases(p: BdcParams, r: RicParams) -> tuple[str, ...]:

@@ -69,10 +69,7 @@ class GridConfig(Value):
             raise HorizonError(f"horizon spans more than the {MAX_SPAN}-tick limit")
         if max_switches is not None and max_switches < 0:
             raise HorizonError("max_switches must be >= 0 or None")
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
-        object.__setattr__(self, "max_switches", max_switches)
-        object.__setattr__(self, "_key", (lo, hi, max_switches))
+        self._set(lo, hi, max_switches)
 
 
 def _held(w: int, d: int, m: int, v: int) -> bool:

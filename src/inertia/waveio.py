@@ -48,10 +48,7 @@ class RunConfig(Value):
             )
         if resolution < 1:
             raise WaveParseError(f"resolution must be >= 1, got {shown_int(resolution)}")
-        object.__setattr__(self, "time_unit", time_unit)
-        object.__setattr__(self, "resolution", resolution)
-        object.__setattr__(self, "seed", seed)
-        object.__setattr__(self, "_key", (time_unit, resolution, seed))
+        self._set(time_unit, resolution, seed)
 
 
 def shown(value, limit: int = 40) -> str:

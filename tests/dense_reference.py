@@ -5,10 +5,27 @@ it sweeps every tick from well before the first stimulus to the end of
 the horizon, evaluating each gate's recurrence directly (a fixed delay
 as a pure shift, any other delay through its rise/fall windows).  Its
 cost grows with the tick distance, so it is only run on small inputs.
+Its prehistory sweeps every gate, so it also checks that the library's,
+which sweeps only the loops and the gates they read, loses nothing.
 """
 
-from inertia.circuit import FixedDelay, Gate, NetlistError, _prehistory
+from inertia.circuit import FixedDelay, Gate, NetlistError
 from inertia.signals import Signal
+
+
+def whole_prehistory(n, inputs):
+    """Constant fixed point of the whole netlist at t -> -inf, by parallel
+    sweeps of every gate from an all-zero gate state; refused when it does
+    not settle within 2 * len(n.gates) + 4 sweeps."""
+    vals = {net: sig.initial for net, sig in inputs.items()}
+    for g in n.gates:
+        vals[g.name] = 0
+    for _ in range(2 * len(n.gates) + 4):
+        new = {g.name: g.eval_bits([vals[i] for i in g.inputs]) for g in n.gates}
+        if all(vals[k] == v for k, v in new.items()):
+            return vals
+        vals.update(new)
+    raise NetlistError("feedback does not settle to a constant prehistory")
 
 
 def _zero_latency_order(n):
@@ -48,7 +65,7 @@ def dense_simulate(n, inputs, horizon):
     start = min(lo, first_stim) - warmup
     size = hi - start + 1
 
-    pre = _prehistory(n, inputs)
+    pre = whole_prehistory(n, inputs)
     xs = {net: sig.values_on(start, hi) for net, sig in inputs.items()}
     for g in n.gates:
         xs[g.name] = [0] * size

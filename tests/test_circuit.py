@@ -175,6 +175,16 @@ def test_a_long_lagging_chain_has_no_feedback_and_propagates_envelopes():
     assert env["g00001"] == Envelope.exact(Signal(0, (1103,)))
 
 
+def test_a_chain_that_feeds_no_loop_is_not_swept_for_its_prehistory(monkeypatch):
+    # each gate's constant is its trace's initial value, so sweeping the
+    # chain, one stage per sweep, would only cost time
+    calls = []
+    monkeypatch.setattr(Gate, "eval_bits", lambda self, bits: calls.append(self.name))
+    n = reverse_chain(2000, FixedDelay(1))
+    assert _prehistory(_components(n.gates), {"a": Signal(1, (3,))}) == {"a": 1}
+    assert calls == []
+
+
 def test_netlist_dict_round_trip():
     n = Netlist(
         ("a", "b"),
@@ -359,7 +369,7 @@ def test_events_do_not_rebuild_the_table_index(monkeypatch):
     for k in (1, 100):
         stim = {"a": Signal(0, tuple(range(0, 4 * k, 2))), "b": Signal(0, (1,))}
         calls.clear()
-        _prehistory(n, stim)
+        _prehistory(_components(n.gates), stim)
         settle = Counter(calls)
         calls.clear()
         simulate(n, stim, (0, 4 * k))

@@ -81,6 +81,17 @@ def test_a_record_is_an_immutable_value(cls, fields, text):
         assert hash(copied) == hash(value) and repr(copied) == text
 
 
+KEYED = [(cls, fields) for cls, fields, _ in RECORDS]
+KEYED.append((Signal._trusted, {"initial": 0, "switches": (1, 3)}))
+
+
+@pytest.mark.parametrize("make, fields", KEYED, ids=[r[0].__name__ for r in KEYED])
+def test_a_record_keys_on_its_fields_in_order(make, fields):
+    # `==`, the hash and the repr read `_key` against `_fields`
+    value = make(**fields)
+    assert value._key == tuple(getattr(value, f) for f in value._fields)
+
+
 def test_records_of_different_classes_differ_on_equal_fields():
     # the oracle's per-atom table cache is keyed on the atom itself
     assert BdcParams(1, 2, 1, 2) != RicParams(1, 2, 1, 2)
