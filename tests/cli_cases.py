@@ -535,6 +535,18 @@ if hasattr(sys, "get_int_max_str_digits"):
                   "more than the 4300 that can be read"),
     ]
 
+
+def case_env(case: Case, environ) -> dict[str, str]:
+    """The environment `main` runs a case in: `environ` and the case's
+    variables, each PYTHONPATH entry made absolute, since the case runs
+    in a temporary directory."""
+    env = {**environ, **case.env}
+    if "PYTHONPATH" in env:
+        entries = env["PYTHONPATH"].split(os.pathsep)
+        env["PYTHONPATH"] = os.pathsep.join(map(os.path.abspath, entries))
+    return env
+
+
 def main(command: list[str]) -> int:
     """Run every case through `command`; print each broken rule and
     return 1 if any case broke one."""
@@ -543,7 +555,7 @@ def main(command: list[str]) -> int:
         with tempfile.TemporaryDirectory() as tmp:
             write_files(case, Path(tmp))
             run = subprocess.run(
-                [*command, *case.argv], cwd=tmp, env={**os.environ, **case.env},
+                [*command, *case.argv], cwd=tmp, env=case_env(case, os.environ),
                 capture_output=True, encoding="utf-8", errors="replace",
             )
         found = problems(case, run.returncode, run.stdout, run.stderr)

@@ -9,6 +9,7 @@ malformed input.
 """
 
 import json
+import os
 import subprocess
 import sys
 import time
@@ -97,6 +98,20 @@ def test_the_case_table_is_well_formed():
             assert f"\ndef {name}(" in source, case.twin
     for name, cases in _tier1_cases_by_name().items():
         assert len(cases) == 1 or all("[" in case.id for case in cases), name
+
+
+def test_the_case_runner_makes_the_python_path_absolute(tmp_path, monkeypatch):
+    # `main` runs each case in a temporary directory, where `src` means nothing
+    monkeypatch.chdir(tmp_path)
+    case = cli_cases.Case("c", ["check"], 0, env={"INERTIA_SEED": "3"})
+    path = os.pathsep.join(["src", str(tmp_path / "lib")])
+    env = cli_cases.case_env(case, {"PYTHONPATH": path, "HOME": "h"})
+    assert env == {
+        "PYTHONPATH": os.pathsep.join([str(tmp_path / "src"), str(tmp_path / "lib")]),
+        "HOME": "h",
+        "INERTIA_SEED": "3",
+    }
+    assert cli_cases.case_env(case, {}) == {"INERTIA_SEED": "3"}
 
 
 # -- consistent ---------------------------------------------------------------------

@@ -28,6 +28,7 @@ from inertia.conditions import (
     CondExpr,
     FdcParams,
     RicParams,
+    bdc_includes,
     bdc_member,
     cond_member,
 )
@@ -411,10 +412,28 @@ def _rise_memory_one_less(real):
     return mutant
 
 
+def _rise_memory_one_more(real):
+    def mutant(p, q):
+        r = real(p, q)
+        return BdcParams(min(r.mr + 1, r.dr), r.dr, r.mf, r.df)
+
+    return mutant
+
+
+def _fall_bound_one_more(real):
+    def mutant(p, q):
+        r = real(p, q)
+        return BdcParams(r.mr, r.dr, r.mf, r.df + 1)
+
+    return mutant
+
+
 @pytest.mark.parametrize("suite, fn, mutate, message", [
     ("t14d", "bdc_includes", _includes_without_df_link, "not in Sol("),
     ("t14b", "bdc_union_envelope", _rise_memory_one_less, "escape envelope"),
     ("t14a", "bdc_intersection", _rise_memory_one_less, ") != Sol("),
+    ("t14g", "bdc_compose", _fall_bound_one_more, "escapes"),
+    ("t14g", "bdc_compose", _rise_memory_one_more, "does not factor through"),
 ])
 def test_set_laws_catch_a_closed_form_one_step_off(suite, fn, mutate, message, monkeypatch):
     monkeypatch.setattr(verify, fn, mutate(getattr(verify, fn)))
@@ -423,16 +442,32 @@ def test_set_laws_catch_a_closed_form_one_step_off(suite, fn, mutate, message, m
     assert message in rep.failures[0]
 
 
-@pytest.mark.parametrize("suite", ["t14a", "t14b", "t14d", "t14e", "t14f"])
+@pytest.mark.parametrize("suite", ["t14a", "t14b", "t14d", "t14e", "t14f", "t14g"])
 def test_box_set_laws_count_without_budgets(suite, monkeypatch):
     def refused(*_args):
-        raise AssertionError(f"{suite} budgeted or listed a box")
+        raise AssertionError(f"{suite} listed a box")
 
-    monkeypatch.setattr(verify, "free_tick_count", refused)
-    if suite != "t14e":  # it still lists a sample of six members
+    assert not hasattr(verify, "free_tick_count")  # no suite budgets
+    if suite != "t14g":  # a chained set is not a box, so it is listed whole
         monkeypatch.setattr(verify, "iter_solutions", refused)
     rep = verify.run_check(suite)
     assert rep.ok and "redraws" not in rep.info
+
+
+def test_every_window_shows_each_window_of_five_bits_on_its_grid():
+    u, grid = verify.EVERY_WINDOW, verify.WINDOW_GRID
+    bits = u.values_on(0, 35)
+    assert len({tuple(bits[t:t + 5]) for t in range(32)}) == 32
+    # constant 0 off ticks 0..35, and every output tick whose window of
+    # up to 4 ticks back reads a switch lies on the grid
+    assert u.initial == u.final == 0 and u.switches[0] > 0 and u.switches[-1] < 36
+    assert grid.lo < 0 and 35 + 4 <= grid.hi
+
+
+def test_one_input_decides_inclusion_on_every_eleventh_pair():
+    pairs = islice(product(verify._sweep_bdc(4), repeat=2), 0, None, 11)
+    for p, q in pairs:
+        assert bool(verify._escaping(p, q)) != bdc_includes(p, q), (p, q)
 
 
 UNSOLVABLE = CondExpr((BdcParams(0, 3, 0, 2),))  # CC fails on a single fall
