@@ -19,8 +19,10 @@ thus holds or fails tick by tick, and it holds on every input exactly
 when it holds on every window of reach + 1 input bits.  The suites'
 parameters are at most 4, so one input that shows every window of 5
 bits, EVERY_WINDOW, decides each of the set laws t14a, t14b, t14d, t14e
-and t14f in one comparison.  One direction of t14b is not tick by tick:
-two boxes that differ at one tick alone have their hull as union, so
+and t14f in one comparison, and t14c in one count: a parameter has one
+solution on it exactly when both its memories are 0, since a memory
+leaves some window's tick free.  One direction of t14b is not tick by
+tick: two boxes that differ at one tick alone have their hull as union, so
 "no inclusion leaves some envelope member in neither family on
 EVERY_WINDOW" rests on a check of all 24,025 pairs of parameters up
 to 4, which the tests repeat on every 11th pair.  The bracket law (t1) is checked exactly on
@@ -330,11 +332,9 @@ def check_union_envelope(trials: int = 100, seed: int = 2) -> CheckReport:
 def check_determinism(trials: int | None = None, seed: int = 3) -> CheckReport:
     """Exactly the zero-memory parameters have one solution per input,
     and that solution is the pure shift.  Every consistent combination
-    with parameters up to 4 is checked on a fixed pulse and two sampled
-    inputs: `trials` is ignored."""
-    rng = Random(seed)
+    with parameters up to 4 is counted on EVERY_WINDOW, which decides the
+    law: `trials` and `seed` are ignored."""
     rep = CheckReport("t14c", 0)
-    grid = GridConfig(-2, 16)
     for p in _sweep_bdc(4):
         rep.trials += 1
         expect = p.mr == 0 and p.mf == 0
@@ -346,24 +346,15 @@ def check_determinism(trials: int | None = None, seed: int = 3) -> CheckReport:
                 rep.fail(f"deterministic {p} does not reduce to a shift")
         elif shift is not None:
             rep.fail(f"nondeterministic {p} claims shift {shift}")
-        pool = [Signal(0, (0, 4 + max(p.dr, p.df)))]
-        pool += [_rand_signal(rng, 3, 0, 8) for _ in range(2)]
-        nondet_seen = False
-        for u in pool:
-            count = solution_count(u, CondExpr((p,)), grid)
-            if count == 0:
-                rep.fail(f"consistent {p} has no solution for u={u}")
-            if expect:
-                if count != 1:
-                    rep.fail(f"deterministic {p} has {count} solutions for u={u}")
-                else:
-                    only = next(iter_solutions(u, CondExpr((p,)), grid))
-                    if only != u.translate(p.dr):
-                        rep.fail(f"unique solution for {p} is not the shift on u={u}")
-            else:
-                nondet_seen = nondet_seen or count > 1
-        if not expect and not nondet_seen:
-            rep.fail(f"nondeterministic {p}: every sampled input gave one solution")
+        count = _count(p)
+        if count == 0:
+            rep.fail(f"consistent {p} has no solution")
+        elif (count == 1) != expect:
+            rep.fail(f"{'' if expect else 'non'}deterministic {p} has {count} solutions")
+        elif expect:
+            only = next(iter_solutions(EVERY_WINDOW, CondExpr((p,)), WINDOW_GRID))
+            if only != EVERY_WINDOW.translate(p.dr):
+                rep.fail(f"unique solution for {p} is not the shift")
     return rep
 
 

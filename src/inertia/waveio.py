@@ -17,11 +17,16 @@ name that is empty or holds whitespace or `#`.
 VCD output is emission-only and deterministic: no timestamps of the run,
 identifiers assigned in sorted name order, same-tick changes sorted by
 name.  Negative ticks are handled by shifting all timestamps by a
-documented offset (VCD time must not be negative).
+documented offset (VCD time must not be negative).  The changes are
+grouped window by window, so the writer's memory follows a window of
+switches and its text, not the whole dump.
 """
 
 import operator
 import re
+from bisect import bisect_left
+from collections import defaultdict
+from heapq import heapify, heappop, heappush
 
 from .signals import Signal, Tick, Value
 
@@ -108,11 +113,6 @@ def parse_config(text: str) -> RunConfig:
 MAX_TICK_DIGITS = 4300
 _TICK_LIMIT = 10**MAX_TICK_DIGITS
 _SHOWN_LIMIT = 10**40
-# a line's times when every one is a plain ASCII integer of at most
-# MAX_TICK_DIGITS digits, so inside the bound: int() would also take `_`
-# and non-ASCII digits, which stay on the Fraction path
-_PLAIN_INT = rf"[+-]?[0-9]{{1,{MAX_TICK_DIGITS}}}"
-_INT_TIMES = re.compile(rf"{_PLAIN_INT}(?:[ \t]+{_PLAIN_INT})*", re.ASCII)
 # the exponent of a decimal token, digits grouped by `_` as Fraction allows
 _EXPONENT = re.compile(r"[eE][+-]?(\d+(?:_\d+)*)\Z")
 MAX_EXPONENT_DIGITS = 4
@@ -229,13 +229,18 @@ def _parse_times(text: str, resolution: int, ln: int) -> tuple[Tick, ...]:
     a line of plain ASCII integers is read in one go; any other line, and
     one that fails a check, is read token by token so that the error names
     the first bad token."""
-    if resolution == 1 and _INT_TIMES.fullmatch(text):
+    # int() takes an ASCII token without `_` only as a plain integer;
+    # `\x1f`, the one ASCII space that split() cuts at but splitlines()
+    # leaves in a line, is rare enough to leave to the token path
+    if resolution == 1 and text.isascii() and "_" not in text and "\x1f" not in text:
         try:
             times = tuple(map(int, text.split()))
-        except ValueError:  # int()'s digit limit set below MAX_TICK_DIGITS
+        except ValueError:  # not an integer, or past int()'s digit limit
             pass
-        else:
-            if _increasing(times):
+        else:  # the ends bound an increasing line, even with that limit lifted
+            if _increasing(times) and (
+                not times or -_TICK_LIMIT < times[0] and times[-1] < _TICK_LIMIT
+            ):
                 return times
     times = tuple([_parse_tick(tok, resolution, ln) for tok in text.split()])
     if not _increasing(times):
@@ -285,6 +290,7 @@ def emit_waveforms(signals: dict[str, Signal]) -> str:
 # -- VCD ---------------------------------------------------------------------
 
 _VCD_ID_BASE = 94  # printable ASCII 33..126
+_VCD_WINDOW = 2**15  # the switches of one emit_vcd window: memory follows it
 
 
 def _vcd_id(i: int) -> str:
@@ -333,17 +339,34 @@ def emit_vcd(signals: dict[str, Signal], cfg: RunConfig = RunConfig()) -> str:
         lines.append(f"{signals[name].initial}{ids[name]}")
     lines.append("$end")
 
-    changes: dict[Tick, list[str]] = {}
-    for name in names:  # sorted, so same-tick changes come out name-sorted
-        sig = signals[name]
-        rise, fall = f"1{ids[name]}", f"0{ids[name]}"
-        # the change after an odd and after an even number of switches
-        odd, even = (fall, rise) if sig.initial else (rise, fall)
-        for t in sig.switches[0::2]:
-            changes.setdefault(t, []).append(odd)
-        for t in sig.switches[1::2]:
-            changes.setdefault(t, []).append(even)
-    for t in sorted(changes):
-        lines.append(f"#{t + offset}")
-        lines.extend(changes[t])
-    return "\n".join(lines) + "\n"
+    # the change section, window by window: a window starts at the first
+    # unwritten switch and ends before the first one past any net's share,
+    # so it holds at most _VCD_WINDOW switches, or one of each net
+    sigs = [signals[name] for name in names]
+    pos = [0] * len(names)  # each net's first unwritten switch
+    pending = [(s.switches[0], i) for i, s in enumerate(sigs) if s.switches]
+    heapify(pending)  # the nets with unwritten switches, by the first one
+    while pending:
+        hi, window, share = float("inf"), [], max(1, _VCD_WINDOW // len(pending))
+        while pending and pending[0][0] < hi:  # hi stays above every net popped
+            i = heappop(pending)[1]
+            if pos[i] + share < len(sigs[i].switches):
+                hi = min(hi, sigs[i].switches[pos[i] + share])
+            window.append(i)
+        changes = defaultdict(list)
+        for i in sorted(window):  # name order, so each tick's changes are too
+            ticks, p = sigs[i].switches, pos[i]
+            pos[i] = q = bisect_left(ticks, hi, p)
+            for k in (p, p + 1):  # switches k, k + 2, ... leave the net at one value
+                change = f"{sigs[i].initial ^ (k + 1) % 2}{ids[names[i]]}"
+                for t in ticks[k:q:2]:
+                    changes[t].append(change)
+            if q < len(ticks):
+                heappush(pending, (ticks[q], i))
+        out = []
+        for t in sorted(changes):
+            out.append(f"#{t + offset}")
+            out.extend(changes[t])
+        lines.append("\n".join(out))  # one string per window
+    lines.append("")  # the final newline, without copying the dump to add it
+    return "\n".join(lines)

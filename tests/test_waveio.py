@@ -2,11 +2,16 @@
 
 import sys
 import time
+import tracemalloc
+from contextlib import contextmanager
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from vcd_reference import reference_vcd
 
+from inertia import waveio
 from inertia.signals import Signal
 from inertia.waveio import (
     RunConfig,
@@ -227,10 +232,40 @@ def reference_line(tokens, resolution):
     return tuple(times)
 
 
+@contextmanager
+def int_digit_limit(lifted):
+    """int() and Fraction with the interpreter's limit on integer text
+    (Python 3.10.7 and later) in force, or lifted."""
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if lifted and limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+
+
+def traced_peak(fn, *args):
+    """The most memory fn(*args) holds at once, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
 @pytest.mark.parametrize("resolution", [1, 10, 1000])
 @settings(derandomize=True, max_examples=120, deadline=None)
-@given(tokens=st.lists(time_tokens(), min_size=1, max_size=4), sep=st.sampled_from(" \t"))
+@given(
+    tokens=st.lists(time_tokens(), min_size=1, max_size=4),
+    sep=st.sampled_from([" ", "\t", "\x1f", " \t\x1f"]),
+)
 @example(tokens=["1e4300"], sep=" ")  # one digit past the tick limit
+@example(tokens=["9" * 4301], sep=" ")  # 4,301 digits, which int() reads when lifted
+@example(tokens=["-3", "9" * 4301, "0"], sep="\x1f")
 @example(tokens=["-" + "9" * 4300, "0"], sep=" ")  # the most negative integer token
 @example(tokens=["4", "04"], sep="\t")  # equal ticks
 @example(tokens=["1e9999"], sep=" ")  # the longest exponent read
@@ -238,14 +273,28 @@ def reference_line(tokens, resolution):
 @example(tokens=["-3", "2", "+4.5e0", "9/1", "10"], sep="\t")  # integers around a decimal
 def test_the_integer_fast_path_reads_what_fraction_reads(resolution, tokens, sep):
     text = "u 0 " + sep.join(tokens) + "\n"
-    try:
-        expect = reference_line(tokens, resolution)
-    except WaveParseError as exc:
-        with pytest.raises(WaveParseError) as err:
-            parse_waveforms(text, resolution)
-        assert str(err.value) == str(exc)
-    else:
-        assert parse_waveforms(text, resolution)["u"].switches == expect
+    # the fast path is taken at resolution 1 alone, so only there must it
+    # also read the same with int()'s digit limit lifted; that limit
+    # refuses no token of at most 4300 characters
+    long_token = resolution == 1 and any(len(tok) > 4300 for tok in tokens)
+    for lifted in (False, True) if long_token else (False,):
+        with int_digit_limit(lifted):
+            try:
+                expect = reference_line(tokens, resolution)
+            except WaveParseError as exc:
+                with pytest.raises(WaveParseError) as err:
+                    parse_waveforms(text, resolution)
+                assert str(err.value) == str(exc)
+            else:
+                assert parse_waveforms(text, resolution)["u"].switches == expect
+
+
+def test_a_long_line_is_parsed_in_memory_that_follows_its_tokens():
+    # one 20,000-switch line: split() and int() peak at 2.2 MB, where a
+    # line-wide regular expression matched first would take 5.4 MB
+    text = "u 0 " + " ".join(str(t) for t in range(-30_000, 30_000, 3)) + "\n"
+    assert len(parse_waveforms(text)["u"].switches) == 20_000
+    assert traced_peak(parse_waveforms, text) < 2.7e6
 
 
 # -- run configuration ----------------------------------------------------------
@@ -335,3 +384,64 @@ def test_vcd_refuses_times_it_cannot_write():
         emit_vcd({"u": Signal(0, (big,))})
     with pytest.raises(WaveParseError, match="a VCD tick offset of 4301 digits"):
         emit_vcd({"u": Signal(0, (-1,)), "w": Signal(0, (-big, 0))})
+
+
+@st.composite
+def signal_maps(draw):
+    """Signals that share ticks, far apart or negative ones included, and
+    some with long runs of switches."""
+    scale = draw(st.sampled_from([1, 2, 10**40]))
+    offset = draw(st.sampled_from([0, -5, -(10**41)]))  # a negative tick needs an offset
+    names = draw(st.lists(st.text("abz_09", min_size=1, max_size=3), max_size=7, unique=True))
+    waves = {}
+    for name in names:
+        if draw(st.booleans()):  # a few switches, often at another net's ticks
+            ticks = sorted(draw(st.lists(st.integers(-3, 9), max_size=6, unique=True)))
+        else:  # a run of switches, which crosses windows
+            start, step = draw(st.integers(-3, 9)), draw(st.integers(1, 3))
+            ticks = range(start, start + step * draw(st.integers(0, 300)), step)
+        waves[name] = Signal(draw(st.integers(0, 1)), tuple(offset + scale * t for t in ticks))
+    return waves
+
+
+def first_difference(got, expect):
+    """None when the dumps are equal, else the first line where they
+    differ and the lines from there; pytest's own diff of two long dumps
+    takes minutes."""
+    if got == expect:
+        return None
+    got, expect = got.splitlines(), expect.splitlines()
+    same = min(len(got), len(expect))
+    k = next((k for k, (a, b) in enumerate(zip(got, expect)) if a != b), same)
+    return k, got[k:k + 3], expect[k:k + 3]
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(waves=signal_maps())
+@example(waves={})
+@example(waves={"u": Signal(1, ()), "v": Signal(0, ())})
+@example(waves={f"n{i}": Signal(i % 2, (0, 1, 7)) for i in range(300)})  # one tick, many nets
+def test_vcd_writes_what_the_whole_dump_writer_wrote(waves):
+    expect = reference_vcd(waves)
+    assert first_difference(emit_vcd(waves), expect) is None
+    with mock.patch.object(waveio, "_VCD_WINDOW", 1):  # one switch of each net a window
+        assert first_difference(emit_vcd(waves), expect) is None
+
+
+def test_vcd_of_many_far_apart_switches_costs_no_tick_loop():
+    # 2,000 nets, one switch each, 10**30 ticks apart and out of name order
+    waves = {f"n{i:04}": Signal(0, ((i * 7919 % 2000) * 10**30,)) for i in range(2000)}
+    t0 = time.perf_counter()
+    text = emit_vcd(waves)
+    assert time.perf_counter() - t0 < 0.5
+    assert first_difference(text, reference_vcd(waves)) is None
+
+
+def test_vcd_memory_follows_a_window_not_the_dump():
+    # 256 nets switching together at 800 ticks, 128 of each net a window:
+    # the whole-dump writer, which holds every change line at once, peaks
+    # at 5.1 MB here (Python 3.11); the windowed one holds a window and the
+    # text, 1.7 MB
+    waves = {f"n{i}": Signal(i % 2, tuple(range(800))) for i in range(256)}
+    assert first_difference(emit_vcd(waves), reference_vcd(waves)) is None
+    assert traced_peak(emit_vcd, waves) <= 5.1e6 / 2
