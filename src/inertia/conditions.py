@@ -20,7 +20,7 @@ BDC + RIC) are expressed.
 
 from bisect import bisect_right
 
-from .signals import Signal, Value, window_and, window_or
+from .signals import Signal, Value, _set_key, window_and, window_or
 from .waveio import shown, shown_int
 
 
@@ -35,7 +35,7 @@ def json_int(value, key: str) -> int:
     """A value read from JSON as an exact integer: floats, bools and
     strings are refused rather than truncated or coerced."""
     if type(value) is not int:
-        raise ValueError(f"{key} must be an integer, got {value!r}")
+        raise ValueError(f"{key} must be an integer, got {shown(value)}")
     return value
 
 
@@ -52,24 +52,26 @@ class _IntValue(Value):
 
     __slots__ = ("_hash",)
 
-    def _set(self, *values):
-        """`Value._set`, also keeping the hash of values."""
-        for name, value in zip(self._fields, values):
-            object.__setattr__(self, name, value)
-        object.__setattr__(self, "_key", values)
-        object.__setattr__(self, "_hash", hash(values))
-
     def __hash__(self):
         return self._hash
 
 
 class _Params(_IntValue):
-    """The JSON form of a condition atom: its fields in order, each under
-    the matching key of the class's `json_keys`, and its `kind`."""
+    """A condition atom of int fields, and its JSON form: its fields in
+    order, each under the matching key of the class's `json_keys`, and its `kind`."""
 
     __slots__ = ()
     kind: str
     json_keys: tuple[str, ...]
+
+    def _set(self, *values):
+        """Refuse a bool or non-int field by name, so `__init__` calls it first; store and hash."""
+        for name, value in zip(self._fields, values):
+            if type(value) is not int:
+                raise ValueError(f"{name} must be an integer, got {shown(value)}")
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "_key", values)
+        object.__setattr__(self, "_hash", hash(values))
 
     def as_dict(self) -> dict:
         return dict(zip(self.json_keys, self._key))
@@ -88,9 +90,9 @@ class FdcParams(_Params):
     json_keys = ("d",)
 
     def __init__(self, d: int):
+        self._set(d)
         if d < 0:
             raise ValueError(f"fixed delay must be >= 0, got d={shown_int(d)}")
-        self._set(d)
 
 
 class BdcParams(_Params):
@@ -101,11 +103,11 @@ class BdcParams(_Params):
     json_keys = _fields
 
     def __init__(self, mr: int, dr: int, mf: int, df: int):
+        self._set(mr, dr, mf, df)
         if not (0 <= mr <= dr):
             raise ValueError(f"need 0 <= mr <= dr, got mr={shown_int(mr)} dr={shown_int(dr)}")
         if not (0 <= mf <= df):
             raise ValueError(f"need 0 <= mf <= df, got mf={shown_int(mf)} df={shown_int(df)}")
-        self._set(mr, dr, mf, df)
 
 
 class AicParams(_Params):
@@ -116,12 +118,12 @@ class AicParams(_Params):
     json_keys = ("deltar", "deltaf")
 
     def __init__(self, delta_r: int, delta_f: int):
+        self._set(delta_r, delta_f)
         if delta_r < 0 or delta_f < 0:
             raise ValueError(
                 f"hold times must be >= 0, got delta_r={shown_int(delta_r)} "
                 f"delta_f={shown_int(delta_f)}"
             )
-        self._set(delta_r, delta_f)
 
 
 class RicParams(_Params):
@@ -132,6 +134,7 @@ class RicParams(_Params):
     json_keys = ("mur", "deltar", "muf", "deltaf")
 
     def __init__(self, mu_r: int, delta_r: int, mu_f: int, delta_f: int):
+        self._set(mu_r, delta_r, mu_f, delta_f)
         if not (0 <= mu_r <= delta_r):
             raise ValueError(
                 f"need 0 <= mu_r <= delta_r, got mu_r={shown_int(mu_r)} "
@@ -142,18 +145,13 @@ class RicParams(_Params):
                 f"need 0 <= mu_f <= delta_f, got mu_f={shown_int(mu_f)} "
                 f"delta_f={shown_int(delta_f)}"
             )
-        self._set(mu_r, delta_r, mu_f, delta_f)
 
 
 Atom = FdcParams | BdcParams | AicParams | RicParams
 
 _ATOM_KINDS = {cls.kind: cls for cls in (FdcParams, BdcParams, AicParams, RicParams)}
-
-
-def atom_kind(atom: Atom) -> str:
-    if not isinstance(atom, _Params):
-        raise TypeError(f"not a condition atom: {atom!r}")
-    return atom.kind
+# by atom class, where its fields say how far back it reads the input
+_READS = {FdcParams: (0,), BdcParams: (1, 3), AicParams: (), RicParams: (1, 3)}
 
 
 def atom_from_dict(obj: dict) -> Atom:
@@ -168,10 +166,11 @@ class CondExpr(_IntValue):
     """Conjunction of condition atoms over the same input/output pair.
 
     reach is how many ticks back from t the atoms read the input to
-    constrain the output at t; `==`, the hash and the repr leave it out.
+    constrain the output at t; `_rule` is the oracle's tick rule once a
+    query has built it.  `==`, the hash and the repr leave both out.
     """
 
-    __slots__ = ("atoms", "reach")
+    __slots__ = ("atoms", "reach", "_rule")
     _fields = ("atoms",)
 
     def __init__(self, atoms: tuple[Atom, ...]):
@@ -180,16 +179,20 @@ class CondExpr(_IntValue):
             raise ValueError("a condition expression needs at least one atom")
         back = 0
         for a in atoms:
-            if isinstance(a, BdcParams):
-                back = max(back, a.dr, a.df)
-            elif isinstance(a, FdcParams):
-                back = max(back, a.d)
-            elif isinstance(a, RicParams):
-                back = max(back, a.delta_r, a.delta_f)
-            elif not isinstance(a, AicParams):
-                atom_kind(a)  # raises its TypeError
-        object.__setattr__(self, "reach", back)
-        self._set(atoms)
+            reads = _READS.get(a.__class__)
+            if reads is None:
+                raise TypeError(f"not a condition atom: {a!r}")
+            for i in reads:
+                if a._key[i] > back:
+                    back = a._key[i]
+        _set_atoms(self, atoms)
+        _set_reach(self, back)
+        _set_rule(self, None)
+        _set_key(self, (atoms,))
+        _set_hash(self, hash(self._key))
+
+
+_set_atoms, _set_reach, _set_rule, _set_hash = CondExpr._setters("atoms", "reach", "_rule", "_hash")
 
 
 # -- consistency of BDC parameters ----------------------------------------

@@ -3,8 +3,9 @@
 Every condition atom is a per-tick constraint on the output x that reads
 the input only through the window u(t - reach .. t), plus hold counters
 carried from earlier ticks.  Two tables state these rules once.
-`_tick_rule`, per expression, says what each window lets x(t) be and
-switch to: one byte per window, ANDed from each atom's `_atom_table`.
+`_tick_rule`, per expression and kept on it once built, says what each
+window lets x(t) be and switch to: one byte per window, ANDed from each
+atom's `_atom_table`, a cache of at most 4096 keyed on kind and fields.
 `_Steps`, per pair of holds and switch cap, moves one output's state
 (its bit, forced ticks left and switch count) one tick under a byte.
 Exact procedures read them:
@@ -35,13 +36,9 @@ from bisect import bisect_right
 from functools import lru_cache
 from typing import Iterator
 
-from .conditions import (
-    AicParams,
-    BdcParams,
-    CondExpr,
-    FdcParams,
-)
-from .signals import Signal, Tick, Value
+from .conditions import CondExpr, _set_rule
+from .signals import Signal, Tick, Value, _set_key
+from .waveio import shown
 
 MAX_SPAN = 80
 MAX_REACH = 12  # the tick tables have 2**(MAX_REACH + 1) entries
@@ -63,13 +60,24 @@ class GridConfig(Value):
     __slots__ = _fields = ("lo", "hi", "max_switches")
 
     def __init__(self, lo: Tick, hi: Tick, max_switches: int | None = None):
+        if type(lo) is not int or type(hi) is not int:
+            name, value = ("hi", hi) if type(lo) is int else ("lo", lo)
+            raise HorizonError(f"{name} must be an integer, got {shown(value)}")
+        if max_switches is not None and type(max_switches) is not int:
+            raise HorizonError(f"max_switches must be an integer, got {shown(max_switches)}")
         if lo >= hi:
             raise HorizonError("need lo < hi")
         if hi - lo > MAX_SPAN:  # not named: the span may be too long to write
             raise HorizonError(f"horizon spans more than the {MAX_SPAN}-tick limit")
         if max_switches is not None and max_switches < 0:
             raise HorizonError("max_switches must be >= 0 or None")
-        self._set(lo, hi, max_switches)
+        _set_lo(self, lo)
+        _set_hi(self, hi)
+        _set_max_switches(self, max_switches)
+        _set_key(self, (lo, hi, max_switches))
+
+
+_set_lo, _set_hi, _set_max_switches = GridConfig._setters(*GridConfig._fields)
 
 
 def _held(w: int, d: int, m: int, v: int) -> bool:
@@ -79,21 +87,17 @@ def _held(w: int, d: int, m: int, v: int) -> bool:
 
 
 @lru_cache(maxsize=4096)
-def _atom_table(reach: int, atom) -> int:
-    """One window atom's bytes over the windows of `reach`, as an int of
-    byte w at bits 8w .. 8w + 7; a sweep meets each pair many times."""
+def _atom_table(reach: int, kind: str, fields: tuple[int, ...]) -> int:
+    """One window atom's bytes over the windows of `reach`, as an int of byte w at bits
+    8w .. 8w + 7; its key holds no record, and a sweep meets each key many times."""
+    if kind == "fdc":  # x(t) = u(t - d) is the BDC (0, d, 0, d)
+        kind, fields = "bdc", (0, fields[0], 0, fields[0])
+    mr, dr, mf, df = fields  # for RIC, mu_r, delta_r, mu_f, delta_f
     table = 0
     for w in range(1 << (reach + 1)):
-        # BDC and FDC bound x(t) and license every edge; RIC licenses
-        # edges and leaves x(t) free
-        if isinstance(atom, BdcParams):
-            code = 12 | (not _held(w, atom.dr, atom.mr, 1)) | (
-                not _held(w, atom.df, atom.mf, 0)) << 1
-        elif isinstance(atom, FdcParams):
-            code = 12 | (not _held(w, atom.d, 0, 1)) | (not _held(w, atom.d, 0, 0)) << 1
-        else:  # RicParams
-            code = 3 | _held(w, atom.delta_f, atom.mu_f, 0) << 2 | (
-                _held(w, atom.delta_r, atom.mu_r, 1)) << 3
+        rise, fall = _held(w, dr, mr, 1), _held(w, df, mf, 0)
+        # BDC bounds x(t) and licenses every edge; RIC licenses edges, x(t) free
+        code = 12 | (not rise) | (not fall) << 1 if kind == "bdc" else 3 | fall << 2 | rise << 3
         table |= code << 8 * w
     return table
 
@@ -102,16 +106,17 @@ def _atom_table(reach: int, atom) -> int:
 _EVERY = [int.from_bytes(b"\x0f" * (2 << r), "little") for r in range(MAX_REACH + 1)]
 
 
-@lru_cache(maxsize=256)
 def _tick_rule(expr: CondExpr) -> tuple[int, bytes, int, int]:
-    """Every atom's constraint on the output x at one tick t, stated once:
-    (reach, rule, rise_hold, fall_hold).
+    """Every atom's constraint on the output x at one tick t, stated once
+    and kept on the expression: (reach, rule, rise_hold, fall_hold).
 
     Byte w of rule applies when the window holds u(t - k) in bit k of w,
     for k = 0..reach.  Its bit b says whether x(t) may be b, and its bit
     2 + b whether x may switch to b at t.  rise_hold and fall_hold are
     the longest hold after a rise and after a fall, which `_Steps` enforces.
     """
+    if (rule := expr._rule) is not None:
+        return rule
     reach = expr.reach
     if reach > MAX_REACH:
         raise HorizonError(
@@ -120,15 +125,16 @@ def _tick_rule(expr: CondExpr) -> tuple[int, bytes, int, int]:
     table = _EVERY[reach]
     rise_hold = fall_hold = 0
     for a in expr.atoms:
-        if isinstance(a, AicParams):
+        if a.kind == "aic":
             rise_hold = max(rise_hold, a.delta_r)
             fall_hold = max(fall_hold, a.delta_f)
         else:
-            table &= _atom_table(reach, a)
+            table &= _atom_table(reach, a.kind, a._key)
     # x may switch to a value only where it may take it: bit 2 + b keeps
     # only what bit b, shifted up by 2, allows; // 5 makes every byte 3
     table &= table << 2 | _EVERY[reach] // 5
-    return reach, table.to_bytes(2 << reach, "little"), rise_hold, fall_hold
+    _set_rule(expr, (reach, table.to_bytes(2 << reach, "little"), rise_hold, fall_hold))
+    return expr._rule
 
 
 class _Steps(dict):
@@ -175,6 +181,8 @@ class _Prepared:
     take at tick lo, and steps the table for the holds and the cap.
     """
 
+    __slots__ = ("steps", "head", "moves", "first", "tail")
+
     def __init__(self, u: Signal, expr: CondExpr, grid: GridConfig):
         lo, hi = grid.lo, grid.hi
         switches = u.switches
@@ -185,8 +193,6 @@ class _Prepared:
             raise HorizonError(f"input switch {i + 1} of {len(switches)}{at} leaves the grid")
         r, rule, rise_hold, fall_hold = _tick_rule(expr)
         self.steps = _steps(rise_hold, fall_hold, grid.max_switches)
-        self.lo = lo
-        self.n = hi - lo + 1
 
         # One window per tick, straight from the switch list: u is
         # constant before lo, so the window of tick lo - 1 is that of
@@ -195,7 +201,7 @@ class _Prepared:
         full = (1 << (r + 1)) - 1
         v = u.initial
         w = full * v
-        self.head = rule[w] & 3
+        self.head = head = rule[w] & 3
         moves: list[int] = []
         t = lo
         for end in (*switches, hi + 1):  # u is v on ticks t .. end - 1
@@ -207,7 +213,7 @@ class _Prepared:
                 moves += [rule[w]] * (k - r - 1)
             t, v = end, v ^ 1
         self.moves = moves
-        self.first = _STATES_AT[self.head & moves[0]]
+        self.first = _STATES_AT[head & moves[0]]
         # ticks hi + 1 .. hi + r + 1, where u holds its final value (v before
         # the loop's last flip); the last window is that of every later tick
         v ^= 1
@@ -229,8 +235,8 @@ def iter_solutions(u: Signal, expr: CondExpr, grid: GridConfig) -> Iterator[Sign
     """Yield every admissible output on the grid in lexicographic order
     of its bit vector (tick lo first, 0 before 1)."""
     ctx = _Prepared(u, expr, grid)
-    n = ctx.n
     moves = ctx.moves
+    n = len(moves)
     steps = ctx.steps
     bits = [0] * n
 
@@ -240,7 +246,7 @@ def iter_solutions(u: Signal, expr: CondExpr, grid: GridConfig) -> Iterator[Sign
             if i + 1 < n:
                 yield from rec(i + 1, steps[state << 4 | moves[i + 1]])
             elif ctx.tail >> (state & 1) & 1:
-                yield _bits_signal(ctx.lo, bits)
+                yield _bits_signal(grid.lo, bits)
 
     return rec(0, ctx.first)
 
@@ -309,8 +315,8 @@ def pointwise_bounds(
     if not all(allowed):
         return None
     return (
-        _bits_signal(ctx.lo, [a & 1 ^ 1 for a in allowed]),
-        _bits_signal(ctx.lo, [a >> 1 for a in allowed]),
+        _bits_signal(grid.lo, [a & 1 ^ 1 for a in allowed]),
+        _bits_signal(grid.lo, [a >> 1 for a in allowed]),
     )
 
 
@@ -418,4 +424,5 @@ def _witness(parent: dict[int, int], link: int) -> Signal:
     while link >= 0:
         link = parent[link >> 1]
         path.append(link & 1)
-    return _bits_signal(-1, path[::-1])
+    path.reverse()  # the value at tick t is path[t + 1]
+    return Signal._trusted(path[0], tuple([t for t, b in enumerate(path[1:]) if b != path[t]]))

@@ -201,7 +201,10 @@ def _parse_tick(token: str, resolution: int, ln: int) -> Tick:
         mantissa = _EXPONENT.sub("", significant)
         digits = sum(c.isdecimal() for c in mantissa.lstrip("+-0"))
         if digits > MAX_TICK_DIGITS and _INT_TEXT.fullmatch(significant):  # int()'s limit
-            raise _too_long(f"line {ln}: time {shown(token)}: a tick", digits) from None
+            # the scaled tick's digits, as with the limit lifted: Decimal reads any length
+            from decimal import MAX_EMAX, MAX_PREC, Context, Decimal
+            n = Context(MAX_PREC, Emax=MAX_EMAX).multiply(Decimal(significant), resolution)
+            raise _too_long(f"line {ln}: time {shown(token)}: a tick", n.adjusted() + 1) from None
         if digits > MAX_TICK_DIGITS and _DECIMAL_TEXT.fullmatch(mantissa):
             raise WaveParseError(
                 f"line {ln}: time {shown(token)}: a decimal of {digits} digits, "

@@ -16,6 +16,7 @@ switches early enough.
 """
 
 import hashlib
+import operator
 import random
 from itertools import combinations, islice, product
 
@@ -31,6 +32,7 @@ from inertia.conditions import (
     bdc_includes,
     bdc_member,
     bdc_union_envelope,
+    bridc_consistent,
     cond_member,
 )
 from inertia.oracle import (
@@ -43,7 +45,7 @@ from inertia.oracle import (
     pointwise_bounds,
     solution_count,
 )
-from inertia.signals import Signal
+from inertia.signals import Signal, Value
 from inertia import oracle, verify
 
 U = Signal(0, (0, 5))
@@ -357,6 +359,25 @@ def test_decider_witnesses_on_the_licensing_sweep_are_pinned():
     sweep = product(verify._sweep_bdc(4, cc=None), verify._sweep_ric(4))
     exprs = (CondExpr(pair) for pair in islice(sweep, 0, None, 9))
     assert witness_digest(exprs) == (4526, "13a324fe89d65666")
+
+
+def test_a_decider_check_builds_one_rule_and_compares_no_record(monkeypatch):
+    # on every 9th pair of the t45 sweep, the decider and the count that
+    # confirms its witness share the rule kept on the expression, and the
+    # atom tables are found by plain keys: no record's `==` runs
+    built, compared = [], []
+    store = oracle._set_rule
+    monkeypatch.setattr(oracle, "_set_rule", lambda expr, rule: (built.append(expr), store(expr, rule)))
+    eq = Value.__eq__
+    monkeypatch.setattr(Value, "__eq__", lambda a, b: (compared.append(a), eq(a, b))[1])
+    rep = verify.CheckReport("t45", 0)
+    sweep = product(verify._sweep_bdc(4, cc=None), verify._sweep_ric(4))
+    exprs = [CondExpr(pair) for pair in islice(sweep, 0, None, 9)]
+    for expr in exprs:
+        verify._check_decider(rep, expr, bridc_consistent(*expr.atoms))
+    assert compared == []
+    assert rep.ok and len(exprs) == 5625
+    assert len(built) == len(exprs) and all(map(operator.is_, built, exprs))
 
 
 def test_decider_witnesses_are_shortest():

@@ -99,6 +99,25 @@ def test_records_of_different_classes_differ_on_equal_fields():
     assert GridConfig(0, 4) != (0, 4, None)
 
 
+NOT_INTS = [
+    (GridConfig, (0.5, 3), "lo"), (GridConfig, (True, 3), "lo"), (GridConfig, (0, "3"), "hi"),
+    (GridConfig, (0, 3, 1.5), "max_switches"), (GridConfig, (0, 3, False), "max_switches"),
+    (FdcParams, (2.0,), "d"), (BdcParams, (0.5, 1, 0, 1), "mr"), (BdcParams, (0, 1, 0, True), "df"),
+    (AicParams, (1, None), "delta_f"), (RicParams, (0, "1", 0, 1), "delta_r"),
+]
+
+
+@pytest.mark.parametrize("cls, args, field", NOT_INTS,
+                         ids=[f"{cls.__name__}-{field}" for cls, _, field in NOT_INTS])
+def test_a_record_of_ints_refuses_a_bool_or_other_non_int_by_its_field(cls, args, field):
+    # the oracle reads these fields as ints: a float or bool would reach it
+    # as a raw TypeError, or be taken as the int it stands for
+    with pytest.raises(ValueError) as err:
+        cls(*args)
+    value = dict(zip(cls._fields, args))[field]
+    assert str(err.value) == f"{field} must be an integer, got {value!r}"
+
+
 def test_cond_expr_reach_is_derived_and_kept_by_copies():
     expr = CondExpr([BdcParams(0, 3, 0, 2), RicParams(0, 5, 0, 1)])
     assert expr.atoms == (BdcParams(0, 3, 0, 2), RicParams(0, 5, 0, 1))

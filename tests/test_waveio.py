@@ -111,27 +111,25 @@ def test_emit_refuses_a_tick_it_cannot_write(tick, digits):
 BIG = "1" + "0" * 4300  # one digit past the tick limit
 
 
-@pytest.mark.parametrize("times, token, digits", [
-    (BIG, BIG, 4301), ("-9" + BIG + " 0", "-9" + BIG, 4302),
-    ("5 " + BIG + " 3", BIG, 4301),  # out of order too: the long tick is named first
-    ("9" * 5000, "9" * 5000, 5000),
-    ("0" * 99 + BIG, "0" * 99 + BIG, 4301),  # leading zeros are not counted
-], ids=["one", "negative", "unordered", "5000-digits", "zero-padded"])
-def test_the_tick_limit_holds_without_ints_digit_limit(times, token, digits):
+@pytest.mark.parametrize("times, token, digits, resolution", [
+    (BIG, BIG, 4301, 1), ("-9" + BIG + " 0", "-9" + BIG, 4302, 1),
+    ("5 " + BIG + " 3", BIG, 4301, 1),  # out of order too: the long tick is named first
+    ("9" * 5000, "9" * 5000, 5000, 1),
+    ("0" * 99 + BIG, "0" * 99 + BIG, 4301, 1),  # leading zeros are not counted
+    # the tick is the time times the resolution, and its digits are counted
+    (BIG, BIG, 4302, 10), ("-" + BIG, "-" + BIG, 4304, 1000),
+    ("3" * 4301, "3" * 4301, 4301, 3), ("4" * 4301, "4" * 4301, 4302, 3),  # a carry or none
+], ids=["one", "negative", "unordered", "5000-digits", "zero-padded",
+        "times-ten", "negative-times-1000", "no-carry", "carry"])
+def test_the_tick_limit_holds_without_ints_digit_limit(times, token, digits, resolution):
     # under the interpreter's default digit limit (Python 3.10.7 and later)
     # int() and Fraction refuse such a token; with the limit lifted, the
-    # integer line path must still refuse the tick.  Both give one message,
-    # which does not echo the token in full
-    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    # integer line path or Fraction must still refuse the tick.  Both give
+    # one message, which does not echo the token in full
     for lifted in (False, True):
-        if limit is not None and lifted:
-            sys.set_int_max_str_digits(0)
-        try:
+        with int_digit_limit(lifted):
             with pytest.raises(WaveParseError) as err:
-                parse_waveforms(f"u 0 {times}\n")
-        finally:
-            if limit is not None:
-                sys.set_int_max_str_digits(limit)
+                parse_waveforms(f"u 0 {times}\n", resolution)
         assert str(err.value) == (
             f"line 1: time {shown(token)}: a tick of {digits} digits, "
             "more than the 4300 that can be written"
@@ -219,8 +217,9 @@ def reference_line(tokens, resolution):
     times = []
     for tok in tokens:
         what = f"line 1: time {shown(tok)}: a tick"
-        digits = len(tok.lstrip("+-"))
-        if tok.lstrip("+-").isdecimal() and digits > 4300:  # int() may refuse it
+        if tok.lstrip("+-").isdecimal() and len(tok.lstrip("+-")) > 4300:  # int() may refuse it
+            with int_digit_limit(lifted=True):  # the digits of the scaled tick
+                digits = len(str(abs(int(tok) * resolution)))
             raise WaveParseError(
                 f"{what} of {digits} digits, more than the 4300 that can be written"
             )
@@ -273,10 +272,10 @@ def traced_peak(fn, *args):
 @example(tokens=["-3", "2", "+4.5e0", "9/1", "10"], sep="\t")  # integers around a decimal
 def test_the_integer_fast_path_reads_what_fraction_reads(resolution, tokens, sep):
     text = "u 0 " + sep.join(tokens) + "\n"
-    # the fast path is taken at resolution 1 alone, so only there must it
-    # also read the same with int()'s digit limit lifted; that limit
-    # refuses no token of at most 4300 characters
-    long_token = resolution == 1 and any(len(tok) > 4300 for tok in tokens)
+    # a long token must also read the same with int()'s digit limit
+    # lifted, on the fast path at resolution 1 and through Fraction at the
+    # others; that limit refuses no token of at most 4300 characters
+    long_token = any(len(tok) > 4300 for tok in tokens)
     for lifted in (False, True) if long_token else (False,):
         with int_digit_limit(lifted):
             try:
