@@ -10,7 +10,8 @@ point unique.  One linear walk over the strongly connected components
 of the read graph orders the gates and finds the loops, for netlist
 checks (counting the reads of zero-latency gates only), envelopes and
 the simulator.  The simulator works on switch lists: a gate on no loop
-gets its whole trace at once and only loops run event by event, so cost
+gets its whole trace at once and only loops run event by event, copying
+the periods they repeat while their outside inputs hold still, so cost
 follows the number of switches, not the tick distance, and results are
 exact and bit-reproducible regardless of gate listing order.
 
@@ -20,9 +21,10 @@ input bits that the envelopes allow, with no cross-net correlation), for
 acyclic netlists only.
 """
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
+from itertools import islice
 
 from .conditions import (
     BdcParams,
@@ -37,6 +39,7 @@ from .signals import Signal, Tick, Value, pointwise
 from .waveio import shown, shown_int
 
 MAX_GATE_ARITY = 8
+MAX_LOOP_SWITCHES = 10**7  # a loop that would write more is refused, not run out of memory
 
 
 class NetlistError(ValueError):
@@ -352,6 +355,18 @@ def _event_loop(gates: list[Gate], traces: dict, pre: dict, hi: Tick) -> None:
     same tick first.  At a candidate tick t the output rises (falls) when
     y held 1 (0) over [t - d, t - d + m].  Two flips of y in one tick
     cancel, as a dense sweep never sees them.
+
+    Periodic stretches are copied, not run.  When the first gate is about
+    to switch at t, the loop's state is its gates' outputs and y's
+    switches in [t - dmax, t) relative to t (dmax: the largest rise or
+    fall bound).  Every pending candidate comes from those switches and a
+    check is a pure function of them and the outputs (a stale candidate
+    changes nothing), so while the external nets hold still, equal states
+    at two ticks repeat the trace between them.  Brent's cycle finding
+    keeps one saved state.  On a match, the whole periods before the next
+    external switch and hi are written at once, and y's recent switches
+    and the heap move on by them (a period flips each y an even number of
+    times, so y's parity holds).  A copy past MAX_LOOP_SWITCHES is refused.
     """
     stims = sorted({net for g in gates for net in g.inputs} - {g.name for g in gates})
     gates = _gate_order(gates, zero_latency_only=True)
@@ -384,6 +399,8 @@ def _event_loop(gates: list[Gate], traces: dict, pre: dict, hi: Tick) -> None:
     feeds = [iter(traces[net].switches[1:]) for net in stims]  # each cut at hi
     heap = [sw[0] * nets + i for i, sw in enumerate(traces[net].switches for net in stims) if sw]
     heapify(heap)
+    dmax = max(dr + df)
+    saved, since, last, seen, power = None, 0, 0, 0, 1  # last: the last outside switch
 
     while heap:
         t, i = divmod(heappop(heap), nets)
@@ -391,6 +408,7 @@ def _event_loop(gates: list[Gate], traces: dict, pre: dict, hi: Tick) -> None:
             c = next(feeds[i], None)
             if c is not None:
                 heappush(heap, c * nets + i)
+            last = t
         else:
             d, m = (df[i], mf[i]) if val[i] else (dr[i], mr[i])
             ys = y_sw[i]
@@ -399,6 +417,34 @@ def _event_loop(gates: list[Gate], traces: dict, pre: dict, hi: Tick) -> None:
             # y must hold the other level than the output over [s, s + m]
             if val0[i] ^ (k & 1) == val[i] or (k < len(ys) and ys[k] <= s + m):
                 continue
+            if i == n_in and last > since:  # an outside net switched: start over from here
+                saved, since, seen, power = None, t, 0, 1
+            elif i == n_in:
+                state = (val[n_in:], [[s - t for s in ys[bisect_left(ys, t - dmax):]]
+                                      for ys in y_sw[n_in:]])
+                per, j = t - since, 0
+                if state == saved:  # the whole periods before the next outside switch and hi
+                    j = (min([e // nets - 1 for e in heap if e % nets < n_in] + [hi]) - t) // per
+                if j:
+                    shift = j * per
+                    grow = [len(xs) - bisect_left(xs, since) for xs in x_sw]
+                    if sum(map(len, x_sw)) + j * sum(grow) > MAX_LOOP_SWITCHES:
+                        raise NetlistError(
+                            f"the loop through gate {shown(gates[0].name)} switches more than"
+                            f" {MAX_LOOP_SWITCHES} times before the horizon ends")
+                    for xs, g in zip(x_sw, grow):  # each copy reads the one before it
+                        xs += map(per.__add__, islice(xs, len(xs) - g, len(xs) + (j - 1) * g))
+                    for ys in y_sw:
+                        k = bisect_left(ys, t - dmax)
+                        ys[k:] = [s + shift for s in ys[k:]]
+                    heap[:] = [e if e % nets < n_in else e + shift * nets for e in heap
+                               if e % nets < n_in or e // nets + shift <= hi]
+                    heapify(heap)
+                    t += shift
+                else:
+                    seen += 1
+                    if seen == power:
+                        saved, since, seen, power = state, t, 0, 2 * power
         val[i] ^= 1
         x_sw[i].append(t)
         for h, mask in readers[i]:
@@ -430,9 +476,10 @@ def simulate(
     after those it reads: a gate on no loop gets its whole trace at once
     (`_transfer`), and a loop, of several gates or of one reading itself,
     runs event by event (`_event_loop`) from the constant prehistory of
-    the loops and the gates they read (`_prehistory`).  A trace starts
-    from its constant before the first stimulus, so the result does not
-    depend on where the horizon or the first stimulus lies.
+    the loops and the gates they read (`_prehistory`), copying the periods
+    it repeats while its outside inputs hold still.  A trace starts from
+    its constant before the first stimulus, so the result does not depend
+    on where the horizon or the first stimulus lies.
     """
     lo, hi = horizon
     if lo > hi:

@@ -144,6 +144,13 @@ RECONV_STIM = "a 0 2 6 7 12\n"
 LOOP_NET = netlist(
     ["a"], ["x"], ("x", ["y"], [0, 1], FIXED_0), ("y", ["x"], [0, 1], FIXED_0)
 )
+# a ring of three inversions, gated by en: it oscillates once en rises
+RING_NET = netlist(
+    ["en"], ["r2"],
+    ("r0", ["en", "r2"], [1, 1, 1, 0], {"kind": "fixed", "d": 1}),
+    ("r1", ["r0"], [1, 0], {"kind": "bridc", "mr": 1, "dr": 2, "mf": 1, "df": 2}),
+    ("r2", ["r1"], [1, 0], FIXED_2),
+)
 _CHAIN = ["g%05d" % k for k in range(1100, 0, -1)]  # named against the flow
 CHAIN_NET = netlist(
     ["a"], [_CHAIN[-1]], *((g, [s], [1, 0], FIXED_0) for g, s in zip(_CHAIN, ["a"] + _CHAIN))
@@ -279,6 +286,9 @@ CASES = [
              "zero-delay cycle through gates x -> y -> x", stim=RECONV_STIM, horizon="0:20"),
     simulate("simulate_rejects_bad_horizon", AND_NET, 2,
              "bad horizon '10': expected LO:HI", horizon="10"),
+    simulate("simulate_refuses_a_loop_past_the_switch_limit", RING_NET, 2,
+             "the loop through gate 'r1' switches more than 10000000 times before the horizon ends",
+             stim="en 0 5\n", horizon="0:1000000000"),
     # tagged as pytest numbered these delays, so that the test ids hold
     simulate("simulate_names_the_gate_with_a_bad_delay[delay0]",
              and_gate(delay={"kind": "bridc", "mr": "x", "dr": 2, "mf": 0, "df": 2}), 2,

@@ -11,7 +11,7 @@ admits lies inside the propagated envelope.
 import random
 import time
 from collections import Counter
-from itertools import product
+from itertools import islice, product
 
 import pytest
 from dense_reference import dense_simulate
@@ -42,6 +42,7 @@ from inertia.signals import Signal, pointwise
 NOT = (1, 0)
 AND = (0, 0, 0, 1)
 NOR = (1, 0, 0, 0)
+NAND = (1, 1, 1, 0)
 XOR = (0, 1, 1, 0)
 BUF = (0, 1)
 MAJORITY = (0, 0, 0, 1, 0, 1, 1, 1)  # a Muller C-element when it reads its output
@@ -490,10 +491,12 @@ def random_delay(rng):
     return BridcDelay(BdcParams(mr, max(dr, df - mf), mf, max(df, dr - mr)))
 
 
-def random_circuit(rng):
-    """1-3 inputs and up to 5 gates of arity <= 3 reading any net, so
-    feedback loops (and rejected zero-delay cycles) occur."""
-    ins = [f"i{k}" for k in range(rng.randint(1, 3))]
+def random_circuit(rng, inputs=3, span=(0, 20), switches=6):
+    """1 to `inputs` inputs and up to 5 gates of arity <= 3 reading any
+    net, so feedback loops (and rejected zero-delay cycles) occur; the
+    horizon spans `span` ticks more than one, each input switches up to
+    `switches` times."""
+    ins = [f"i{k}" for k in range(rng.randint(1, inputs))]
     names = [f"g{k}" for k in range(rng.randint(1, 5))]
     gates = []
     for name in names:
@@ -502,10 +505,10 @@ def random_circuit(rng):
         reads = tuple(rng.choice(ins + names) for _ in range(k))
         gates.append(Gate(name, reads, tuple(table), random_delay(rng)))
     lo = rng.randint(-10, 10)
-    hi = lo + rng.randint(0, 20)
+    hi = lo + rng.randint(*span)
     stim = {}
     for i in ins:
-        times = rng.sample(range(lo - 8, hi + 1), rng.randint(0, 6))
+        times = rng.sample(range(lo - 8, hi + 1), rng.randint(0, switches))
         stim[i] = Signal(rng.randint(0, 1), tuple(sorted(times)))
     return Netlist(tuple(ins), tuple(gates), tuple(ins)), stim, (lo, hi)
 
@@ -527,6 +530,116 @@ def test_simulation_matches_the_dense_reference(seed):
     # want is built by the validating constructor, so equality also shows
     # that simulate's unchecked outputs are canonical
     assert simulate(n, stim, horizon) == want, case
+
+
+# -- periodic stretches of a loop ------------------------------------------------
+
+# en = 0 holds r0 at 1; once en rises the three inversions oscillate, each
+# net switching every 5 ticks
+RING = Netlist(
+    ("en",),
+    (
+        Gate("r0", ("en", "r2"), NAND, FixedDelay(1)),
+        Gate("r1", ("r0",), NOT, BridcDelay(BdcParams(1, 2, 1, 2))),
+        Gate("r2", ("r1",), NOT, FixedDelay(2)),
+    ),
+    ("r2",),
+)
+
+
+@pytest.fixture
+def copies(monkeypatch):
+    """The islice calls of `simulate`: only `_event_loop`'s copy of a
+    periodic stretch makes them, one per net of the loop."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return islice(*args)
+
+    monkeypatch.setattr(circuit, "islice", counted)
+    return calls
+
+
+def test_long_horizons_match_the_dense_reference(copies):
+    # few stimulus switches over long horizons leave loops oscillating
+    # undisturbed for many periods, which the copy then writes at once
+    taken = 0
+    for seed in range(2000):
+        try:
+            n, stim, horizon = random_circuit(random.Random(seed), 2, (50, 300), 4)
+        except NetlistError:
+            continue
+        try:
+            want = dense_simulate(n, stim, horizon)
+        except NetlistError:
+            continue  # no constant prehistory, as test_unsettled_feedback_is_reported
+        before = len(copies)
+        assert simulate(n, stim, horizon) == want, f"{netlist_to_dict(n)} {stim} {horizon}"
+        taken += len(copies) > before
+    assert taken >= 50, taken
+
+
+def test_a_gated_ring_over_a_million_ticks_pops_few_events(copies, monkeypatch):
+    pops = []
+    heappop = circuit.heappop
+    monkeypatch.setattr(circuit, "heappop", lambda heap: pops.append(1) or heappop(heap))
+    stim = {"en": Signal(0, (5,))}
+    out = simulate(RING, stim, (0, 10**6))
+    assert len(pops) < 1000 and copies
+    want = dense_simulate(RING, stim, (0, 2000))
+    assert out["en"] == want["en"]
+    for net in ("r0", "r1", "r2"):
+        sig, head = out[net], want[net].switches
+        assert sig.initial == want[net].initial and sig.switches[:len(head)] == head, net
+        tail = sig.switches[len(head) - 1:]
+        assert all(b - a == 5 for a, b in zip(tail, tail[1:])) and tail[-1] > 10**6 - 5, net
+
+
+def test_a_horizon_that_ends_mid_period(copies):
+    stim = {"en": Signal(0, (5,))}
+    for hi in range(300, 311):  # every phase of the 10-tick period
+        before = len(copies)
+        assert simulate(RING, stim, (0, hi)) == dense_simulate(RING, stim, (0, hi)), hi
+        assert len(copies) > before
+
+
+def test_an_enable_pulse_just_after_a_copied_stretch(copies):
+    for off in range(200, 211):  # every phase of the period, and one more
+        for width in (1, 3):
+            before = len(copies)
+            stim = {"en": Signal(0, (5, off, off + width))}
+            assert simulate(RING, stim, (0, 320)) == dense_simulate(RING, stim, (0, 320)), stim
+            assert len(copies) > before  # the stretch after the pulse is copied too
+
+
+def test_a_period_with_a_same_tick_flip_and_flip_back_of_y(copies):
+    # a and b are r0 delayed alike, so z's table output flips and flips
+    # back whenever r0 has switched: the cancelled flip leaves a stale
+    # candidate on the heap in every period that is copied
+    n = Netlist(
+        ("en",),
+        (
+            Gate("r0", ("en", "w"), NAND, FixedDelay(1)),
+            Gate("a", ("r0",), BUF, FixedDelay(2)),
+            Gate("b", ("r0",), BUF, BridcDelay(BdcParams(1, 2, 1, 2))),
+            Gate("z", ("a", "b"), XOR, FixedDelay(1)),
+            Gate("w", ("a", "z"), XOR, FixedDelay(1)),
+        ),
+        ("w",),
+    )
+    stim = {"en": Signal(0, (5, 140, 142))}
+    out = simulate(n, stim, (0, 300))
+    assert out == dense_simulate(n, stim, (0, 300))
+    assert out["z"] == Signal.const(0) and len(out["w"].switches) > 40 and copies
+
+
+def test_a_copy_past_the_switch_limit_is_refused():
+    with pytest.raises(NetlistError) as err:
+        simulate(RING, {"en": Signal(0, (5,))}, (0, 10**9))
+    assert str(err.value) == (
+        "the loop through gate 'r1' switches more than 10000000 times before the horizon ends"
+    )
 
 
 # -- envelopes --------------------------------------------------------------------
