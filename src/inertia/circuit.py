@@ -331,11 +331,20 @@ def _cut(s: Signal, hi: Tick) -> Signal:
 
 
 def _transfer(g: Gate, traces: dict[str, Signal], hi: Tick) -> Signal:
-    """The trace of a gate on no loop, in one piece: the table image of
-    its inputs' traces through its delay, cut at hi."""
-    if len(set(g.table)) == 1:  # a constant image, gates of no inputs included
-        return Signal._trusted(g.table[0], ())
-    u = pointwise(lambda *bits: g.eval_bits(bits), *[traces[net] for net in g.inputs])
+    """The trace of a gate on no loop, in one piece: the table image u of
+    its inputs' traces through its delay, cut at hi.  A parity table (XOR
+    or XNOR of k >= 2 inputs) switches where an odd number of inputs do,
+    so u switches on the symmetric difference of their switch sets."""
+    table, ins = g.table, [traces[net] for net in g.inputs]
+    if len(set(table)) == 1:  # a constant image, gates of no inputs included
+        return Signal._trusted(table[0], ())
+    if len(ins) > 1 and all(v == ix.bit_count() & 1 ^ table[0] for ix, v in enumerate(table)):
+        odd = set()
+        for s in ins:
+            odd.symmetric_difference_update(s.switches)
+        u = Signal._trusted(g.eval_bits([s.initial for s in ins]), tuple(sorted(odd)))
+    else:
+        u = pointwise(lambda *bits: g.eval_bits(bits), *ins)
     p = g.delay.params  # a shift when both memories are 0, or for an image that never switches
     x = u.translate(p.dr) if p.mr == p.mf == 0 or not u.switches else bridc_det_output(u, p)
     return _cut(x, hi)

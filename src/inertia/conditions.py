@@ -19,6 +19,7 @@ BDC + RIC) are expressed.
 """
 
 from bisect import bisect_right
+from itertools import islice
 
 from .signals import Signal, Value, _set_key, window_and, window_or
 from .waveio import shown, shown_int
@@ -494,18 +495,24 @@ def bridc_det_output(u: Signal, p: BdcParams) -> Signal:
     window, a high output falls when u held 0 over the fall window; CC
     makes the two windows overlap, so both commands never fire at once.
     The output starts at u's initial value, which is the unique constant
-    prehistory.  With mr == mf == 0 this reproduces a pure shift.  Both
-    commands start at u's initial value too, so each output switch is the
-    awaited command's first switch after the last one: one bisection.
+    prehistory.  So one pass over u's runs (each switch starts one, the
+    last never ends) gives it: a run of a value v the output does not
+    hold moves it to v at start + dr (v = 1) or start + df (v = 0) when
+    it lasts more than mr or mf ticks; shorter runs are swallowed.  The
+    moves strictly increase: a kept 1-run starts at least mf + 1 ticks
+    after the kept 0-run before it, so dr >= df - mf puts its rise after
+    that fall, and df >= dr - mr does the same for a fall.
     """
     require_cc(p)
-    rise = window_and(u, p.dr, p.mr)  # 1 where the output must be 1
-    fall = window_or(u, p.df, p.mf)  # 0 where the output must be 0
-    assert rise.leq(fall), "rise and fall windows overlap under CC"
-    awaited = (rise.switches, fall.switches)  # by the output's value
-    val, k, out = u.initial, 0, []
-    while k < len(awaited[val]):
-        out.append(awaited[val][k])
-        val ^= 1
-        k = bisect_right(awaited[val], out[-1])
+    sw = u.switches
+    keep, delay = (p.mf, p.mr), (p.df, p.dr)  # by the run's value
+    val = v = u.initial
+    out = []
+    for start, end in zip(sw, islice(sw, 1, None)):
+        v ^= 1
+        if v != val and end - start > keep[v]:
+            out.append(start + delay[v])
+            val = v
+    if sw and u.final != val:  # the last run never ends, so it is kept
+        out.append(sw[-1] + delay[u.final])
     return Signal._trusted(u.initial, tuple(out))

@@ -8,7 +8,7 @@ pointwise inequality are again tick-aligned step signals, so checking at
 ticks decides the inequality everywhere.
 
 `pointwise` (and through it the Boolean operators) combines several
-signals in one merged walk over their switch lists; `Signal.leq` checks
+signals in one walk over the ticks at which they switch; `Signal.leq` checks
 each run of 1s with one bisection.  Their cost follows the number of
 switches, not the tick distance.
 
@@ -184,10 +184,11 @@ def _evaluated(fn, ix: int, k: int) -> int:
 def pointwise(fn, *signals: Signal) -> Signal:
     """Combine signals with a bit function applied at every tick.
 
-    Exact: the result can only change where some operand switches.  One
-    merged walk over the switch lists keeps the operands' values as one
-    table index (operand 0 is the high bit) and evaluates `fn` once for
-    each index it meets.
+    Exact: the result can only change where some operand switches.  The
+    operands' values are one table index (operand 0 is the high bit); a
+    dict maps each tick where some operand switches to the XOR of their
+    index bits, and one walk over its sorted ticks evaluates `fn` once
+    for each index met at a tick's end.
     """
     if not signals:
         raise SignalError("pointwise needs at least one signal")
@@ -200,26 +201,24 @@ def pointwise(fn, *signals: Signal) -> Signal:
         sw = signals[0].switches
         return Signal._trusted(initial, sw if sw and _evaluated(fn, 1 - ix, 1) != val else ())
     memo = {ix: val}
-    # t * k + i orders by tick, then operand; the switch lists are
-    # already sorted runs, so the sort only merges them
-    codes = [t * k + i for i, s in enumerate(signals) for t in s.switches]
-    codes.sort()
-    codes.append((codes[-1] if codes else 0) + k)  # a later tick closes the last one
-    bit = [1 << (k - 1 - i) for i in range(k)]
-    base = codes[0] - codes[0] % k  # t * k for the tick being collected
+    masks = {}  # tick -> the index bits that flip there
+    for i, s in enumerate(signals):
+        bit = 1 << (k - 1 - i)
+        if not masks:
+            masks = dict.fromkeys(s.switches, bit)
+            continue
+        get = masks.get
+        for t in s.switches:
+            masks[t] = get(t, 0) ^ bit
     switches = []
-    for code in codes:
-        i = code - base
-        if i >= k:  # the first switch of a later tick: the last one is done
-            new = memo.get(ix)
-            if new is None:
-                new = memo[ix] = _evaluated(fn, ix, k)
-            if new != val:
-                switches.append(base // k)
-                val = new
-            i = code % k
-            base = code - i
-        ix ^= bit[i]
+    for t in sorted(masks):
+        ix ^= masks[t]
+        new = memo.get(ix)
+        if new is None:
+            new = memo[ix] = _evaluated(fn, ix, k)
+        if new != val:
+            switches.append(t)
+            val = new
     return Signal._trusted(initial, tuple(switches))
 
 

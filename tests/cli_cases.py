@@ -151,6 +151,63 @@ RING_NET = netlist(
     ("r1", ["r0"], [1, 0], {"kind": "bridc", "mr": 1, "dr": 2, "mf": 1, "df": 2}),
     ("r2", ["r1"], [1, 0], FIXED_2),
 )
+# XOR and XNOR tables, which the simulator builds from the inputs' switch
+# sets; z reads x twice, which cancels, so it follows c
+PARITY_NET = netlist(
+    ["a", "b", "c"], ["x"],
+    ("x", ["a", "b"], [0, 1, 1, 0], {"kind": "fixed", "d": 1}),
+    ("xn", ["a", "b", "c"], [1, 0, 0, 1, 0, 1, 1, 0],
+     {"kind": "bridc", "mr": 1, "dr": 2, "mf": 1, "df": 2}),
+    ("z", ["x", "c", "x"], [0, 1, 1, 0, 1, 0, 0, 1], FIXED_0),
+)
+PARITY_STIM = "a 0 1 3 4 8\nb 0 3 5 6\nc 1 2 7\n"
+PARITY_VCD = """\
+$timescale 1ns $end
+$scope module top $end
+$var wire 1 ! a $end
+$var wire 1 " b $end
+$var wire 1 # c $end
+$var wire 1 $ x $end
+$var wire 1 % xn $end
+$var wire 1 & z $end
+$upscope $end
+$enddefinitions $end
+$dumpvars
+0!
+0"
+1#
+0$
+0%
+1&
+$end
+#1
+1!
+#2
+0#
+1$
+0&
+#3
+0!
+1"
+#4
+1!
+#5
+0"
+0$
+#6
+1"
+1$
+#7
+1#
+0$
+1&
+#8
+0!
+#9
+1$
+#10
+1%
+"""
 _CHAIN = ["g%05d" % k for k in range(1100, 0, -1)]  # named against the flow
 CHAIN_NET = netlist(
     ["a"], [_CHAIN[-1]], *((g, [s], [1, 0], FIXED_0) for g, s in zip(_CHAIN, ["a"] + _CHAIN))
@@ -261,6 +318,9 @@ CASES = [
     check_aic("check_aic_needs_no_input", INT_WAVE, 0, verdict={"holds": True}),
     solve("solve_deterministic_output", BDC, "u 0 0 3\n", 0, cond="bridc-det",
           stdout="x 0 2 5\n"),
+    # the 1-tick pulses at 0, 5, 6 and 15 are swallowed
+    solve("solve_deterministic_output_swallows_short_pulses", BDC,
+          "u 0 0 1 3 5 6 7 9 15 16 22\n", 0, cond="bridc-det", stdout="x 0 5 9 11 24\n"),
     solve("solve_rejects_inconsistent_parameters", BAD_CC, "u 0 0 3\n", 2,
           "CC violated: df >= dr - mr fails (2 >= 3 - 0)"),
     check_aic("a_bad_time_exits_2_naming_the_cause[fraction]", "u 0 1.5\n", 2,
@@ -278,6 +338,8 @@ CASES = [
     # simulate
     simulate("simulate_runs_a_netlist[reconvergent]", RECONV_NET, 0,
              stim=RECONV_STIM, horizon="0:20"),
+    simulate("simulate_runs_a_netlist[parity]", PARITY_NET, 0, stim=PARITY_STIM,
+             horizon="0:12", stdout=PARITY_VCD),
     simulate("simulate_runs_a_netlist[chain-1100]", CHAIN_NET, 0, None, "-o", "chain.vcd",
              stim=RECONV_STIM, horizon="0:20",
              twin="tests/test_circuit.py::"

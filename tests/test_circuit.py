@@ -513,23 +513,77 @@ def random_circuit(rng, inputs=3, span=(0, 20), switches=6):
     return Netlist(tuple(ins), tuple(gates), tuple(ins)), stim, (lo, hi)
 
 
+def parity_circuit(rng):
+    """2 to 4 inputs that switch every 1 to 3 ticks from one start, so
+    they often switch at the same tick, and up to 5 gates behind random
+    delays: mostly XOR or XNOR of 2 to 8 reads, which often read one net
+    twice, else a random table of up to 3 reads.  A gate reads the inputs
+    and the gates before it, and now and then any gate, closing a loop."""
+    ins = [f"i{k}" for k in range(rng.randint(2, 4))]
+    names = [f"g{k}" for k in range(rng.randint(1, 5))]
+    gates = []
+    for j, name in enumerate(names):
+        if rng.random() < 0.75:
+            k, flip = rng.randint(2, 8), rng.randint(0, 1)
+            table = [bin(ix).count("1") & 1 ^ flip for ix in range(1 << k)]
+        else:
+            k = rng.randint(1, 3)
+            table = [rng.randint(0, 1) for _ in range(1 << k)]
+        pool = ins + (names if rng.random() < 0.15 else names[:j])
+        reads = tuple(rng.choice(pool) for _ in range(k))
+        gates.append(Gate(name, reads, tuple(table), random_delay(rng)))
+    lo = rng.randint(-10, 10)
+    hi = lo + rng.randint(20, 50)
+    stim = {}
+    for i in ins:
+        times = [lo - 8]
+        while times[-1] < hi:
+            times.append(times[-1] + rng.randint(1, 3))
+        stim[i] = Signal(rng.randint(0, 1), tuple(times[1:]))
+    return Netlist(tuple(ins), tuple(gates), tuple(ins)), stim, (lo, hi)
+
+
 @settings(derandomize=True, max_examples=400, deadline=None)
 @given(st.integers(0, 2**32))
 def test_simulation_matches_the_dense_reference(seed):
-    try:
-        n, stim, horizon = random_circuit(random.Random(seed))
-    except NetlistError:
-        return  # a zero-delay cycle: neither engine gets to run
-    case = f"{netlist_to_dict(n)} {stim} {horizon}"
-    try:
-        want = dense_simulate(n, stim, horizon)
-    except NetlistError:
-        with pytest.raises(NetlistError):
-            simulate(n, stim, horizon)
-        return
-    # want is built by the validating constructor, so equality also shows
-    # that simulate's unchecked outputs are canonical
-    assert simulate(n, stim, horizon) == want, case
+    # random tables on few stimulus switches, then parity gates on dense ones
+    for draw in (random_circuit, parity_circuit):
+        try:
+            n, stim, horizon = draw(random.Random(seed))
+        except NetlistError:
+            continue  # a zero-delay cycle: neither engine gets to run
+        case = f"{netlist_to_dict(n)} {stim} {horizon}"
+        try:
+            want = dense_simulate(n, stim, horizon)
+        except NetlistError:
+            with pytest.raises(NetlistError):
+                simulate(n, stim, horizon)
+            continue
+        # want is built by the validating constructor, so equality also
+        # shows that simulate's unchecked outputs are canonical
+        assert simulate(n, stim, horizon) == want, case
+
+
+def test_parity_gates_of_two_inputs_or_more_skip_pointwise(monkeypatch):
+    arities = []
+    real = circuit.pointwise
+    monkeypatch.setattr(
+        circuit, "pointwise", lambda fn, *ops: arities.append(len(ops)) or real(fn, *ops)
+    )
+    xnor3 = (1, 0, 0, 1, 0, 1, 1, 0)
+    n = Netlist(
+        ("a", "b"),
+        (
+            Gate("x", ("a", "b"), XOR, FixedDelay(1)),
+            Gate("xn", ("a", "b", "a"), xnor3, BridcDelay(BdcParams(1, 2, 1, 2))),
+            Gate("n", ("x",), NOT, FixedDelay(1)),  # a parity table of one input
+            Gate("y", ("a", "xn"), AND, FixedDelay(0)),
+        ),
+        ("y",),
+    )
+    stim = {"a": Signal(0, (1, 3, 4, 8)), "b": Signal(1, (2, 3, 6))}
+    assert simulate(n, stim, (0, 15)) == dense_simulate(n, stim, (0, 15))
+    assert sorted(arities) == [1, 2]  # n and y; x and xn take the symmetric difference
 
 
 # -- periodic stretches of a loop ------------------------------------------------

@@ -5,6 +5,10 @@ inertia.verify and the acceptance tests. The regression cases at the
 bottom pin down behavior that a naive parameter arithmetic gets wrong.
 """
 
+import random
+from itertools import product
+
+import kernel_reference
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -324,6 +328,20 @@ def test_bridc_det_output_matches_the_dense_recurrence(u, p):
     out = bridc_det_output(u, p)
     assert Signal(out.initial, out.switches) == out  # canonical without the check
     assert out.values_on(-20, 30) == dense_det(u, p, -20, 30)
+
+
+def test_bridc_det_output_matches_the_window_kernel_on_long_inputs():
+    # every CC parameter set with windows of at most 5 ticks, on runs of
+    # 1 to 7 ticks, so that runs both outlast and fall short of each memory
+    rng = random.Random(0)
+    sets = [BdcParams(mr, dr, mf, df) for dr, df in product(range(6), repeat=2)
+            for mr in range(dr + 1) for mf in range(df + 1)]
+    for j, p in enumerate(filter(cc_holds, sets)):
+        times = [(-5000, -(10**40), 10**40)[j % 3]]
+        for _ in range(rng.randint(0, 2000)):
+            times.append(times[-1] + rng.randint(1, 7))
+        u = Signal(rng.randint(0, 1), tuple(times[1:]))
+        assert bridc_det_output(u, p) == kernel_reference.bridc_det_output(u, p), p
 
 
 def dense_edges(x, lo, hi):

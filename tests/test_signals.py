@@ -4,12 +4,15 @@ The window operators are cross-checked against a direct dense evaluation
 at every tick, so the run-arithmetic implementation never gets to define
 its own truth.  Kernels that build their results without the canonical-
 form check (translate, complement, pointwise, the windows) have every
-result re-validated here too.
+result re-validated here too.  On long inputs, `pointwise` is played
+against the earlier merged walk kept in `kernel_reference`.
 """
 
 import operator
+import random
 from functools import reduce
 
+import kernel_reference
 import pytest
 from hypothesis import example, given, strategies as st
 
@@ -214,6 +217,33 @@ def test_pointwise_evaluates_the_combiner_once_per_operand_values_met(ops):
     out = pointwise(lambda *bits: seen.append(bits) or bits[0], *ops)
     assert out == ops[0]
     assert sorted(seen) == sorted({tuple(s.value_at(t) for s in ops) for t in range(-20, 21)})
+
+
+def short_runs(rng, start, n):
+    """A signal of n switches 1 to 3 ticks apart from tick start: signals
+    drawn from one start share about half their ticks."""
+    times, t = [], start
+    for _ in range(n):
+        t += rng.randint(1, 3)
+        times.append(t)
+    return Signal(rng.randint(0, 1), tuple(times))
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_pointwise_matches_the_merged_code_walk_on_long_inputs(k):
+    # each combiner and two table lookups meet each start in turn
+    rng = random.Random(k)
+    tables = [[rng.randint(0, 1) for _ in range(1 << k)] for _ in range(2)]
+    lookups = [lambda *bits, t=t: t[int("".join(map(str, bits)), 2)] for t in tables]
+    for j, fn in enumerate([*COMBINERS.values(), *lookups]):
+        start = (-5000, -(10**40), 10**40)[(j + k) % 3]
+        ops = [short_runs(rng, start, 1000) for _ in range(k)]
+        if k > 2:  # an operand may not switch
+            ops[rng.randrange(k)] = Signal.const(rng.randint(0, 1))
+        seen, want_seen = [], []  # the combiner's calls, in order
+        got = pointwise(lambda *bits: seen.append(bits) or fn(*bits), *ops)
+        want = kernel_reference.pointwise(lambda *bits: want_seen.append(bits) or fn(*bits), *ops)
+        assert revalidated(got) == want and seen == want_seen, (k, j)
 
 
 # one example per way the run kernel of `leq` can decide
