@@ -154,10 +154,6 @@ class Netlist(Value):
         _gate_order(gates, zero_latency_only=True)
         self._set(inputs, gates, outputs)
 
-    @property
-    def has_feedback(self) -> bool:
-        return any(loop for _, loop in _components(self.gates))
-
 
 def _reads(g: Gate, zero_latency_only: bool) -> tuple:
     """The nets g reads; under zero_latency_only none when its output lags them."""
@@ -365,8 +361,11 @@ def _event_loop(gates: list[Gate], traces: dict, pre: dict, hi: Tick) -> None:
     y held 1 (0) over [t - d, t - d + m].  Two flips of y in one tick
     cancel, as a dense sweep never sees them.
 
-    Periodic stretches are copied, not run.  When the first gate is about
-    to switch at t, the loop's state is its gates' outputs and y's
+    Periodic stretches are copied, not run.  The anchor is the first gate
+    to switch, and again after each external switch; a gate that switches
+    in a period switches in every period, so it follows the trace, not
+    the listing.  When the anchor is about to switch at t, and no other
+    gate has yet at t, the loop's state is its gates' outputs and y's
     switches in [t - dmax, t) relative to t (dmax: the largest rise or
     fall bound).  Every pending candidate comes from those switches and a
     check is a pure function of them and the outputs (a stale candidate
@@ -409,7 +408,7 @@ def _event_loop(gates: list[Gate], traces: dict, pre: dict, hi: Tick) -> None:
     heap = [sw[0] * nets + i for i, sw in enumerate(traces[net].switches for net in stims) if sw]
     heapify(heap)
     dmax = max(dr + df)
-    saved, since, last, seen, power = None, 0, 0, 0, 1  # last: the last outside switch
+    saved, since, seen, power, anchor, tick, moved = None, 0, 0, 1, None, None, True
 
     while heap:
         t, i = divmod(heappop(heap), nets)
@@ -417,7 +416,7 @@ def _event_loop(gates: list[Gate], traces: dict, pre: dict, hi: Tick) -> None:
             c = next(feeds[i], None)
             if c is not None:
                 heappush(heap, c * nets + i)
-            last = t
+            moved = True  # so the next gate to switch starts the search over
         else:
             d, m = (df[i], mf[i]) if val[i] else (dr[i], mr[i])
             ys = y_sw[i]
@@ -426,9 +425,9 @@ def _event_loop(gates: list[Gate], traces: dict, pre: dict, hi: Tick) -> None:
             # y must hold the other level than the output over [s, s + m]
             if val0[i] ^ (k & 1) == val[i] or (k < len(ys) and ys[k] <= s + m):
                 continue
-            if i == n_in and last > since:  # an outside net switched: start over from here
-                saved, since, seen, power = None, t, 0, 1
-            elif i == n_in:
+            if moved:  # start over from here, comparing states at i's switches
+                saved, since, seen, power, moved, anchor = None, t, 0, 1, False, i
+            elif i == anchor and t != tick:  # no loop gate has switched at t yet
                 state = (val[n_in:], [[s - t for s in ys[bisect_left(ys, t - dmax):]]
                                       for ys in y_sw[n_in:]])
                 per, j = t - since, 0
@@ -454,6 +453,7 @@ def _event_loop(gates: list[Gate], traces: dict, pre: dict, hi: Tick) -> None:
                     seen += 1
                     if seen == power:
                         saved, since, seen, power = state, t, 0, 2 * power
+            tick = t
         val[i] ^= 1
         x_sw[i].append(t)
         for h, mask in readers[i]:

@@ -5,14 +5,15 @@ strictly increasing switch times.  Times may be decimals only when the
 run config sets a resolution that maps them to whole ticks; anything that
 does not land on a tick is rejected rather than rounded.  `#` starts a
 comment.  At resolution 1 a line whose times are all plain ASCII
-integers is read with int(); every other time, in any form Fraction
-reads (`_` digit groups, non-ASCII digits, `a/b`, decimals, exponents of
-at most 4 digits), goes through Fraction.  A tick may have at most 4300
-significant digits, the most Python writes back as text: zeros that lead
-a digit run, or end the decimals, do not count.  On output, `writable` is
-the one place that bound is checked: every tick written here and every
-integer of the CLI's verdicts passes it.  `writable_name` refuses a net
-name that is empty or holds whitespace or `#`.
+integers is read with int(); every other time must match `_TIME` (`_`
+digit groups, any script's digits, `a/b`, decimals, exponents whose
+value has at most 4 digits) and is read exactly by Decimal, so every
+Python reads it alike, whatever its limit on integer text.  A tick may
+have at most 4300 digits, the most Python writes back as text.  On
+output, `writable` is the one place that bound is checked: every tick
+written here and every integer of the CLI's verdicts passes it.
+`writable_name` refuses a net name that is empty or holds whitespace or
+`#`.
 
 VCD output is emission-only and deterministic: no timestamps of the run,
 identifiers assigned in sorted name order, same-tick changes sorted by
@@ -113,15 +114,16 @@ def parse_config(text: str) -> RunConfig:
 MAX_TICK_DIGITS = 4300
 _TICK_LIMIT = 10**MAX_TICK_DIGITS
 _SHOWN_LIMIT = 10**40
-# the exponent of a decimal token, digits grouped by `_` as Fraction allows
-_EXPONENT = re.compile(r"[eE][+-]?(\d+(?:_\d+)*)\Z")
 MAX_EXPONENT_DIGITS = 4
-# the zeros, with the `_` between them, that lead a digit run not after
-# the point; and the decimals when they end the token or meet its exponent
-_LEADING_ZEROS = re.compile(r"(?<![\d_.])(?:0_?)*0(?=\d)")
-_DECIMALS = re.compile(r"\.(\d+(?:_\d+)*)(?=[eE]|\Z)")
-# what Fraction reads as a decimal before its exponent
-_DECIMAL_TEXT = re.compile(r"[+-]?(?:\d+(?:_\d+)*)?(?:\.(?:\d+(?:_\d+)*)?)?")
+# a time off the integer fast path: an optional sign, then a ratio of two
+# digit runs, or an integer or decimal with an optional exponent; `_` may
+# group a run's digits, and \d takes any script's.  Both forms share their
+# first run, so a long integer is scanned once
+_DIGITS = r"\d+(?:_\d+)*"
+_TIME = re.compile(
+    rf"[+-]?(?=\.?\d)(?:{_DIGITS})?"
+    rf"(?:/{_DIGITS}|(?:\.(?:{_DIGITS})?)?(?:[eE](?P<exp>[+-]?{_DIGITS}))?)"
+)
 
 
 def _digit_count(n: int) -> int:
@@ -173,54 +175,32 @@ def writable_name(name: str) -> str:
     return name
 
 
-def _significant(token: str) -> str:
-    """token without the zeros that leave its value as it is: those that
-    lead a digit run other than the decimals, and those that end the
-    decimals.  Fraction would count them against int()'s digit limit."""
-    token = _LEADING_ZEROS.sub("", token)
-    decimals = _DECIMALS.search(token)
-    if decimals:
-        kept = decimals[1].rstrip("0_") or "0"
-        token = token[: decimals.start(1)] + kept + token[decimals.end(1):]
-    return token
-
-
 def _parse_tick(token: str, resolution: int, ln: int) -> Tick:
-    from fractions import Fraction  # imported here: only this slow path needs it
-    exponent = _EXPONENT.search(token)
-    # 1e2000000 would make Fraction build a 2,000,001-digit number
-    if exponent and len(exponent[1].replace("_", "")) > MAX_EXPONENT_DIGITS:
+    """The tick of one time token at `resolution`, read exactly by Decimal
+    after _TIME has checked its grammar.  An exponent whose value has more
+    than MAX_EXPONENT_DIGITS digits is refused first, so no number built
+    here has many more digits than the token has characters."""
+    # imported here: only this slow path needs them
+    from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal
+    m = _TIME.fullmatch(token)
+    num, _, den = token.replace("_", "").partition("/")
+    if not m or den and not Decimal(den):
+        raise WaveParseError(f"line {ln}: bad time {shown(token)}")
+    if m["exp"] and Decimal(m["exp"].replace("_", "")).adjusted() >= MAX_EXPONENT_DIGITS:
         raise WaveParseError(
             f"line {ln}: time {shown(token)} has an exponent of more than "
             f"{MAX_EXPONENT_DIGITS} digits"
         )
-    significant = _significant(token)
-    try:
-        value = Fraction(significant)
-    except (ValueError, ZeroDivisionError):
-        mantissa = _EXPONENT.sub("", significant)
-        digits = sum(c.isdecimal() for c in mantissa.lstrip("+-0"))
-        if digits > MAX_TICK_DIGITS and _INT_TEXT.fullmatch(significant):  # int()'s limit
-            # the scaled tick's digits, as with the limit lifted: Decimal reads any length
-            from decimal import MAX_EMAX, MAX_PREC, Context, Decimal
-            n = Context(MAX_PREC, Emax=MAX_EMAX).multiply(Decimal(significant), resolution)
-            raise _too_long(f"line {ln}: time {shown(token)}: a tick", n.adjusted() + 1) from None
-        if digits > MAX_TICK_DIGITS and _DECIMAL_TEXT.fullmatch(mantissa):
-            raise WaveParseError(
-                f"line {ln}: time {shown(token)}: a decimal of {digits} digits, "
-                f"more than the {MAX_TICK_DIGITS} that can be read"
-            ) from None
-        raise WaveParseError(f"line {ln}: bad time {shown(token)}") from None
-    scaled = value * resolution
-    if scaled.denominator != 1:
+    exact = Context(MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
+    tick, rest = exact.divmod(exact.multiply(Decimal(num), resolution), Decimal(den or 1))
+    if rest:
         raise WaveParseError(
             f"line {ln}: time {shown(token)} does not land on a tick "
             f"at resolution {resolution}"
         )
-    tick = int(scaled)
-    if not -_TICK_LIMIT < tick < _TICK_LIMIT:  # 1e4300, say, or int()'s limit lifted
-        writable(tick, f"line {ln}: time {shown(token)}: a tick")
-    return tick
+    if tick.adjusted() >= MAX_TICK_DIGITS:
+        raise _too_long(f"line {ln}: time {shown(token)}: a tick", tick.adjusted() + 1)
+    return int(tick)
 
 
 def _increasing(times: tuple[Tick, ...]) -> bool:

@@ -327,6 +327,20 @@ CASES = [
               "line 1: time '1.5' does not land on a tick at resolution 1"),
     check_aic("a_bad_time_exits_2_naming_the_cause[exponent]", "u 0 1e99999\n", 2,
               "line 1: time '1e99999' has an exponent of more than 4 digits"),
+    # a decimal of any length is read exactly, whatever int()'s digit limit
+    check_aic("a_bad_time_exits_2_naming_the_cause[long-decimal]",
+              f"u 0 1.5{'0' * 5000}1\n", 2,
+              f"line 1: time '1.5{'0' * 37}'... (5004 chars) does not land on a tick "
+              "at resolution 1"),
+    check_aic("a_bad_time_exits_2_naming_the_cause[small-decimal]",
+              f"u 0 0.{'0' * 5000}1\n", 2,
+              f"line 1: time '0.{'0' * 38}'... (5003 chars) does not land on a tick "
+              "at resolution 1"),
+    # `_` groups digits on every Python, 3.10 included
+    Case("digit_groups_read_at_any_resolution",
+         ["solve", "--cond", "bdc-min", "--params", ZERO_BDC, "--input", "u.wave",
+          "--config", "run.cfg"], 0, stdout="x 0 2000\n",
+         files={"u.wave": "u 0 1_000\n", "run.cfg": "resolution = 2\n"}),
     solve("zeros_that_pad_a_time_are_not_counted_as_digits[lead]", ZERO_BDC,
           f"u 0 {'0' * 4301}1\n", 0, stdout="x 0 1\n"),
     solve("zeros_that_pad_a_time_are_not_counted_as_digits[end]", ZERO_BDC,
@@ -596,15 +610,6 @@ if hasattr(sys, "get_int_max_str_digits"):
         Case(f"{OPTION}[config line 1: resolution]",
              [*VERIFY, "--config", "run.cfg"], 2,
              f"config line 1: resolution {READ}", files={"run.cfg": f"resolution = {LONG}\n"}),
-        # a decimal past the limit is named as one, not as a bad time
-        check_aic("a_bad_time_exits_2_naming_the_cause[long-decimal]",
-                  f"u 0 1.5{'0' * 5000}1\n", 2,
-                  f"line 1: time '1.5{'0' * 37}'... (5004 chars): a decimal of 5003 digits, "
-                  "more than the 4300 that can be read"),
-        check_aic("a_bad_time_exits_2_naming_the_cause[small-decimal]",
-                  f"u 0 0.{'0' * 5000}1\n", 2,
-                  f"line 1: time '0.{'0' * 38}'... (5003 chars): a decimal of 5001 digits, "
-                  "more than the 4300 that can be read"),
     ]
 
 

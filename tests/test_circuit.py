@@ -11,7 +11,7 @@ admits lies inside the propagated envelope.
 import random
 import time
 from collections import Counter
-from itertools import islice, product
+from itertools import islice, permutations, product
 
 import pytest
 from dense_reference import dense_simulate
@@ -46,6 +46,11 @@ NAND = (1, 1, 1, 0)
 XOR = (0, 1, 1, 0)
 BUF = (0, 1)
 MAJORITY = (0, 0, 0, 1, 0, 1, 1, 1)  # a Muller C-element when it reads its output
+
+
+def has_loop(n):
+    """Whether the netlist's read graph has a feedback loop."""
+    return any(loop for _, loop in _components(n.gates))
 
 
 def single(gate):
@@ -171,7 +176,7 @@ def test_a_long_zero_delay_chain_named_against_the_flow_builds_and_simulates():
 
 def test_a_long_lagging_chain_has_no_feedback_and_propagates_envelopes():
     n = reverse_chain(1100, FixedDelay(1))
-    assert not n.has_feedback
+    assert not has_loop(n)
     env = envelope_propagate(n, {"a": Envelope.exact(Signal(0, (3,)))})
     assert env["g00001"] == Envelope.exact(Signal(0, (1103,)))
 
@@ -292,7 +297,7 @@ def test_feedback_latch_holds_its_state():
         ),
         ("q", "qb"),
     )
-    assert latch.has_feedback
+    assert has_loop(latch)
     out = simulate(latch, {"s": Signal(0, (5, 7)), "r": Signal(1, (2,))}, (0, 14))
     # the set pulse ends at 7, yet q stays up: the loop is storing it
     assert out["q"] == Signal(0, (7,))
@@ -477,7 +482,7 @@ def test_only_feedback_loops_are_simulated_event_by_event(monkeypatch):
         want = [sorted(g.name for g in c) for c, loop in _components(n.gates) if loop]
         assert sorted(loops) == sorted(want), name
     n, stim = WORKED["zero-memory-window-off-the-loops"]
-    assert not loops and not n.has_feedback  # a netlist without loops runs no event loop
+    assert not loops and not has_loop(n)  # a netlist without loops runs no event loop
 
 
 def random_delay(rng):
@@ -617,8 +622,10 @@ def copies(monkeypatch):
 
 def test_long_horizons_match_the_dense_reference(copies):
     # few stimulus switches over long horizons leave loops oscillating
-    # undisturbed for many periods, which the copy then writes at once
-    taken = 0
+    # undisturbed for many periods, which the copy then writes at once.
+    # Each draw also runs with its gates listed in reverse: the copy must
+    # not depend on the order of the listing
+    taken = [0, 0]
     for seed in range(2000):
         try:
             n, stim, horizon = random_circuit(random.Random(seed), 2, (50, 300), 4)
@@ -628,10 +635,12 @@ def test_long_horizons_match_the_dense_reference(copies):
             want = dense_simulate(n, stim, horizon)
         except NetlistError:
             continue  # no constant prehistory, as test_unsettled_feedback_is_reported
-        before = len(copies)
-        assert simulate(n, stim, horizon) == want, f"{netlist_to_dict(n)} {stim} {horizon}"
-        taken += len(copies) > before
-    assert taken >= 50, taken
+        flipped = Netlist(n.inputs, n.gates[::-1], n.outputs)
+        for k, net in enumerate((n, flipped)):
+            before = len(copies)
+            assert simulate(net, stim, horizon) == want, f"{netlist_to_dict(net)} {stim} {horizon}"
+            taken[k] += len(copies) > before
+    assert min(taken) >= 50, taken
 
 
 def test_a_gated_ring_over_a_million_ticks_pops_few_events(copies, monkeypatch):
@@ -648,6 +657,33 @@ def test_a_gated_ring_over_a_million_ticks_pops_few_events(copies, monkeypatch):
         assert sig.initial == want[net].initial and sig.switches[:len(head)] == head, net
         tail = sig.switches[len(head) - 1:]
         assert all(b - a == 5 for a, b in zip(tail, tail[1:])) and tail[-1] > 10**6 - 5, net
+
+
+def test_a_loop_is_copied_in_every_order_of_its_gates(copies, monkeypatch):
+    # a reads r1 and r0 reads a, so all three are one loop, but k holds a
+    # at 0 and r0 ignores it: a gate of the loop that never switches
+    pops = []
+    heappop = circuit.heappop
+    monkeypatch.setattr(circuit, "heappop", lambda heap: pops.append(1) or heappop(heap))
+    nand_ignoring_a = (1, 1, 1, 1, 1, 1, 0, 0)  # NAND of en and r1
+    gates = (
+        Gate("a", ("k", "r1"), AND, FixedDelay(1)),
+        Gate("r0", ("en", "r1", "a"), nand_ignoring_a, FixedDelay(1)),
+        Gate("r1", ("r0",), BUF, FixedDelay(2)),
+    )
+    stim = {"en": Signal(0, (5,)), "k": Signal.const(0)}
+    for order in permutations(gates):
+        n = Netlist(("en", "k"), order, ("r1",))
+        pops.clear()
+        out = simulate(n, stim, (0, 10**5))
+        assert len(pops) < 100, [g.name for g in order]
+        want = dense_simulate(n, stim, (0, 500))
+        for net, sig in want.items():
+            head = tuple(t for t in out[net].switches if t <= 500)
+            assert out[net].initial == sig.initial and head == sig.switches, net
+        # after that, r1 switches every 3 ticks to the end
+        tail = out["r1"].switches[len(want["r1"].switches) - 1:]
+        assert all(b - a == 3 for a, b in zip(tail, tail[1:])) and tail[-1] > 10**5 - 3
 
 
 def test_a_horizon_that_ends_mid_period(copies):
@@ -734,7 +770,7 @@ def test_envelope_requires_an_acyclic_netlist():
         ),
         ("q",),
     )
-    assert latch.has_feedback
+    assert has_loop(latch)
     with pytest.raises(
         NetlistError,
         match=r"^envelope propagation requires an acyclic netlist: "

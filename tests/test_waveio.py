@@ -1,5 +1,6 @@
 """Waveform text format, run configuration, and VCD emission."""
 
+import re
 import sys
 import time
 import tracemalloc
@@ -73,15 +74,52 @@ def test_exponents_and_fractions_land_on_ticks():
     assert waves == {"u": Signal(0, (50, 60, 70, 80))}
 
 
-@pytest.mark.parametrize("token", ["1e2000000", "1E-99999", "2.5e+1_0000", "1e00005"])
-def test_a_long_exponent_is_refused_at_once(token):
+@pytest.mark.parametrize("token, resolution, error", [
+    (token, 1, f"time {token!r} has an exponent of more than 4 digits")
+    for token in ["1e2000000", "1E-99999", "2.5e+1_0000"]
+] + [
+    # a tick of as many digits, refused with no exponent to cap its cost
+    ("3" * 2_000_000, 3, f"time {shown('3' * 2_000_000)}: a tick of 2000000 digits, "
+     "more than the 4300 that can be written"),
+], ids=["1e2000000", "1E-99999", "2.5e+1_0000", "2000000-digits"])
+def test_a_long_exponent_is_refused_at_once(token, resolution, error):
     t0 = time.perf_counter()
     with pytest.raises(WaveParseError) as err:
-        parse_waveforms(f"v 1\nu 0 1 {token}\n")
+        parse_waveforms(f"v 1\nu 0 1 {token}\n", resolution)
     assert time.perf_counter() - t0 < 0.1
-    assert str(err.value) == (
-        f"line 2: time {token!r} has an exponent of more than 4 digits"
-    )
+    assert str(err.value) == f"line 2: {error}"
+
+
+LONG_ONE = "1" + "0" * 4400 + "e-4400"  # a decimal of 4,401 digits that is 1
+
+# each token at resolution 2: its tick, or the message that refuses it.
+# The grammar is stated by _TIME, not by the interpreter, so every Python
+# reads this table alike
+OFF_TICK = "does not land on a tick at resolution 2"
+GRAMMAR = {
+    "1_000": 2000, "7_5.E1": 1500, "1.5_5": f"time '1.5_5' {OFF_TICK}",
+    "\u0661\u0662": 24, "\uff11\uff12": 24, ".5": 1, "5.": 10, "1.e5": 200000,
+    "+0030": 60, "70/2": 70, "-3/4": f"time '-3/4' {OFF_TICK}",
+    "3/0": "bad time '3/0'", "_0": "bad time '_0'", "1__0": "bad time '1__0'",
+    "1_": "bad time '1_'", "1e_5": "bad time '1e_5'", "inf": "bad time 'inf'",
+    "nan": "bad time 'nan'", "e\uff1570059": "bad time 'e\uff1570059'",
+    "1e00005": 200000,  # an exponent of 5, however many zeros lead it
+    LONG_ONE: 2,
+}
+
+
+@pytest.mark.parametrize("token", GRAMMAR, ids=[
+    "4401-digit-one" if tok == LONG_ONE else tok for tok in GRAMMAR
+])
+def test_the_time_grammar_reads_alike_on_every_python(token):
+    # the long decimal reads whether or not int()'s digit limit is in force
+    for lifted in (False, True) if token == LONG_ONE else (False,):
+        with int_digit_limit(lifted):
+            try:
+                got = parse_waveforms(f"u 0 {token}\n", 2)["u"].switches[0]
+            except WaveParseError as exc:
+                got = str(exc).removeprefix("line 1: ")
+        assert got == GRAMMAR[token]
 
 
 def test_a_tick_too_long_to_write_back_is_refused():
@@ -123,9 +161,9 @@ BIG = "1" + "0" * 4300  # one digit past the tick limit
         "times-ten", "negative-times-1000", "no-carry", "carry"])
 def test_the_tick_limit_holds_without_ints_digit_limit(times, token, digits, resolution):
     # under the interpreter's default digit limit (Python 3.10.7 and later)
-    # int() and Fraction refuse such a token; with the limit lifted, the
-    # integer line path or Fraction must still refuse the tick.  Both give
-    # one message, which does not echo the token in full
+    # int() refuses such a token; with the limit lifted, the integer line
+    # path or the token reader must still refuse the tick.  Both give one
+    # message, which does not echo the token in full
     for lifted in (False, True):
         with int_digit_limit(lifted):
             with pytest.raises(WaveParseError) as err:
@@ -145,17 +183,20 @@ def test_the_tick_limit_holds_without_ints_digit_limit(times, token, digits, res
     ("0" * 4400 + "3/" + "0" * 4400 + "3", 1),
 ], ids=["integer", "decimal", "negative", "exponent", "ratio"])
 def test_zeros_that_leave_a_time_as_it_is_count_against_no_limit(token, resolution):
-    # leading zeros, and zeros that end the decimals, are not significant:
-    # under int()'s default digit limit Fraction would refuse all of these
+    # leading zeros, and zeros that end the decimals, leave the value as
+    # it is, so a token of any length that pads a tick of one digit reads
     tick = -1 if token.startswith("-") else 1
     assert parse_waveforms(f"u 0 {token}\n", resolution)["u"].switches == (tick,)
 
 
 def reference_tick(token, resolution, ln):
     """Every token through Fraction, as the parser read times before it
-    had an integer fast path."""
+    had an integer fast path.  Each `_` between two digits is dropped
+    first: that is where the grammar allows `_`, and Fraction reads it
+    only from Python 3.11 on, so without this the reference would refuse
+    on 3.10 the digit groups that the parser reads on every Python."""
     try:
-        value = Fraction(token)
+        value = Fraction(re.sub(r"(?<=\d)_(?=\d)", "", token))
     except (ValueError, ZeroDivisionError):
         raise WaveParseError(f"line {ln}: bad time {shown(token)}") from None
     scaled = value * resolution
@@ -273,8 +314,9 @@ def traced_peak(fn, *args):
 def test_the_integer_fast_path_reads_what_fraction_reads(resolution, tokens, sep):
     text = "u 0 " + sep.join(tokens) + "\n"
     # a long token must also read the same with int()'s digit limit
-    # lifted, on the fast path at resolution 1 and through Fraction at the
-    # others; that limit refuses no token of at most 4300 characters
+    # lifted, on the fast path at resolution 1 and through the token
+    # reader at the others; that limit refuses no token of at most 4300
+    # characters
     long_token = any(len(tok) > 4300 for tok in tokens)
     for lifted in (False, True) if long_token else (False,):
         with int_digit_limit(lifted):
