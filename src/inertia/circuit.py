@@ -163,13 +163,14 @@ def _reads(g: Gate, zero_latency_only: bool) -> tuple:
 def _components(gates, zero_latency_only: bool = False) -> list[tuple[list[Gate], bool]]:
     """The strongly connected components of the read graph, each with
     whether it is a loop (of several gates, or of one reading itself) and
-    listed after every component it reads: Tarjan's walk, on an explicit
-    stack so that a long chain needs no recursion."""
+    listed after every component it reads: Tarjan's walk from the gates in
+    name order, so that the listing changes nothing, on an explicit stack
+    so that a long chain needs no recursion."""
     by_name = {g.name: g for g in gates}
     reads = {g.name: _reads(g, zero_latency_only) for g in gates}
     num, low = {}, {}  # when the walk met each gate (len(gates) once listed); least reached
     stack, comps = [], []
-    for root in by_name:
+    for root in sorted(by_name):
         if root in num:
             continue
         num[root] = low[root] = len(num)
@@ -294,32 +295,6 @@ def _check_inputs(n: Netlist, given: dict, what: str) -> None:
             raise NetlistError(f"{fault}: {', '.join(map(shown, nets[:3]))}{more}")
 
 
-def _prehistory(comps: list[tuple[list[Gate], bool]], inputs: dict[str, Signal]) -> dict[str, int]:
-    """Constant state at t -> -inf of the inputs, the gates on a loop and
-    the gates that a loop reads, directly or not (`comps` as listed by
-    `_components`).
-
-    Delays preserve constants, so the prehistory solves v[g] = table(v).
-    Computed by parallel sweeps from an all-zero gate state; refusing to
-    settle means the feedback has no (reachable) constant prehistory.
-    The swept gates read no gate outside them, so the others, whose
-    constants are their traces' initial values, never change a loop's
-    sweeps.  A chain that feeds a loop still settles one stage per sweep.
-    """
-    vals = {net: sig.initial for net, sig in inputs.items()}
-    swept: list[Gate] = []
-    for comp, loop in reversed(comps):  # each reader before the gates it reads
-        if loop or comp[0].name in vals:  # in vals: a swept gate reads it
-            swept += comp
-            vals.update((net, 0) for g in comp for net in g.inputs if net not in inputs)
-    for _ in range(2 * sum(len(comp) for comp, _ in comps) + 4):
-        new = {g.name: g.eval_bits([vals[i] for i in g.inputs]) for g in swept}
-        if all(vals[k] == v for k, v in new.items()):
-            return vals
-        vals.update(new)
-    raise NetlistError("feedback does not settle to a constant prehistory")
-
-
 def _cut(s: Signal, hi: Tick) -> Signal:
     """s without its switches after hi."""
     k = bisect_right(s.switches, hi)
@@ -346,9 +321,15 @@ def _transfer(g: Gate, traces: dict[str, Signal], hi: Tick) -> Signal:
     return _cut(x, hi)
 
 
-def _event_loop(gates: list[Gate], traces: dict, pre: dict, hi: Tick) -> None:
+def _event_loop(gates: list[Gate], traces: dict, hi: Tick) -> None:
     """Run one feedback loop event by event up to hi, with the traces of
     the nets it reads from outside as stimuli; add its gates' traces.
+
+    Delays preserve constants, so the prehistory solves v[g] = table(v),
+    each outside net at its trace's initial value.  Sweeps from all zeros
+    update the gates in place, in name order, until one changes nothing;
+    a loop that does not settle in 2n + 4 sweeps of its n gates is
+    refused.  Of several constant states, the first reached is taken.
 
     Nets get ids, external nets first (in name order), then gates in
     zero-latency topological rank.  Each gate keeps the switches of its
@@ -381,7 +362,8 @@ def _event_loop(gates: list[Gate], traces: dict, pre: dict, hi: Tick) -> None:
     names = stims + [g.name for g in gates]
     ident = {net: i for i, net in enumerate(names)}
     nets, n_in = len(names), len(stims)
-    val0 = [pre[net] for net in names]
+    first = shown(min(names[n_in:]))  # names the loop, whatever the listing
+    val0 = [traces[net].initial for net in stims] + [0] * len(gates)
     idx = [0] * nets  # each gate's table index under the current values
     table: list[tuple[int, ...]] = [()] * nets
     dr, df, mr, mf = [0] * nets, [0] * nets, [0] * nets, [0] * nets
@@ -399,6 +381,21 @@ def _event_loop(gates: list[Gate], traces: dict, pre: dict, hi: Tick) -> None:
         table[i] = g.table
         p = g.delay.params
         dr[i], df[i], mr[i], mf[i] = p.dr, p.df, p.mr, p.mf
+
+    order = sorted(range(n_in, nets), key=names.__getitem__)
+    for _ in range(2 * len(gates) + 4):  # settle the prehistory
+        settled = True
+        for i in order:
+            if table[i][idx[i]] != val0[i]:
+                val0[i] ^= 1
+                settled = False
+                for h, mask in readers[i]:
+                    idx[h] ^= mask
+        if settled:
+            break
+    else:
+        raise NetlistError(
+            f"the loop through gate {first} does not settle to a constant prehistory")
 
     val = list(val0)  # every net's value at the tick being processed
     y = list(val0)  # the prehistory is a fixed point
@@ -438,7 +435,7 @@ def _event_loop(gates: list[Gate], traces: dict, pre: dict, hi: Tick) -> None:
                     grow = [len(xs) - bisect_left(xs, since) for xs in x_sw]
                     if sum(map(len, x_sw)) + j * sum(grow) > MAX_LOOP_SWITCHES:
                         raise NetlistError(
-                            f"the loop through gate {shown(gates[0].name)} switches more than"
+                            f"the loop through gate {first} switches more than"
                             f" {MAX_LOOP_SWITCHES} times before the horizon ends")
                     for xs, g in zip(x_sw, grow):  # each copy reads the one before it
                         xs += map(per.__add__, islice(xs, len(xs) - g, len(xs) + (j - 1) * g))
@@ -484,8 +481,8 @@ def simulate(
     The strongly connected components of the read graph are taken each
     after those it reads: a gate on no loop gets its whole trace at once
     (`_transfer`), and a loop, of several gates or of one reading itself,
-    runs event by event (`_event_loop`) from the constant prehistory of
-    the loops and the gates they read (`_prehistory`), copying the periods
+    settles its constant prehistory from the initial values of the traces
+    it reads and runs event by event (`_event_loop`), copying the periods
     it repeats while its outside inputs hold still.  A trace starts from
     its constant before the first stimulus, so the result does not depend
     on where the horizon or the first stimulus lies.
@@ -495,12 +492,10 @@ def simulate(
         raise NetlistError("empty horizon: need lo <= hi")
     _check_inputs(n, inputs, "stimuli")
 
-    comps = _components(n.gates)
-    pre = _prehistory(comps, inputs)
     traces = {net: _cut(sig, hi) for net, sig in inputs.items()}
-    for comp, loop in comps:
+    for comp, loop in _components(n.gates):
         if loop:
-            _event_loop(comp, traces, pre, hi)
+            _event_loop(comp, traces, hi)
         else:
             traces[comp[0].name] = _transfer(comp[0], traces, hi)
 

@@ -363,8 +363,12 @@ CASES = [
     simulate("simulate_rejects_bad_horizon", AND_NET, 2,
              "bad horizon '10': expected LO:HI", horizon="10"),
     simulate("simulate_refuses_a_loop_past_the_switch_limit", RING_NET, 2,
-             "the loop through gate 'r1' switches more than 10000000 times before the horizon ends",
+             "the loop through gate 'r0' switches more than 10000000 times before the horizon ends",
              stim="en 0 5\n", horizon="0:1000000000"),
+    # en held at 1 leaves three inversions, which have no constant state
+    simulate("simulate_refuses_a_ring_oscillator", RING_NET, 2,
+             "the loop through gate 'r0' does not settle to a constant prehistory",
+             stim="en 1\n", horizon="0:10"),
     # tagged as pytest numbered these delays, so that the test ids hold
     simulate("simulate_names_the_gate_with_a_bad_delay[delay0]",
              and_gate(delay={"kind": "bridc", "mr": "x", "dr": 2, "mf": 0, "df": 2}), 2,

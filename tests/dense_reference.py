@@ -5,27 +5,29 @@ it sweeps every tick from well before the first stimulus to the end of
 the horizon, evaluating each gate's recurrence directly (a fixed delay
 as a pure shift, any other delay through its rise/fall windows).  Its
 cost grows with the tick distance, so it is only run on small inputs.
-Its prehistory sweeps every gate, so it also checks that the library's,
-which sweeps only the loops and the gates they read, loses nothing.
+It settles no prehistory: it finds every constant state of the gates by
+brute force and runs once from each, so a check against it holds for any
+settle rule that picks a constant state, and sees one that picks none.
 """
+
+from itertools import product
 
 from inertia.circuit import FixedDelay, Gate, NetlistError
 from inertia.signals import Signal
 
 
-def whole_prehistory(n, inputs):
-    """Constant fixed point of the whole netlist at t -> -inf, by parallel
-    sweeps of every gate from an all-zero gate state; refused when it does
-    not settle within 2 * len(n.gates) + 4 sweeps."""
-    vals = {net: sig.initial for net, sig in inputs.items()}
-    for g in n.gates:
-        vals[g.name] = 0
-    for _ in range(2 * len(n.gates) + 4):
-        new = {g.name: g.eval_bits([vals[i] for i in g.inputs]) for g in n.gates}
-        if all(vals[k] == v for k, v in new.items()):
-            return vals
-        vals.update(new)
-    raise NetlistError("feedback does not settle to a constant prehistory")
+def constant_states(n, inputs):
+    """Every constant state at t -> -inf, as a net -> value map: each of
+    the 2 ** len(n.gates) gate assignments that every table maps to
+    itself, with the inputs at their initial values."""
+    names = [g.name for g in n.gates]
+    states = []
+    for bits in product((0, 1), repeat=len(names)):
+        vals = {net: sig.initial for net, sig in inputs.items()}
+        vals.update(zip(names, bits))
+        if all(g.eval_bits([vals[i] for i in g.inputs]) == vals[g.name] for g in n.gates):
+            states.append(vals)
+    return states
 
 
 def _zero_latency_order(n):
@@ -45,8 +47,9 @@ def _zero_latency_order(n):
     return order
 
 
-def dense_simulate(n, inputs, horizon):
-    """Every net of `n` restricted to `horizon`, computed tick by tick."""
+def dense_runs(n, inputs, horizon):
+    """Every net of `n` restricted to `horizon`, computed tick by tick:
+    one run per constant state of `n`, and none when it has none."""
     lo, hi = horizon
     if lo > hi:
         raise NetlistError(f"empty horizon [{lo}, {hi}]")
@@ -63,20 +66,31 @@ def dense_simulate(n, inputs, horizon):
         (s.switches[0] for s in inputs.values() if s.switches), default=lo
     )
     start = min(lo, first_stim) - warmup
-    size = hi - start + 1
+    return [_dense_run(n, inputs, lo, hi, start, pre) for pre in constant_states(n, inputs)]
 
-    pre = whole_prehistory(n, inputs)
+
+def dense_simulate(n, inputs, horizon):
+    """The one run of `n`, which must have exactly one constant state."""
+    runs = dense_runs(n, inputs, horizon)
+    if len(runs) != 1:
+        raise NetlistError(f"{len(runs)} constant states, not one")
+    return runs[0]
+
+
+def _dense_run(n, inputs, lo, hi, start, pre):
+    """Every net from `start`, where each holds its value in `pre`, to
+    `hi`, tick by tick, and then restricted to [lo, hi]."""
+    size = hi - start + 1
     xs = {net: sig.values_on(start, hi) for net, sig in inputs.items()}
     for g in n.gates:
         xs[g.name] = [0] * size
     ys = {g.name: [None] * size for g in n.gates}
-    y_pre = {g.name: g.eval_bits([pre[i] for i in g.inputs]) for g in n.gates}
 
     order = _zero_latency_order(n)
 
     def yval(g: Gate, j: int) -> int:
-        if j < 0:
-            return y_pre[g.name]
+        if j < 0:  # a constant state is its own table image
+            return pre[g.name]
         cached = ys[g.name][j]
         if cached is None:
             cached = g.eval_bits([xs[i][j] for i in g.inputs])

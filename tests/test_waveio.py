@@ -314,9 +314,8 @@ def traced_peak(fn, *args):
 def test_the_integer_fast_path_reads_what_fraction_reads(resolution, tokens, sep):
     text = "u 0 " + sep.join(tokens) + "\n"
     # a long token must also read the same with int()'s digit limit
-    # lifted, on the fast path at resolution 1 and through the token
-    # reader at the others; that limit refuses no token of at most 4300
-    # characters
+    # lifted, on the fast path and through the token reader; that limit
+    # refuses no token of at most 4300 characters
     long_token = any(len(tok) > 4300 for tok in tokens)
     for lifted in (False, True) if long_token else (False,):
         with int_digit_limit(lifted):
@@ -336,6 +335,16 @@ def test_a_long_line_is_parsed_in_memory_that_follows_its_tokens():
     text = "u 0 " + " ".join(str(t) for t in range(-30_000, 30_000, 3)) + "\n"
     assert len(parse_waveforms(text)["u"].switches) == 20_000
     assert traced_peak(parse_waveforms, text) < 2.7e6
+
+
+def test_an_integer_line_takes_the_fast_path_at_every_resolution(monkeypatch):
+    # reading each of 20,000 integers as a token took 17 times as long
+    calls = []
+    parse_tick = waveio._parse_tick
+    monkeypatch.setattr(waveio, "_parse_tick", lambda *a: calls.append(a) or parse_tick(*a))
+    text = "u 0 " + " ".join(str(t) for t in range(-30_000, 30_000, 3)) + "\n"
+    assert parse_waveforms(text, 10)["u"].switches == tuple(range(-300_000, 300_000, 30))
+    assert calls == []
 
 
 # -- run configuration ----------------------------------------------------------
