@@ -32,7 +32,7 @@ from .conditions import (
     bdc_min_solution,
     bridc_det_output,
     json_int,
-    known_keys,
+    exact_keys,
     require_cc,
 )
 from .signals import Signal, Tick, Value, pointwise
@@ -94,7 +94,7 @@ def delay_from_dict(obj: dict) -> BridcDelay:
         raise NetlistError(f"a delay must be an object, got {shown(obj)}")
     kind = obj.get("kind")
     if kind == "fixed":
-        known_keys(obj, ("d",))
+        exact_keys(obj, ("d",))
         return FixedDelay(json_int(obj["d"], "d"))
     if kind == "bridc":
         return BridcDelay(BdcParams.from_dict(obj))
@@ -251,35 +251,44 @@ def netlist_to_dict(n: Netlist) -> dict:
     }
 
 
+def _json_value(obj: dict, key: str, where: str):
+    """obj[key]; a missing key is refused by name."""
+    if key not in obj:
+        raise NetlistError(f"{where}: missing key {key!r}")
+    return obj[key]
+
+
 def _json_list(obj: dict, key: str, where: str) -> list:
     """obj[key], which must be a JSON list: a string or an object would
     be read item by item as its characters or its keys."""
-    if not isinstance(obj[key], list):
+    if not isinstance(_json_value(obj, key, where), list):
         raise NetlistError(f"{where}: {key!r} must be a JSON list")
     return obj[key]
 
 
 def _gate_from_dict(g: dict) -> Gate:
-    name = str(g["name"])
+    if not isinstance(g, dict):
+        raise NetlistError(f"netlist: a gate must be an object, got {shown(g)}")
+    name = str(_json_value(g, "name", "a netlist gate"))
+    where = f"gate {shown(name)}"
+    table, model = _json_list(g, "table", where), _json_value(g, "delay", where)
     try:
-        table = tuple(json_int(v, "a table entry") for v in g["table"])
-        delay = delay_from_dict(g["delay"])
+        table = tuple(json_int(v, "a table entry") for v in table)
+        delay = delay_from_dict(model)
     except ValueError as exc:  # bad numbers, delay bounds or kind
-        raise NetlistError(f"gate {shown(name)}: {exc}") from None
-    inputs = _json_list(g, "inputs", f"gate {shown(name)}")
+        raise NetlistError(f"{where}: {exc}") from None
+    inputs = _json_list(g, "inputs", where)
     return Gate(name, tuple(str(i) for i in inputs), table, delay)
 
 
 def netlist_from_dict(obj: dict) -> Netlist:
-    try:
-        gates = tuple(_gate_from_dict(g) for g in _json_list(obj, "gates", "netlist"))
-        return Netlist(
-            inputs=tuple(str(i) for i in _json_list(obj, "inputs", "netlist")),
-            gates=gates,
-            outputs=tuple(str(o) for o in _json_list(obj, "outputs", "netlist")),
-        )
-    except (KeyError, TypeError) as exc:
-        raise NetlistError(f"malformed netlist object: {exc}") from exc
+    """The netlist of a JSON object; each bad shape raises a NetlistError naming it."""
+    gates = tuple(_gate_from_dict(g) for g in _json_list(obj, "gates", "netlist"))
+    return Netlist(
+        inputs=tuple(str(i) for i in _json_list(obj, "inputs", "netlist")),
+        gates=gates,
+        outputs=tuple(str(o) for o in _json_list(obj, "outputs", "netlist")),
+    )
 
 
 # -- simulation ---------------------------------------------------------------

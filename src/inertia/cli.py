@@ -4,7 +4,9 @@ Subcommands map one-to-one onto the library layers: `check` and `solve`
 work with a single condition and waveform files, `consistent` and
 `algebra` are pure parameter arithmetic, `simulate` runs a netlist to
 VCD, and `oracle` exposes the brute-force enumerator, the exact
-emptiness decider and the randomized law suites.
+emptiness decider and the randomized law suites.  A suite's trial count
+and seed are set by `--trials` and `--seed` alone; the run config holds
+only I/O settings.
 
 Exit codes: 0 when the queried property holds (or output was produced),
 1 when it fails, 2 on malformed input.
@@ -12,7 +14,6 @@ Exit codes: 0 when the queried property holds (or output was produced),
 
 import argparse
 import json
-import os
 import sys
 
 from .circuit import NetlistError, netlist_from_dict, simulate
@@ -51,8 +52,6 @@ from .waveio import (
     shown,
     writable,
 )
-
-SEED_ENV = "INERTIA_SEED"
 
 
 class CliError(Exception):
@@ -285,8 +284,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _parse_atoms(text: str) -> CondExpr:
     obj = _parse_json(text, "condition")
-    if isinstance(obj, dict) and "atoms" in obj:
-        obj = obj["atoms"]
     if isinstance(obj, dict):
         obj = [obj]
     if not isinstance(obj, list) or not obj:
@@ -324,20 +321,8 @@ def _cmd_oracle_witness(args: argparse.Namespace) -> int:
     return 0
 
 
-def _resolve_seed(args: argparse.Namespace, cfg: RunConfig | None) -> int | None:
-    if args.seed is not None:
-        return parse_int(args.seed, "bad --seed")
-    env = os.environ.get(SEED_ENV)
-    if env is not None:
-        return parse_int(env, f"bad {SEED_ENV} value")
-    if cfg is not None and args.config is not None:
-        return cfg.seed
-    return None
-
-
 def _cmd_oracle_verify(args: argparse.Namespace) -> int:
-    cfg = _load_config(args.config)
-    seed = _resolve_seed(args, cfg)
+    seed = None if args.seed is None else parse_int(args.seed, "bad --seed")
     trials = None if args.trials is None else parse_int(args.trials, "bad --trials")
     report = run_check(args.theorem, trials, seed)
     print(report.summary())
@@ -452,8 +437,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--theorem", required=True, choices=sorted(THEOREM_CHECKS)
     )
     verify.add_argument("--trials", help="override the default trial count")
-    verify.add_argument("--seed", help=f"override the RNG seed (falls back to ${SEED_ENV})")
-    _add_config(verify)
+    verify.add_argument("--seed", help="override the RNG seed")
     verify.set_defaults(func=_cmd_oracle_verify)
 
     return parser

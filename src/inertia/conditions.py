@@ -40,12 +40,14 @@ def json_int(value, key: str) -> int:
     return value
 
 
-def known_keys(obj: dict, keys: tuple[str, ...]) -> None:
+def exact_keys(obj: dict, keys: tuple[str, ...]) -> None:
     """Refuse a JSON object with a key other than `kind` and keys, so that
-    a misspelt key does not pass unnoticed."""
+    a misspelt key does not pass unnoticed, or without one of keys."""
     for key in obj:
         if key != "kind" and key not in keys:
             raise ValueError(f"unknown key {shown(key)}; expected {', '.join(keys)}")
+    if missing := [key for key in keys if key not in obj]:
+        raise ValueError(f"missing key {missing[0]!r}")
 
 
 class _IntValue(Value):
@@ -79,7 +81,7 @@ class _Params(_IntValue):
 
     @classmethod
     def from_dict(cls, obj: dict):
-        known_keys(obj, cls.json_keys)
+        exact_keys(obj, cls.json_keys)
         return cls(*(json_int(obj[k], k) for k in cls.json_keys))
 
 
@@ -156,9 +158,11 @@ _READS = {FdcParams: (0,), BdcParams: (1, 3), AicParams: (), RicParams: (1, 3)}
 
 
 def atom_from_dict(obj: dict) -> Atom:
+    if not isinstance(obj, dict):
+        raise ValueError(f"an atom must be an object, got {shown(obj)}")
     try:
         cls = _ATOM_KINDS[obj["kind"]]
-    except KeyError:
+    except (KeyError, TypeError):  # no kind, or one that is not a string
         raise ValueError(f"unknown condition kind in {shown(obj)}") from None
     return cls.from_dict(obj)
 

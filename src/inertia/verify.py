@@ -85,7 +85,7 @@ WINDOW_GRID = GridConfig(-2, 40)
 
 
 class SuiteError(ValueError):
-    """A suite name or trial count that `run_check` refuses."""
+    """A suite name, trial count or seed that `run_check` refuses."""
 
 
 class CheckReport:
@@ -329,11 +329,11 @@ def check_union_envelope(trials: int = 100, seed: int = 2) -> CheckReport:
     return rep
 
 
-def check_determinism(trials: int | None = None, seed: int = 3) -> CheckReport:
+def check_determinism() -> CheckReport:
     """Exactly the zero-memory parameters have one solution per input,
     and that solution is the pure shift.  Every consistent combination
     with parameters up to 4 is counted on EVERY_WINDOW, which decides the
-    law: `trials` and `seed` are ignored."""
+    law."""
     rep = CheckReport("t14c", 0)
     for p in _sweep_bdc(4):
         rep.trials += 1
@@ -411,11 +411,11 @@ def _dual_inside(p: BdcParams) -> bool:
     return lo.leq(~greatest) and (~least).leq(hi)
 
 
-def check_symmetry(trials: int | None = None, seed: int = 6) -> CheckReport:
+def check_symmetry() -> CheckReport:
     """Complement duality holds exactly for rise/fall-symmetric parameters,
     checked on every consistent combination with parameters up to 4.
     Both inputs u and ~u show every window, so one comparison on
-    EVERY_WINDOW decides the law: `trials` and `seed` are ignored."""
+    EVERY_WINDOW decides the law."""
     rep = CheckReport("t14f", 0)
     for p in _sweep_bdc(4):
         rep.trials += 1
@@ -495,10 +495,10 @@ def check_composition(trials: int = 100, seed: int = 7) -> CheckReport:
 # -- absolute inertia ---------------------------------------------------------
 
 
-def check_hold_consistency(trials: int | None = None, seed: int = 8) -> CheckReport:
+def check_hold_consistency() -> CheckReport:
     """Bounded delay plus output holds is solvable iff the holds fit the
     memories, decided exactly on every combination with parameters up
-    to 4.  The sweep is exhaustive: `trials` and `seed` are ignored."""
+    to 4."""
     rep = CheckReport("baidc", 0)
     for p, er, ef in product(_sweep_bdc(4), range(5), range(5)):
         a = AicParams(er, ef)
@@ -565,13 +565,10 @@ def check_relative_implies_absolute(
     return rep
 
 
-def check_relative_consistency(
-    trials: int | None = None, seed: int = 11
-) -> CheckReport:
+def check_relative_consistency() -> CheckReport:
     """The four-regime test and the exact criterion for bounded delay plus
     edge licensing, against the decider on every combination with
-    parameters up to 4; sweeps must exercise every regime.  The sweep is
-    exhaustive: `trials` and `seed` are ignored."""
+    parameters up to 4; sweeps must exercise every regime."""
     rep = CheckReport("t45", 0)
     fired = {"b.i": 0, "b.ii": 0, "b.iii": 0, "b.iv": 0}
     for p, r in product(_sweep_bdc(4, cc=None), _sweep_ric(4)):
@@ -654,8 +651,8 @@ THEOREM_CHECKS = {
 
 def run_check(name: str, trials: int | None = None, seed: int | None = None) -> CheckReport:
     """Run one suite, timed; `trials` or `seed` left at None takes the
-    suite's own default.  An unknown name, or a trial count below 1,
-    raises SuiteError."""
+    suite's own default.  An unknown name, a trial count below 1, or
+    either for a suite whose function takes neither raises SuiteError."""
     try:
         fn = THEOREM_CHECKS[name]
     except KeyError:
@@ -665,6 +662,10 @@ def run_check(name: str, trials: int | None = None, seed: int | None = None) -> 
     if trials is not None and trials < 1:
         raise SuiteError(f"trials must be at least 1, got {shown_int(trials)}")
     given = {k: v for k, v in (("trials", trials), ("seed", seed)) if v is not None}
+    if given:
+        from inspect import signature  # here: at module level it slows every CLI start
+        if not given.keys() <= signature(fn).parameters.keys():
+            raise SuiteError(f"{name} sweeps a fixed set: it takes no trial count or seed")
     t0 = time.monotonic()
     rep = fn(**given)
     rep.seconds = time.monotonic() - t0

@@ -42,11 +42,11 @@ _TIME_UNIT = re.compile(r"(1|10|100) ?(s|ms|us|ns|ps|fs)")
 
 
 class RunConfig(Value):
-    """Run-wide I/O settings."""
+    """Run-wide I/O settings: the VCD time unit and ticks per time unit."""
 
-    __slots__ = _fields = ("time_unit", "resolution", "seed")
+    __slots__ = _fields = ("time_unit", "resolution")
 
-    def __init__(self, time_unit: str = "1ns", resolution: int = 1, seed: int = 0):
+    def __init__(self, time_unit: str = "1ns", resolution: int = 1):
         if not _TIME_UNIT.fullmatch(time_unit):
             raise WaveParseError(
                 f"time_unit must be 1, 10 or 100 followed by s, ms, us, ns, ps "
@@ -54,7 +54,7 @@ class RunConfig(Value):
             )
         if resolution < 1:
             raise WaveParseError(f"resolution must be >= 1, got {shown_int(resolution)}")
-        self._set(time_unit, resolution, seed)
+        self._set(time_unit, resolution)
 
 
 def shown(value, limit: int = 40) -> str:
@@ -102,7 +102,7 @@ def parse_config(text: str) -> RunConfig:
         key, value = key.strip(), value.strip().strip('"')
         if key == "time_unit":
             fields[key] = value
-        elif key in ("resolution", "seed"):
+        elif key == "resolution":
             fields[key] = parse_int(value, f"config line {ln}: {key}")
         else:
             raise WaveParseError(f"config line {ln}: unknown key {key!r}")
@@ -118,11 +118,12 @@ MAX_EXPONENT_DIGITS = 4
 # a time off the integer fast path: an optional sign, then a ratio of two
 # digit runs, or an integer or decimal with an optional exponent; `_` may
 # group a run's digits, and \d takes any script's.  Both forms share their
-# first run, so a long integer is scanned once
-_DIGITS = r"\d+(?:_\d+)*"
+# first run, so a long integer is scanned once, and each run is atomic, so
+# a refused token is not rescanned digit by digit
+_run = r"(?=(?P<{0}>\d+(?:_\d+)*))(?P={0})".format  # atomic: 3.10 has no (?>...)
 _TIME = re.compile(
-    rf"[+-]?(?=\.?\d)(?:{_DIGITS})?"
-    rf"(?:/{_DIGITS}|(?:\.(?:{_DIGITS})?)?(?:[eE](?P<exp>[+-]?{_DIGITS}))?)"
+    rf"[+-]?(?=\.?\d)(?:{_run('whole')})?"
+    rf"(?:/{_run('den')}|(?:\.(?:{_run('frac')})?)?(?:[eE](?P<exp>[+-]?{_run('power')}))?)"
 )
 
 

@@ -37,7 +37,6 @@ class Case:
     stdout: the whole of stdout.
     verdict: keys and values that stdout's JSON verdict must hold.
     files: name -> text, or bytes, written before the run.
-    env: environment variables set for the run.
     twin: the tier-1 test that does this case's work in-process.
 
     A `…` in a pinned text stands for any text.
@@ -50,7 +49,6 @@ class Case:
     stdout: str | None = None
     verdict: dict | None = None
     files: dict = field(default_factory=dict)
-    env: dict = field(default_factory=dict)
     twin: str | None = None
 
 
@@ -254,6 +252,17 @@ def solve(case_id, params, wave, code, error=None, *more_argv, cond="bdc-min", *
     )
 
 
+def check_config(case_id, config, code, error=None):
+    """A `check --cond aic` case on an integer waveform under the run
+    config text `config`."""
+    return Case(
+        case_id,
+        ["check", "--cond", "aic", "--params", AIC, "--output", "x.wave",
+         "--config", "run.cfg"],
+        code, error, files={"x.wave": INT_WAVE, "run.cfg": config},
+    )
+
+
 def enumerate_aic(case_id, grid, code, error=None, *more_argv, wave="u 0\n", **more):
     """An `oracle enumerate` case of the AIC atom over a flat input."""
     return Case(
@@ -419,9 +428,8 @@ CASES = [
     Case(f"{GROWN}[trials]",
          [*VERIFY, "--trials", f"-{NINES}"], 2,
          f"trials must be at least 1, got {CUT}"),
-    Case(f"{GROWN}[resolution]",
-         [*VERIFY, "--config", "run.cfg"], 2,
-         f"resolution must be >= 1, got {CUT}", files={"run.cfg": f"resolution = -{NINES}\n"}),
+    check_config(f"{GROWN}[resolution]", f"resolution = -{NINES}\n", 2,
+                 f"resolution must be >= 1, got {CUT}"),
     Case(f"{GROWN}[bdc-mr]",
          ["consistent", "--cond", "cc", "--params", f'{{"mr":-{NINES},"dr":2,"mf":0,"df":2}}'],
          2, f"bad bdc parameters: need 0 <= mr <= dr, got mr={CUT} dr=2"),
@@ -467,6 +475,16 @@ CASES = [
     Case("oracle_verify_refuses_a_trial_count_below_one[0]",
          [*VERIFY, "--trials", "0"], 2,
          "trials must be at least 1, got 0"),
+    # a sweep of a fixed set reads neither a trial count nor a seed
+    Case("oracle_verify_refuses_a_seed_for_a_sweep",
+         ["oracle", "verify", "--theorem", "t45", "--seed", "1"], 2,
+         "t45 sweeps a fixed set: it takes no trial count or seed"),
+    # a suite's seed is set by --seed alone
+    Case("oracle_verify_takes_no_config",
+         [*VERIFY, "--config", "run.cfg"], 2,
+         "unrecognized arguments: --config run.cfg", files={"run.cfg": "seed = 7\n"}),
+    check_config("a_run_config_refuses_the_key_seed", "# run\nseed = 7\n", 2,
+                 "config line 2: unknown key 'seed'"),
     *(Case(f"oracle_verify_passes[{suite}]", ["oracle", "verify", "--theorem", suite], 0,
            stdout=f"{suite}: PASS (…", twin=f"tests/test_acceptance.py::{twin}")
       for suite, twin in [
@@ -501,6 +519,22 @@ CASES = [
     simulate("a_netlist_field_that_is_not_a_list_exits_2_naming_it[gate-inputs]",
              {**AND_NET, "gates": [{**AND_NET["gates"][0], "inputs": "ab"}]}, 2,
              "gate 'y': 'inputs' must be a JSON list"),
+    simulate("a_netlist_field_that_is_not_a_list_exits_2_naming_it[gate-table]",
+             {**AND_NET, "gates": [{**AND_NET["gates"][0], "table": 7}]}, 2,
+             "gate 'y': 'table' must be a JSON list"),
+    # a JSON value of the wrong shape is named, not left to Python's message
+    Case("a_json_value_of_the_wrong_shape_exits_2_naming_it[atom-not-an-object]",
+         ["oracle", "witness", "--atoms", "[3]"], 2,
+         "bad condition atom: an atom must be an object, got 3"),
+    Case("a_json_value_of_the_wrong_shape_exits_2_naming_it[atom-missing-key]",
+         ["oracle", "witness", "--atoms", '{"kind":"bdc","mr":1,"dr":2,"mf":1}'], 2,
+         "bad condition atom: missing key 'df'"),
+    simulate("a_json_value_of_the_wrong_shape_exits_2_naming_it[gate-not-an-object]",
+             {**AND_NET, "gates": [3]}, 2,
+             "netlist: a gate must be an object, got 3"),
+    simulate("a_json_value_of_the_wrong_shape_exits_2_naming_it[gate-missing-key]",
+             netlist(["a", "b"], ["y"], ("y", ["a", "b"], [0, 0, 0, 1])), 2,
+             "gate 'y': missing key 'delay'"),
     Case("bad_parameter_json",
          ["consistent", "--cond", "cc", "--params", "{oops"], 2,
          "bad bdc parameter JSON: Expecting property name enclosed in double quotes: "
@@ -597,9 +631,6 @@ if hasattr(sys, "get_int_max_str_digits"):
                  AND_NET, 2,
                  f"bad horizon bound '-{NINES[:39]}'... (4302 chars): an integer of 4301 "
                  "digits, more than the 4300 that can be read", horizon=f"-{LONG}:10"),
-        Case("a_seed_too_long_to_read_exits_2_naming_the_cause",
-             [*VERIFY, "--trials", "5"], 2,
-             f"bad INERTIA_SEED value {READ}", env={"INERTIA_SEED": LONG}),
         Case(f"{OPTION}[bad --seed]",
              [*VERIFY, "--seed", LONG], 2,
              f"bad --seed {READ}"),
@@ -608,20 +639,15 @@ if hasattr(sys, "get_int_max_str_digits"):
              f"bad --trials {READ}"),
         enumerate_aic(f"{OPTION}[bad --max-switches]", "0:4", 2,
                       f"bad --max-switches {READ}", "--max-switches", LONG),
-        Case(f"{OPTION}[config line 2: seed]",
-             [*VERIFY, "--config", "run.cfg"], 2,
-             f"config line 2: seed {READ}", files={"run.cfg": f"# run\nseed = {LONG}\n"}),
-        Case(f"{OPTION}[config line 1: resolution]",
-             [*VERIFY, "--config", "run.cfg"], 2,
-             f"config line 1: resolution {READ}", files={"run.cfg": f"resolution = {LONG}\n"}),
+        check_config(f"{OPTION}[config line 1: resolution]", f"resolution = {LONG}\n", 2,
+                     f"config line 1: resolution {READ}"),
     ]
 
 
-def case_env(case: Case, environ) -> dict[str, str]:
-    """The environment `main` runs a case in: `environ` and the case's
-    variables, each PYTHONPATH entry made absolute, since the case runs
-    in a temporary directory."""
-    env = {**environ, **case.env}
+def case_env(environ) -> dict[str, str]:
+    """The environment `main` runs a case in: `environ`, each PYTHONPATH
+    entry made absolute, since the case runs in a temporary directory."""
+    env = dict(environ)
     if "PYTHONPATH" in env:
         entries = env["PYTHONPATH"].split(os.pathsep)
         env["PYTHONPATH"] = os.pathsep.join(map(os.path.abspath, entries))
@@ -636,7 +662,7 @@ def main(command: list[str]) -> int:
         with tempfile.TemporaryDirectory() as tmp:
             write_files(case, Path(tmp))
             run = subprocess.run(
-                [*command, *case.argv], cwd=tmp, env=case_env(case, os.environ),
+                [*command, *case.argv], cwd=tmp, env=case_env(os.environ),
                 capture_output=True, encoding="utf-8", errors="replace",
             )
         found = problems(case, run.returncode, run.stdout, run.stderr)

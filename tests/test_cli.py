@@ -10,6 +10,7 @@ malformed input.
 
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -20,7 +21,7 @@ import pytest
 from cli_cases import AIC, AND_NET, AND_STIM, BDC, BDC_23
 
 from inertia import oracle
-from inertia.cli import SEED_ENV, main
+from inertia.cli import main
 from inertia.conditions import BdcParams, CondExpr
 from inertia.oracle import GridConfig, solution_count
 from inertia.waveio import parse_waveforms
@@ -51,8 +52,6 @@ def wave_file(tmp_path, name, text):
 def _run_case(case, tmp_path, monkeypatch, capsys):
     cli_cases.write_files(case, tmp_path)
     monkeypatch.chdir(tmp_path)
-    for name, value in case.env.items():
-        monkeypatch.setenv(name, value)
     code = main(list(case.argv))
     out, err = capsys.readouterr()
     assert cli_cases.problems(case, code, out, err) == []
@@ -103,15 +102,13 @@ def test_the_case_table_is_well_formed():
 def test_the_case_runner_makes_the_python_path_absolute(tmp_path, monkeypatch):
     # `main` runs each case in a temporary directory, where `src` means nothing
     monkeypatch.chdir(tmp_path)
-    case = cli_cases.Case("c", ["check"], 0, env={"INERTIA_SEED": "3"})
     path = os.pathsep.join(["src", str(tmp_path / "lib")])
-    env = cli_cases.case_env(case, {"PYTHONPATH": path, "HOME": "h"})
+    env = cli_cases.case_env({"PYTHONPATH": path, "HOME": "h"})
     assert env == {
         "PYTHONPATH": os.pathsep.join([str(tmp_path / "src"), str(tmp_path / "lib")]),
         "HOME": "h",
-        "INERTIA_SEED": "3",
     }
-    assert cli_cases.case_env(case, {}) == {"INERTIA_SEED": "3"}
+    assert cli_cases.case_env({}) == {}
 
 
 # -- consistent ---------------------------------------------------------------------
@@ -345,17 +342,14 @@ def test_oracle_witness_refuses_a_search_past_the_state_limit(capsys, monkeypatc
 
 
 def test_oracle_verify_seed_env(capsys, monkeypatch):
-    monkeypatch.setenv(SEED_ENV, "99")
-    code, out, _err = run(
-        capsys, "oracle", "verify", "--theorem", "t14e", "--trials", "5"
-    )
-    assert code == 0 and "PASS" in out
-    monkeypatch.setenv(SEED_ENV, "not-a-number")
-    code, _out, err = run(
-        capsys, "oracle", "verify", "--theorem", "t14e", "--trials", "5"
-    )
-    assert code == 2
-    assert SEED_ENV in err
+    # the seed is set by --seed alone: the variable once read is ignored
+    argv = ["oracle", "verify", "--theorem", "t14e", "--trials", "5"]
+    code, out, _err = run(capsys, *argv)
+    monkeypatch.setenv("INERTIA_SEED", "not-a-number")
+    code_env, out_env, _err = run(capsys, *argv)
+    untimed = [re.sub(r"[\d.]+s\)", "s)", text) for text in (out, out_env)]
+    assert code == code_env == 0
+    assert untimed[0] == untimed[1] and "PASS" in out
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["check", "--help"]])

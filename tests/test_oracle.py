@@ -15,6 +15,7 @@ pinned by digest, and checked to be shortest against every input that
 switches early enough.
 """
 
+import functools
 import hashlib
 import operator
 import random
@@ -546,20 +547,29 @@ def test_run_check_refuses_a_trial_count_below_one(trials):
         verify.run_check("t14e", trials)
 
 
-@pytest.mark.parametrize("name, trials", [("t14c", 5), ("t14f", 500)])
-def test_parameter_sweeps_ignore_the_trial_count(name, trials, monkeypatch):
-    def run(count):
-        inputs = []
-        for fn in ("solution_count", "pointwise_bounds"):
-            real = getattr(verify, fn)
-            monkeypatch.setattr(
-                verify, fn, lambda u, *a, real=real: inputs.append(u) or real(u, *a)
-            )
-        rep = verify.run_check(name, count)
-        monkeypatch.undo()
-        return rep, inputs
+@pytest.mark.parametrize("name", ["t14c", "t14f"])
+def test_a_bounded_delay_sweep_counts_every_consistent_parameter(name):
+    assert verify.run_check(name).trials == 155  # every consistent combination up to 4
 
-    (default, seen), (overridden, seen_overridden) = run(None), run(trials)
-    assert default.trials == 155  # every consistent combination up to 4
-    assert (overridden.trials, overridden.failures) == (default.trials, default.failures)
-    assert seen and seen_overridden == seen
+
+@pytest.mark.parametrize("name", ["t14c", "t14f", "baidc", "t45"])
+@pytest.mark.parametrize("override", [{"trials": 5}, {"seed": 1}], ids=["trials", "seed"])
+@pytest.mark.parametrize("wrapped", [False, True], ids=["plain", "wrapped"])
+def test_parameter_sweeps_refuse_a_trial_count_or_seed(name, override, wrapped, monkeypatch):
+    # a wrapper that sets __wrapped__, as a tracer does, keeps the signature
+    fn = verify.THEOREM_CHECKS[name]
+    if wrapped:
+        monkeypatch.setitem(
+            verify.THEOREM_CHECKS, name, functools.wraps(fn)(lambda *a, **k: fn(*a, **k))
+        )
+    with pytest.raises(
+        verify.SuiteError, match=f"^{name} sweeps a fixed set: it takes no trial count or seed$"
+    ):
+        verify.run_check(name, **override)
+    # a drawn suite takes both, wrapped or not
+    if wrapped:
+        draw = verify.THEOREM_CHECKS["t14e"]
+        monkeypatch.setitem(
+            verify.THEOREM_CHECKS, "t14e", functools.wraps(draw)(lambda *a, **k: draw(*a, **k))
+        )
+    assert verify.run_check("t14e", **{"trials": 2, **override}).ok

@@ -40,8 +40,8 @@ AND_TEXT = (
 
 RECORDS = [
     (Signal, {"initial": 0, "switches": (1, 3)}, "Signal(0, [1, 3])"),
-    (RunConfig, {"time_unit": "10ps", "resolution": 3, "seed": 7},
-     "RunConfig(time_unit='10ps', resolution=3, seed=7)"),
+    (RunConfig, {"time_unit": "10ps", "resolution": 3},
+     "RunConfig(time_unit='10ps', resolution=3)"),
     (GridConfig, {"lo": 0, "hi": 4}, "GridConfig(lo=0, hi=4, max_switches=None)"),
     (FdcParams, {"d": 3}, "FdcParams(d=3)"),
     (BdcParams, {"mr": 1, "dr": 2, "mf": 1, "df": 2}, BDC_TEXT),

@@ -81,7 +81,12 @@ def test_exponents_and_fractions_land_on_ticks():
     # a tick of as many digits, refused with no exponent to cap its cost
     ("3" * 2_000_000, 3, f"time {shown('3' * 2_000_000)}: a tick of 2000000 digits, "
      "more than the 4300 that can be written"),
-], ids=["1e2000000", "1E-99999", "2.5e+1_0000", "2000000-digits"])
+] + [
+    # a bad last character, refused without rescanning the digits before it
+    (token, 3, f"bad time {shown(token)}")
+    for token in ["3" * 2_000_000 + "x", "1." + "3" * 2_000_000 + "x"]
+], ids=["1e2000000", "1E-99999", "2.5e+1_0000", "2000000-digits",
+        "2000000-digits-then-x", "2000000-decimals-then-x"])
 def test_a_long_exponent_is_refused_at_once(token, resolution, error):
     t0 = time.perf_counter()
     with pytest.raises(WaveParseError) as err:
@@ -351,8 +356,8 @@ def test_an_integer_line_takes_the_fast_path_at_every_resolution(monkeypatch):
 
 
 def test_parse_config():
-    cfg = parse_config('time_unit = "10ps"\nresolution = 4\nseed = 7\n# note\n')
-    assert cfg == RunConfig(time_unit="10ps", resolution=4, seed=7)
+    cfg = parse_config('time_unit = "10ps"\nresolution = 4\n# note\n')
+    assert cfg == RunConfig(time_unit="10ps", resolution=4)
     assert parse_config("") == RunConfig()
 
 
