@@ -18,7 +18,8 @@ exact and bit-reproducible regardless of gate listing order.
 Envelope propagation pushes lower/upper signal pairs through the same
 netlist conservatively (per gate, the table's extremes over the boxes of
 input bits that the envelopes allow, with no cross-net correlation), for
-acyclic netlists only.
+acyclic netlists only.  `conditions.json_fields` reads a netlist's JSON:
+no stray key, and every net name a JSON string.
 """
 
 from bisect import bisect_left, bisect_right
@@ -31,8 +32,7 @@ from .conditions import (
     bdc_max_solution,
     bdc_min_solution,
     bridc_det_output,
-    json_int,
-    exact_keys,
+    json_fields,
     require_cc,
 )
 from .signals import Signal, Tick, Value, pointwise
@@ -89,16 +89,15 @@ def delay_to_dict(model: BridcDelay) -> dict:
     return {"kind": "bridc", **model.params.as_dict()}
 
 
+_DELAY_FIELDS = {"fixed": {"d": int}, "bridc": dict.fromkeys(BdcParams.json_keys, int)}
+
+
 def delay_from_dict(obj: dict) -> BridcDelay:
-    if not isinstance(obj, dict):
-        raise NetlistError(f"a delay must be an object, got {shown(obj)}")
-    kind = obj.get("kind")
-    if kind == "fixed":
-        exact_keys(obj, ("d",))
-        return FixedDelay(json_int(obj["d"], "d"))
-    if kind == "bridc":
-        return BridcDelay(BdcParams.from_dict(obj))
-    raise NetlistError(f"unknown delay kind in {shown(obj)}")
+    try:
+        kind, *values = json_fields(obj, _DELAY_FIELDS, "a delay", "delay")
+    except ValueError as exc:
+        raise NetlistError(str(exc)) from None
+    return FixedDelay(*values) if kind == "fixed" else BridcDelay(BdcParams(*values))
 
 
 # -- netlist ----------------------------------------------------------------
@@ -251,44 +250,28 @@ def netlist_to_dict(n: Netlist) -> dict:
     }
 
 
-def _json_value(obj: dict, key: str, where: str):
-    """obj[key]; a missing key is refused by name."""
-    if key not in obj:
-        raise NetlistError(f"{where}: missing key {key!r}")
-    return obj[key]
-
-
-def _json_list(obj: dict, key: str, where: str) -> list:
-    """obj[key], which must be a JSON list: a string or an object would
-    be read item by item as its characters or its keys."""
-    if not isinstance(_json_value(obj, key, where), list):
-        raise NetlistError(f"{where}: {key!r} must be a JSON list")
-    return obj[key]
+_GATE_FIELDS = {"name": str, "inputs": [str], "table": [int], "delay": object}
+_NETLIST_FIELDS = {"inputs": [str], "gates": list, "outputs": [str]}
 
 
 def _gate_from_dict(g: dict) -> Gate:
-    if not isinstance(g, dict):
-        raise NetlistError(f"netlist: a gate must be an object, got {shown(g)}")
-    name = str(_json_value(g, "name", "a netlist gate"))
-    where = f"gate {shown(name)}"
-    table, model = _json_list(g, "table", where), _json_value(g, "delay", where)
     try:
-        table = tuple(json_int(v, "a table entry") for v in table)
-        delay = delay_from_dict(model)
-    except ValueError as exc:  # bad numbers, delay bounds or kind
+        name, inputs, table, delay = json_fields(g, _GATE_FIELDS, "a gate")
+        delay = delay_from_dict(delay)
+    except ValueError as exc:  # named by the gate, once its name reads
+        where = ("netlist" if not isinstance(g, dict) else
+                 f"gate {shown(g['name'])}" if type(g.get("name")) is str else "a netlist gate")
         raise NetlistError(f"{where}: {exc}") from None
-    inputs = _json_list(g, "inputs", where)
-    return Gate(name, tuple(str(i) for i in inputs), table, delay)
+    return Gate(name, tuple(inputs), tuple(table), delay)
 
 
 def netlist_from_dict(obj: dict) -> Netlist:
     """The netlist of a JSON object; each bad shape raises a NetlistError naming it."""
-    gates = tuple(_gate_from_dict(g) for g in _json_list(obj, "gates", "netlist"))
-    return Netlist(
-        inputs=tuple(str(i) for i in _json_list(obj, "inputs", "netlist")),
-        gates=gates,
-        outputs=tuple(str(o) for o in _json_list(obj, "outputs", "netlist")),
-    )
+    try:
+        inputs, gates, outputs = json_fields(obj, _NETLIST_FIELDS, "a netlist")
+    except ValueError as exc:
+        raise NetlistError(f"netlist: {exc}") from None
+    return Netlist(tuple(inputs), tuple(map(_gate_from_dict, gates)), tuple(outputs))
 
 
 # -- simulation ---------------------------------------------------------------

@@ -77,18 +77,11 @@ def _parse_json(text: str, what: str):
         raise CliError(f"bad {what} JSON: nested too deep") from None
 
 
-def _load_json(text: str, what: str) -> dict:
-    obj = _parse_json(text, what)
-    if not isinstance(obj, dict):
-        raise CliError(f"bad {what} JSON: expected an object")
-    return obj
-
-
 def _parse_params(kind: str, text: str):
-    obj = _load_json(text, f"{kind} parameter")
-    try:
-        return atom_from_dict({**obj, "kind": kind})
-    except (KeyError, TypeError, ValueError) as exc:
+    obj = _parse_json(text, f"{kind} parameter")
+    try:  # the kind is the option's, and a value that is not an object stays one
+        return atom_from_dict({**obj, "kind": kind} if isinstance(obj, dict) else obj)
+    except ValueError as exc:
         raise CliError(f"bad {kind} parameters: {exc}") from None
 
 
@@ -270,7 +263,7 @@ def _cmd_algebra(args: argparse.Namespace) -> int:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     cfg = _load_config(args.config)
     with open(args.netlist, encoding="utf-8") as fh:
-        netlist = netlist_from_dict(_load_json(fh.read(), "netlist"))
+        netlist = netlist_from_dict(_parse_json(fh.read(), "netlist"))
     with open(args.stimuli, encoding="utf-8") as fh:
         stimuli = parse_waveforms(fh.read(), cfg.resolution)
     lo, hi = _parse_span(args.horizon, "horizon")
@@ -290,7 +283,7 @@ def _parse_atoms(text: str) -> CondExpr:
         raise CliError("condition JSON must be an atom object or a non-empty list")
     try:
         return CondExpr(tuple(atom_from_dict(a) for a in obj))
-    except (KeyError, TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise CliError(f"bad condition atom: {exc}") from None
 
 

@@ -15,7 +15,8 @@ Parameter tuples are immutable values and only validate their own
 ranges; consistency (solvability for every input) is decided separately,
 so inconsistent tuples can be constructed, queried and reported.
 CondExpr conjoins atoms, which is how inertial conditions (BDC + AIC,
-BDC + RIC) are expressed.
+BDC + RIC) are expressed.  `json_fields` is the one reader of JSON
+records, here and in `circuit`: atoms, delays, gates and netlists.
 """
 
 from bisect import bisect_right
@@ -32,22 +33,57 @@ class ConsistencyError(ValueError):
 # -- parameter tuples ------------------------------------------------------
 
 
-def json_int(value, key: str) -> int:
-    """A value read from JSON as an exact integer: floats, bools and
-    strings are refused rather than truncated or coerced."""
-    if type(value) is not int:
-        raise ValueError(f"{key} must be an integer, got {shown(value)}")
-    return value
+_MISSING = object()  # the value of a field that a record lacks
+_JSON_TYPES = {int: "an integer", str: "a JSON string"}  # as refusals name them
 
 
-def exact_keys(obj: dict, keys: tuple[str, ...]) -> None:
-    """Refuse a JSON object with a key other than `kind` and keys, so that
-    a misspelt key does not pass unnoticed, or without one of keys."""
-    for key in obj:
-        if key != "kind" and key not in keys:
-            raise ValueError(f"unknown key {shown(key)}; expected {', '.join(keys)}")
-    if missing := [key for key in keys if key not in obj]:
-        raise ValueError(f"missing key {missing[0]!r}")
+def _fits(value, want) -> bool:  # whether a value of another type than want fits it all the same
+    if type(want) is not list or type(value) is not list:
+        return want is object and value is not _MISSING
+    for item in value:  # a list of items of type want[0]; a loop beats all() on a few
+        if type(item) is not want[0]:
+            return False
+    return True
+
+
+def json_fields(obj, fields: dict, what: str, kinds: str | None = None) -> list:
+    """The values of a JSON record in the order of `fields`, which maps each
+    key to the type JSON reads it as: int (not a bool), str, list, `[int]`
+    or `[str]` (a list of such items), or object (any value; its reader
+    checks it).  A ValueError names the first fault: a record that is no
+    object (`what` names it), a key that is no field, so that a misspelt
+    key does not pass unnoticed, a missing field or a value of another type.
+    A record of several kinds (an atom, a delay) has its kind under `kind`,
+    first among the values: `fields` maps each kind to its fields, and
+    `kinds` names them when the record's is unknown."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must be an object, got {shown(obj)}")
+    values = []
+    if kinds is not None:
+        kind = obj.get("kind")
+        if type(kind) is not str or kind not in fields:
+            raise ValueError(f"unknown {kinds} kind in {shown(obj)}")
+        fields = fields[kind]
+        values.append(kind)
+    for key, want in fields.items():
+        value = obj.get(key, _MISSING)
+        if type(value) is not want and not _fits(value, want):
+            break
+        values.append(value)
+    else:
+        if len(values) == len(obj):  # no stray key: a kind counts among the values
+            return values
+    for stray in obj:  # named first, so that a misspelt key is not taken for the one it misses
+        if stray not in fields and (stray != "kind" or kinds is None):
+            raise ValueError(f"unknown key {shown(stray)}; expected {', '.join(fields)}")
+    if value is _MISSING:
+        raise ValueError(f"missing key {key!r}")
+    if want is list or type(want) is list and type(value) is not list:
+        raise ValueError(f"{key!r} must be a JSON list")
+    if type(want) is list:  # named by its first item of another type
+        key, want = f"an item of {key!r}", want[0]
+        value = next(v for v in value if type(v) is not want)
+    raise ValueError(f"{key} must be {_JSON_TYPES[want]}, got {shown(value)}")
 
 
 class _IntValue(Value):
@@ -78,11 +114,6 @@ class _Params(_IntValue):
 
     def as_dict(self) -> dict:
         return dict(zip(self.json_keys, self._key))
-
-    @classmethod
-    def from_dict(cls, obj: dict):
-        exact_keys(obj, cls.json_keys)
-        return cls(*(json_int(obj[k], k) for k in cls.json_keys))
 
 
 class FdcParams(_Params):
@@ -153,18 +184,15 @@ class RicParams(_Params):
 Atom = FdcParams | BdcParams | AicParams | RicParams
 
 _ATOM_KINDS = {cls.kind: cls for cls in (FdcParams, BdcParams, AicParams, RicParams)}
+_ATOM_FIELDS = {kind: dict.fromkeys(cls.json_keys, int) for kind, cls in _ATOM_KINDS.items()}
 # by atom class, where its fields say how far back it reads the input
 _READS = {FdcParams: (0,), BdcParams: (1, 3), AicParams: (), RicParams: (1, 3)}
 
 
 def atom_from_dict(obj: dict) -> Atom:
-    if not isinstance(obj, dict):
-        raise ValueError(f"an atom must be an object, got {shown(obj)}")
-    try:
-        cls = _ATOM_KINDS[obj["kind"]]
-    except (KeyError, TypeError):  # no kind, or one that is not a string
-        raise ValueError(f"unknown condition kind in {shown(obj)}") from None
-    return cls.from_dict(obj)
+    """The atom of a JSON object: its `kind`, then the class's fields under `json_keys`."""
+    kind, *values = json_fields(obj, _ATOM_FIELDS, "an atom", "condition")
+    return _ATOM_KINDS[kind](*values)
 
 
 class CondExpr(_IntValue):

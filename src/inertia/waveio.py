@@ -67,24 +67,19 @@ def shown(value, limit: int = 40) -> str:
     return repr(value) if len(value) <= limit else f"{value[:limit]!r}... ({len(value)} chars)"
 
 
-# what int() reads as an integer; when it still fails, the only cause is
-# its limit of 4300 digits
-_INT_TEXT = re.compile(r"\s*[+-]?\d+(?:_\d+)*\s*")
-
-
 def parse_int(text: str, what: str) -> int:
-    """int(text); otherwise a WaveParseError that begins with `what`,
-    shows text cut short and, when int() refused a well-formed integer
-    for its length, names the digit count."""
+    """int(text); otherwise a WaveParseError that begins with `what`, shows
+    text cut short and, for text that `_TIME` reads as its `whole` run
+    alone, an integer too long for int(), names the digit count."""
     try:
         return int(text)
     except ValueError:
         pass
-    if _INT_TEXT.fullmatch(text):
-        digits = sum(c.isdecimal() for c in text)
+    m = _TIME.fullmatch(text.strip())
+    if m and m.end() == m.end("whole"):
         raise WaveParseError(
-            f"{what} {shown(text)}: an integer of {digits} digits, "
-            f"more than the {MAX_TICK_DIGITS} that can be read"
+            f"{what} {shown(text)}: an integer of {len(m['whole']) - m['whole'].count('_')} "
+            f"digits, more than the {MAX_TICK_DIGITS} that can be read"
         )
     raise WaveParseError(f"{what} {shown(text)}: expected an integer")
 

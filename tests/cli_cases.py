@@ -565,6 +565,30 @@ CASES = [
     simulate("an_unknown_json_key_exits_2[delay]",
              and_gate(delay={"kind": "fixed", "d": 2, "dd": 1}), 2,
              "gate 'y': unknown key 'dd'; expected d"),
+    simulate("an_unknown_json_key_exits_2[netlist]", {**AND_NET, "note": "x"}, 2,
+             "netlist: unknown key 'note'; expected inputs, gates, outputs"),
+    simulate("an_unknown_json_key_exits_2[gate]",
+             {**AND_NET, "gates": [{**AND_NET["gates"][0], "comment": "x"}]}, 2,
+             "gate 'y': unknown key 'comment'; expected name, inputs, table, delay"),
+    # only atoms and delays have a kind
+    simulate("an_unknown_json_key_exits_2[gate-kind]",
+             {**AND_NET, "gates": [{**AND_NET["gates"][0], "kind": "and"}]}, 2,
+             "gate 'y': unknown key 'kind'; expected name, inputs, table, delay"),
+    # a net name is a JSON string: another value is refused, not read as its str()
+    simulate("a_net_name_that_is_not_a_string_exits_2[netlist-inputs]",
+             {**AND_NET, "inputs": ["a", None],
+              "gates": [{**AND_NET["gates"][0], "inputs": ["a", "None"]}]}, 2,
+             "netlist: an item of 'inputs' must be a JSON string, got None",
+             stim="a 0 0\nNone 0 1\n"),
+    simulate("a_net_name_that_is_not_a_string_exits_2[netlist-outputs]",
+             {**AND_NET, "outputs": [7]}, 2,
+             "netlist: an item of 'outputs' must be a JSON string, got 7"),
+    simulate("a_net_name_that_is_not_a_string_exits_2[gate-name]",
+             {**AND_NET, "outputs": [], "gates": [{**AND_NET["gates"][0], "name": 7}]}, 2,
+             "a netlist gate: name must be a JSON string, got 7"),
+    simulate("a_net_name_that_is_not_a_string_exits_2[gate-inputs]",
+             {**AND_NET, "gates": [{**AND_NET["gates"][0], "inputs": ["a", {"x": 1}]}]}, 2,
+             "gate 'y': an item of 'inputs' must be a JSON string, got {'x': 1}"),
     # a long JSON value or option value is cut short
     Case("a_long_value_is_cut_short[atom-kind]",
          ["oracle", "witness", "--atoms", json.dumps({"kind": XS})], 2,

@@ -9,6 +9,7 @@ admit, and every output that its window admits lies inside the
 propagated envelope.
 """
 
+import json
 import random
 import time
 from collections import Counter
@@ -35,7 +36,15 @@ from inertia.circuit import (
     netlist_to_dict,
     simulate,
 )
-from inertia.conditions import BdcParams, CondExpr, ConsistencyError, RicParams
+from inertia.conditions import (
+    AicParams,
+    BdcParams,
+    CondExpr,
+    ConsistencyError,
+    FdcParams,
+    RicParams,
+    atom_from_dict,
+)
 from inertia.oracle import GridConfig, enumerate_solutions
 from inertia.signals import Signal, pointwise
 
@@ -216,6 +225,73 @@ def test_netlist_from_dict_refuses_numbers_that_are_not_integers(key, value):
     d["gates"][0][key] = value
     with pytest.raises(NetlistError, match="gate 'y'.*must be an integer"):
         netlist_from_dict(d)
+
+
+# a value of each JSON type, to put in place of a key's value or a list's item
+JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 3), st.floats(-2, 3), st.text("abyz", max_size=2),
+    st.lists(st.integers(0, 1), max_size=2),
+    st.dictionaries(st.sampled_from("dk"), st.integers(0, 2), max_size=1),
+)
+KEYS = st.sampled_from(["kind", "name", "d", "mr", "dr", "deltar", "mur", "note"])
+
+
+def _mutate(data, record: dict) -> None:
+    """Drop, add or rename one of record's keys, or put a JSON value of any
+    type in place of its value or of one item of a list it holds."""
+    key = data.draw(st.sampled_from(sorted(record)))
+    how = data.draw(st.sampled_from(["drop", "add", "rename", "value", "item"]))
+    if how == "drop":
+        del record[key]
+    elif how == "add":
+        record[data.draw(KEYS)] = data.draw(JSON_VALUES)
+    elif how == "rename":
+        record[data.draw(KEYS)] = record.pop(key)
+    elif how == "item" and isinstance(record[key], list) and record[key]:
+        items = record[key]
+        items[data.draw(st.integers(0, len(items) - 1))] = data.draw(JSON_VALUES)
+    else:
+        record[key] = data.draw(JSON_VALUES)
+
+
+def _read_back(read, write, d) -> None:
+    """read(d) either refuses d with one short line or reads what write turns back into d."""
+    try:
+        value = read(d)
+    except ValueError as exc:  # NetlistError is one
+        assert "\n" not in str(exc) and len(str(exc)) < 200, str(exc)
+    else:  # as JSON text, so that 1 is not taken for True or 1.0
+        assert json.dumps(write(value), sort_keys=True) == json.dumps(d, sort_keys=True)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.data())
+def test_a_json_netlist_is_refused_in_one_line_or_read_back_exactly(data):
+    n = Netlist(
+        ("a", "b"),
+        (Gate("y", ("a", "b"), AND, BridcDelay(BdcParams(1, 2, 1, 2))),
+         Gate("z", ("a",), NOT, FixedDelay(1))),
+        ("y",),
+    )
+    d = netlist_to_dict(n)
+    records = [d, *d["gates"], *(g["delay"] for g in d["gates"])]
+    for _ in range(data.draw(st.integers(1, 3))):
+        record = data.draw(st.sampled_from(records))
+        if record:  # drops may have emptied it
+            _mutate(data, record)
+    _read_back(netlist_from_dict, netlist_to_dict, d)
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(st.data(), st.sampled_from([FdcParams(3), BdcParams(1, 2, 1, 2), AicParams(2, 0),
+                                   RicParams(1, 3, 0, 2)]))
+def test_a_json_atom_is_refused_in_one_line_or_read_back_exactly(data, atom):
+    d = {**atom.as_dict(), "kind": atom.kind}
+    for _ in range(data.draw(st.integers(1, 2))):
+        _mutate(data, d)
+        if not d:
+            break
+    _read_back(atom_from_dict, lambda a: {**a.as_dict(), "kind": a.kind}, d)
 
 
 # -- simulation ------------------------------------------------------------------

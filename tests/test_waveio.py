@@ -20,6 +20,7 @@ from inertia.waveio import (
     emit_vcd,
     emit_waveforms,
     parse_config,
+    parse_int,
     parse_waveforms,
     shown,
     writable,
@@ -93,6 +94,22 @@ def test_a_long_exponent_is_refused_at_once(token, resolution, error):
         parse_waveforms(f"v 1\nu 0 1 {token}\n", resolution)
     assert time.perf_counter() - t0 < 0.1
     assert str(err.value) == f"line 2: {error}"
+
+
+NINES_X = "9" * 2_000_000 + "x"  # int() refuses it; so does `_TIME`, once its whole run is read
+
+
+@pytest.mark.parametrize("read, error", [
+    (lambda: parse_int(NINES_X, "bad --seed"), f"bad --seed {shown(NINES_X)}: expected an integer"),
+    (lambda: parse_config(f"resolution = {NINES_X}\n"),
+     f"config line 1: resolution {shown(NINES_X)}: expected an integer"),
+], ids=["option", "config"])
+def test_a_long_integer_with_a_bad_tail_is_refused_at_once(read, error):
+    t0 = time.perf_counter()
+    with pytest.raises(WaveParseError) as err:
+        read()
+    assert time.perf_counter() - t0 < 0.1
+    assert str(err.value) == error
 
 
 LONG_ONE = "1" + "0" * 4400 + "e-4400"  # a decimal of 4,401 digits that is 1
