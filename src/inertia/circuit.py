@@ -28,15 +28,16 @@ from heapq import heapify, heappop, heappush
 from itertools import islice
 
 from .conditions import (
+    ATOM_FIELDS,
     BdcParams,
+    FdcParams,
     bdc_max_solution,
     bdc_min_solution,
     bridc_det_output,
     json_fields,
     require_cc,
 )
-from .signals import Signal, Tick, Value, pointwise
-from .waveio import shown, shown_int
+from .signals import Signal, Tick, Value, pointwise, shown
 
 MAX_GATE_ARITY = 8
 MAX_LOOP_SWITCHES = 10**7  # a loop that would write more is refused, not run out of memory
@@ -71,9 +72,10 @@ class FixedDelay(BridcDelay):
     __slots__ = ()
 
     def __init__(self, d: int):
-        if d < 0:
-            raise NetlistError(f"fixed delay must be >= 0, got d={shown_int(d)}")
-        super().__init__(BdcParams(0, d, 0, d))
+        try:  # the FDC atom's range: a fixed delay is >= 0
+            super().__init__(BdcParams(0, FdcParams(d).d, 0, d))
+        except ValueError as exc:
+            raise NetlistError(str(exc)) from None
 
     @property
     def d(self) -> int:
@@ -89,7 +91,7 @@ def delay_to_dict(model: BridcDelay) -> dict:
     return {"kind": "bridc", **model.params.as_dict()}
 
 
-_DELAY_FIELDS = {"fixed": {"d": int}, "bridc": dict.fromkeys(BdcParams.json_keys, int)}
+_DELAY_FIELDS = {"fixed": ATOM_FIELDS["fdc"], "bridc": ATOM_FIELDS["bdc"]}
 
 
 def delay_from_dict(obj: dict) -> BridcDelay:

@@ -18,6 +18,7 @@ import sys
 
 from .circuit import NetlistError, netlist_from_dict, simulate
 from .conditions import (
+    ATOM_KINDS,
     CondExpr,
     ConsistencyError,
     atom_from_dict,
@@ -39,7 +40,7 @@ from .conditions import (
     violations,
 )
 from .oracle import GridConfig, HorizonError, enumerate_solutions, find_empty_witness
-from .signals import SignalError
+from .signals import SignalError, shown
 from .verify import THEOREM_CHECKS, SuiteError, run_check
 from .waveio import (
     RunConfig,
@@ -49,7 +50,6 @@ from .waveio import (
     parse_config,
     parse_int,
     parse_waveforms,
-    shown,
     writable,
 )
 
@@ -88,17 +88,15 @@ def _parse_params(kind: str, text: str):
 def _load_wave(path: str, cfg: RunConfig, role: str, name: str | None = None):
     with open(path, encoding="utf-8") as fh:
         waves = parse_waveforms(fh.read(), cfg.resolution)
+    where = f"{role} file {path if len(path) <= 40 else shown(path)}"  # a short path bare
     if not waves:
-        raise CliError(f"{role} file {path} contains no waveforms")
+        raise CliError(f"{where} contains no waveforms")
     if name is not None:
         if name not in waves:
-            raise CliError(f"{role} file {path} has no waveform named {shown(name)}")
+            raise CliError(f"{where} has no waveform named {shown(name)}")
         return waves[name]
     if len(waves) > 1:
-        raise CliError(
-            f"{role} file {path} contains {len(waves)} waveforms; "
-            f"name one with --{role}-name"
-        )
+        raise CliError(f"{where} contains {len(waves)} waveforms; name one with --{role}-name")
     return next(iter(waves.values()))
 
 
@@ -135,8 +133,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
     cfg = _load_config(args.config)
     params = _parse_params(args.cond, args.params)
     x = _load_wave(args.output, cfg, "output", args.output_name)
-    u = None  # AIC does not read the input
-    if args.cond != "aic":
+    u = None  # an atom without windows (AIC) does not read the input
+    if ATOM_KINDS[args.cond].windows:
         if args.input is None:
             raise CliError(f"--input is required for {args.cond}")
         u = _load_wave(args.input, cfg, "input", args.input_name)
@@ -348,7 +346,7 @@ def _build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     check = subs.add_parser("check", help="test a waveform pair against a condition")
-    check.add_argument("--cond", required=True, choices=("fdc", "bdc", "aic", "ric"))
+    check.add_argument("--cond", required=True, choices=tuple(ATOM_KINDS))
     check.add_argument("--params", required=True, help="parameter JSON object")
     check.add_argument("--input", help="input waveform file (not used for aic)")
     check.add_argument("--output", required=True, help="output waveform file")
@@ -451,6 +449,8 @@ def main(argv: list[str] | None = None) -> int:
         UnicodeDecodeError,
         OSError,
     ) as exc:
+        if isinstance(exc, OSError) and exc.filename is not None:  # the path cut short
+            exc = f"[Errno {exc.errno}] {exc.strerror}: {shown(exc.filename)}"
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

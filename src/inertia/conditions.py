@@ -22,8 +22,7 @@ records, here and in `circuit`: atoms, delays, gates and netlists.
 from bisect import bisect_right
 from itertools import islice
 
-from .signals import Signal, Value, _set_key, window_and, window_or
-from .waveio import shown, shown_int
+from .signals import Signal, Value, _set_key, shown, shown_int, window_and, window_or
 
 
 class ConsistencyError(ValueError):
@@ -86,31 +85,38 @@ def json_fields(obj, fields: dict, what: str, kinds: str | None = None) -> list:
     raise ValueError(f"{key} must be {_JSON_TYPES[want]}, got {shown(value)}")
 
 
-class _IntValue(Value):
-    """A record of ints only keeps its hash (no hash seed changes it) for the oracle's caches."""
-
-    __slots__ = ("_hash",)
-
-    def __hash__(self):
-        return self._hash
-
-
-class _Params(_IntValue):
+class _Params(Value):
     """A condition atom of int fields, and its JSON form: its fields in
-    order, each under the matching key of the class's `json_keys`, and its `kind`."""
+    order, each under the matching key of the class's `json_keys`, and its
+    `kind`.  Beside its fields each class states their ranges: `windows`,
+    the (memory, bound) field pairs that need 0 <= memory <= bound (a bound
+    without a memory is a fixed delay, which must be >= 0), and `holds`,
+    the fields that need only be >= 0.  The bounds say how far back the
+    atom reads its input, so an atom without windows does not read it."""
 
     __slots__ = ()
     kind: str
     json_keys: tuple[str, ...]
+    windows: tuple[tuple[str | None, str], ...] = ()
+    holds: tuple[str, ...] = ()
 
     def _set(self, *values):
-        """Refuse a bool or non-int field by name, so `__init__` calls it first; store and hash."""
+        """Refuse a bool or non-int field by name, then a field out of its
+        class's ranges, window by window, so `__init__` calls it first."""
         for name, value in zip(self._fields, values):
             if type(value) is not int:
                 raise ValueError(f"{name} must be an integer, got {shown(value)}")
-            object.__setattr__(self, name, value)
-        object.__setattr__(self, "_key", values)
-        object.__setattr__(self, "_hash", hash(values))
+        super()._set(*values)
+        if any(getattr(self, h) < 0 for h in self.holds):
+            raise ValueError(f"hold times must be >= 0, got {self._got(*self.holds)}")
+        for m, b in self.windows:
+            if m is None and getattr(self, b) < 0:
+                raise ValueError(f"fixed delay must be >= 0, got {self._got(b)}")
+            if m is not None and not 0 <= getattr(self, m) <= getattr(self, b):
+                raise ValueError(f"need 0 <= {m} <= {b}, got {self._got(m, b)}")
+
+    def _got(self, *names) -> str:  # the named fields' values, cut short
+        return " ".join(f"{n}={shown_int(getattr(self, n))}" for n in names)
 
     def as_dict(self) -> dict:
         return dict(zip(self.json_keys, self._key))
@@ -122,11 +128,10 @@ class FdcParams(_Params):
     __slots__ = _fields = ("d",)
     kind = "fdc"
     json_keys = ("d",)
+    windows = ((None, "d"),)
 
     def __init__(self, d: int):
         self._set(d)
-        if d < 0:
-            raise ValueError(f"fixed delay must be >= 0, got d={shown_int(d)}")
 
 
 class BdcParams(_Params):
@@ -135,13 +140,10 @@ class BdcParams(_Params):
     __slots__ = _fields = ("mr", "dr", "mf", "df")
     kind = "bdc"
     json_keys = _fields
+    windows = (("mr", "dr"), ("mf", "df"))
 
     def __init__(self, mr: int, dr: int, mf: int, df: int):
         self._set(mr, dr, mf, df)
-        if not (0 <= mr <= dr):
-            raise ValueError(f"need 0 <= mr <= dr, got mr={shown_int(mr)} dr={shown_int(dr)}")
-        if not (0 <= mf <= df):
-            raise ValueError(f"need 0 <= mf <= df, got mf={shown_int(mf)} df={shown_int(df)}")
 
 
 class AicParams(_Params):
@@ -150,14 +152,10 @@ class AicParams(_Params):
     __slots__ = _fields = ("delta_r", "delta_f")
     kind = "aic"
     json_keys = ("deltar", "deltaf")
+    holds = _fields
 
     def __init__(self, delta_r: int, delta_f: int):
         self._set(delta_r, delta_f)
-        if delta_r < 0 or delta_f < 0:
-            raise ValueError(
-                f"hold times must be >= 0, got delta_r={shown_int(delta_r)} "
-                f"delta_f={shown_int(delta_f)}"
-            )
 
 
 class RicParams(_Params):
@@ -166,41 +164,32 @@ class RicParams(_Params):
     __slots__ = _fields = ("mu_r", "delta_r", "mu_f", "delta_f")
     kind = "ric"
     json_keys = ("mur", "deltar", "muf", "deltaf")
+    windows = (("mu_r", "delta_r"), ("mu_f", "delta_f"))
 
     def __init__(self, mu_r: int, delta_r: int, mu_f: int, delta_f: int):
         self._set(mu_r, delta_r, mu_f, delta_f)
-        if not (0 <= mu_r <= delta_r):
-            raise ValueError(
-                f"need 0 <= mu_r <= delta_r, got mu_r={shown_int(mu_r)} "
-                f"delta_r={shown_int(delta_r)}"
-            )
-        if not (0 <= mu_f <= delta_f):
-            raise ValueError(
-                f"need 0 <= mu_f <= delta_f, got mu_f={shown_int(mu_f)} "
-                f"delta_f={shown_int(delta_f)}"
-            )
 
 
 Atom = FdcParams | BdcParams | AicParams | RicParams
 
-_ATOM_KINDS = {cls.kind: cls for cls in (FdcParams, BdcParams, AicParams, RicParams)}
-_ATOM_FIELDS = {kind: dict.fromkeys(cls.json_keys, int) for kind, cls in _ATOM_KINDS.items()}
-# by atom class, where its fields say how far back it reads the input
-_READS = {FdcParams: (0,), BdcParams: (1, 3), AicParams: (), RicParams: (1, 3)}
+# the one registry of atoms, by kind
+ATOM_KINDS = {cls.kind: cls for cls in (FdcParams, BdcParams, AicParams, RicParams)}
+ATOM_FIELDS = {kind: dict.fromkeys(cls.json_keys, int) for kind, cls in ATOM_KINDS.items()}
 
 
 def atom_from_dict(obj: dict) -> Atom:
     """The atom of a JSON object: its `kind`, then the class's fields under `json_keys`."""
-    kind, *values = json_fields(obj, _ATOM_FIELDS, "an atom", "condition")
-    return _ATOM_KINDS[kind](*values)
+    kind, *values = json_fields(obj, ATOM_FIELDS, "an atom", "condition")
+    return ATOM_KINDS[kind](*values)
 
 
-class CondExpr(_IntValue):
+class CondExpr(Value):
     """Conjunction of condition atoms over the same input/output pair.
 
-    reach is how many ticks back from t the atoms read the input to
-    constrain the output at t; `_rule` is the oracle's tick rule once a
-    query has built it.  `==`, the hash and the repr leave both out.
+    reach, the largest bound of the atoms' windows, is how many ticks
+    back from t they read the input to constrain the output at t; `_rule`
+    is the oracle's tick rule once a query has built it.  `==`, the hash
+    and the repr leave both out.
     """
 
     __slots__ = ("atoms", "reach", "_rule")
@@ -212,20 +201,18 @@ class CondExpr(_IntValue):
             raise ValueError("a condition expression needs at least one atom")
         back = 0
         for a in atoms:
-            reads = _READS.get(a.__class__)
-            if reads is None:
-                raise TypeError(f"not a condition atom: {a!r}")
-            for i in reads:
-                if a._key[i] > back:
-                    back = a._key[i]
+            if not isinstance(a, _Params):
+                raise TypeError(f"not a condition atom: {shown(a)}")
+            for _, b in a.windows:
+                if getattr(a, b) > back:
+                    back = getattr(a, b)
         _set_atoms(self, atoms)
         _set_reach(self, back)
         _set_rule(self, None)
         _set_key(self, (atoms,))
-        _set_hash(self, hash(self._key))
 
 
-_set_atoms, _set_reach, _set_rule, _set_hash = CondExpr._setters("atoms", "reach", "_rule", "_hash")
+_set_atoms, _set_reach, _set_rule = CondExpr._setters("atoms", "reach", "_rule")
 
 
 # -- consistency of BDC parameters ----------------------------------------
@@ -257,9 +244,7 @@ def require_cc(p: BdcParams) -> None:
 
 def fdc_member(u: Signal, x: Signal, d: int) -> bool:
     """x is the fixed-delay image of u: x(t) = u(t - d)."""
-    if d < 0:
-        raise ValueError(f"fixed delay must be >= 0, got d={shown_int(d)}")
-    return x == u.translate(d)
+    return x == u.translate(FdcParams(d).d)
 
 
 def bdc_lower(u: Signal, p: BdcParams) -> Signal:

@@ -13,6 +13,8 @@ each run of 1s with one bisection.  Their cost follows the number of
 switches, not the tick distance.
 
 All operations are pure; Signal instances are immutable and hashable.
+`shown` and `shown_int` cut a value short for an error message, here
+and in every layer above, so that no message echoes a long value whole.
 """
 
 import bisect
@@ -22,6 +24,41 @@ Tick = int
 
 class SignalError(ValueError):
     """Malformed signal construction or operator argument."""
+
+
+# Python writes ints of at most 4300 digits as text by default, so every
+# accepted tick can be written back out
+MAX_TICK_DIGITS = 4300
+_TICK_LIMIT = 10**MAX_TICK_DIGITS
+_SHOWN_LIMIT = 10**40
+
+
+def shown(value, limit: int = 40) -> str:
+    """value for an error message, cut to a short prefix: a string by the
+    repr of its first `limit` characters, any other value, such as a JSON
+    object, by the first `limit` characters of its repr."""
+    if not isinstance(value, str):
+        text = repr(value)
+        return text if len(text) <= limit else f"{text[:limit]}... ({len(text)} chars)"
+    return repr(value) if len(value) <= limit else f"{value[:limit]!r}... ({len(value)} chars)"
+
+
+def _digit_count(n: int) -> int:
+    """The digits of n, counted without writing out a long n."""
+    n, digits = abs(n), 0
+    while n >= _TICK_LIMIT:
+        n //= _TICK_LIMIT
+        digits += MAX_TICK_DIGITS
+    return digits + len(str(n))
+
+
+def shown_int(n: int) -> str:
+    """n for an error message: in full up to 40 digits, otherwise cut to
+    its first digits (when str() can write it) and its digit count."""
+    if -_SHOWN_LIMIT < n < _SHOWN_LIMIT:
+        return str(n)
+    head = str(n)[:40] if -_TICK_LIMIT < n < _TICK_LIMIT else "-" * (n < 0)
+    return f"{head}... ({_digit_count(n)} digits)"
 
 
 class Value:
@@ -78,14 +115,16 @@ class Signal(Value):
 
     def __init__(self, initial: int, switches: tuple[Tick, ...] = ()):
         if initial not in (0, 1):
-            raise SignalError(f"initial value must be 0 or 1, got {initial!r}")
+            raise SignalError(f"initial value must be 0 or 1, got {shown(initial)}")
         switches = tuple(switches)  # tuple() returns a tuple as it is
         prev = None
         for t in switches:
             if isinstance(t, bool) or not isinstance(t, int):
-                raise SignalError(f"switch times must be integers, got {t!r}")
+                raise SignalError(f"switch times must be integers, got {shown(t)}")
             if prev is not None and t <= prev:
-                raise SignalError(f"switch times must strictly increase ({prev} then {t})")
+                raise SignalError(
+                    f"switch times must strictly increase ({shown_int(prev)} then {shown_int(t)})"
+                )
             prev = t
         self._set(initial, switches)
 
@@ -112,7 +151,7 @@ class Signal(Value):
     def values_on(self, lo: Tick, hi: Tick) -> list[int]:
         """Dense values at every tick lo..hi inclusive."""
         if lo > hi:
-            raise SignalError(f"empty tick range {lo}..{hi}")
+            raise SignalError(f"empty tick range {shown_int(lo)}..{shown_int(hi)}")
         out = []
         val = self.value_at(lo)
         nxt = bisect.bisect_right(self.switches, lo)
@@ -177,7 +216,7 @@ def _evaluated(fn, ix: int, k: int) -> int:
     """fn of the k bits of table index ix, operand 0 the high bit."""
     new = fn(*[ix >> (k - 1 - i) & 1 for i in range(k)])
     if new not in (0, 1):
-        raise SignalError(f"combiner must return 0 or 1, got {new!r}")
+        raise SignalError(f"combiner must return 0 or 1, got {shown(new)}")
     return new
 
 
@@ -233,7 +272,7 @@ def pointwise(fn, *signals: Signal) -> Signal:
 
 def _require_int(value, what: str) -> None:
     if isinstance(value, bool) or not isinstance(value, int):
-        raise SignalError(f"{what} must be an integer, got {value!r}")
+        raise SignalError(f"{what} must be an integer, got {shown(value)}")
 
 
 def _window(s: Signal, level: int, d: Tick, m: Tick) -> Signal:
@@ -242,7 +281,7 @@ def _window(s: Signal, level: int, d: Tick, m: Tick) -> Signal:
     _require_int(d, "window offset")
     _require_int(m, "window width")
     if m < 0:
-        raise SignalError(f"window width must be >= 0, got {m}")
+        raise SignalError(f"window width must be >= 0, got {shown_int(m)}")
     sw = s.switches
     lead = int(s.initial == level)  # 1 when (-inf, sw[0]) is a run; it never vanishes
     out = [sw[0] + d - m] if lead and sw else []

@@ -72,8 +72,7 @@ from .oracle import (
     pointwise_bounds,
     solution_count,
 )
-from .signals import Signal
-from .waveio import shown_int
+from .signals import Signal, shown, shown_int
 
 MAX_REPORTED = 12
 # t1 lists a draw's solutions with the DFS only up to 2**ENUMERATED_FREE
@@ -657,7 +656,7 @@ def run_check(name: str, trials: int | None = None, seed: int | None = None) -> 
         fn = THEOREM_CHECKS[name]
     except KeyError:
         raise SuiteError(
-            f"unknown theorem {name!r}; choose from {', '.join(sorted(THEOREM_CHECKS))}"
+            f"unknown theorem {shown(name)}; choose from {', '.join(sorted(THEOREM_CHECKS))}"
         ) from None
     if trials is not None and trials < 1:
         raise SuiteError(f"trials must be at least 1, got {shown_int(trials)}")

@@ -29,7 +29,9 @@ from bisect import bisect_left
 from collections import defaultdict
 from heapq import heapify, heappop, heappush
 
-from .signals import Signal, Tick, Value
+from .signals import (
+    MAX_TICK_DIGITS, _TICK_LIMIT, Signal, Tick, Value, _digit_count, shown, shown_int
+)
 
 
 class WaveParseError(ValueError):
@@ -50,21 +52,11 @@ class RunConfig(Value):
         if not _TIME_UNIT.fullmatch(time_unit):
             raise WaveParseError(
                 f"time_unit must be 1, 10 or 100 followed by s, ms, us, ns, ps "
-                f"or fs, got {time_unit!r}"
+                f"or fs, got {shown(time_unit)}"
             )
         if resolution < 1:
             raise WaveParseError(f"resolution must be >= 1, got {shown_int(resolution)}")
         self._set(time_unit, resolution)
-
-
-def shown(value, limit: int = 40) -> str:
-    """value for an error message, cut to a short prefix: a string by the
-    repr of its first `limit` characters, any other value, such as a JSON
-    object, by the first `limit` characters of its repr."""
-    if not isinstance(value, str):
-        text = repr(value)
-        return text if len(text) <= limit else f"{text[:limit]}... ({len(text)} chars)"
-    return repr(value) if len(value) <= limit else f"{value[:limit]!r}... ({len(value)} chars)"
 
 
 def parse_int(text: str, what: str) -> int:
@@ -100,15 +92,10 @@ def parse_config(text: str) -> RunConfig:
         elif key == "resolution":
             fields[key] = parse_int(value, f"config line {ln}: {key}")
         else:
-            raise WaveParseError(f"config line {ln}: unknown key {key!r}")
+            raise WaveParseError(f"config line {ln}: unknown key {shown(key)}")
     return RunConfig(**fields)
 
 
-# Python writes ints of at most 4300 digits as text by default, so every
-# accepted tick can be written back out
-MAX_TICK_DIGITS = 4300
-_TICK_LIMIT = 10**MAX_TICK_DIGITS
-_SHOWN_LIMIT = 10**40
 MAX_EXPONENT_DIGITS = 4
 # a time off the integer fast path: an optional sign, then a ratio of two
 # digit runs, or an integer or decimal with an optional exponent; `_` may
@@ -122,15 +109,6 @@ _TIME = re.compile(
 )
 
 
-def _digit_count(n: int) -> int:
-    """The digits of n, counted without writing out a long n."""
-    n, digits = abs(n), 0
-    while n >= _TICK_LIMIT:
-        n //= _TICK_LIMIT
-        digits += MAX_TICK_DIGITS
-    return digits + len(str(n))
-
-
 def writable(n: int, what: str) -> int:
     """n, when str() can write it; otherwise a WaveParseError that begins
     with `what` and names n's digit count.  The one check of the bound
@@ -138,15 +116,6 @@ def writable(n: int, what: str) -> int:
     if -_TICK_LIMIT < n < _TICK_LIMIT:
         return n
     raise _too_long(what, _digit_count(n))
-
-
-def shown_int(n: int) -> str:
-    """n for an error message: in full up to 40 digits, otherwise cut to
-    its first digits (when str() can write it) and its digit count."""
-    if -_SHOWN_LIMIT < n < _SHOWN_LIMIT:
-        return str(n)
-    head = str(n)[:40] if -_TICK_LIMIT < n < _TICK_LIMIT else "-" * (n < 0)
-    return f"{head}... ({_digit_count(n)} digits)"
 
 
 def _too_long(what: str, digits: int) -> WaveParseError:
@@ -227,7 +196,7 @@ def _parse_times(text: str, resolution: int, ln: int) -> tuple[Tick, ...]:
     if not _increasing(times):
         a, b = next((a, b) for a, b in zip(times, times[1:]) if b <= a)
         raise WaveParseError(
-            f"line {ln}: switch times must strictly increase ({a} then {b})"
+            f"line {ln}: switch times must strictly increase ({shown_int(a)} then {shown_int(b)})"
         )
     return times
 
@@ -244,7 +213,7 @@ def parse_waveforms(text: str, resolution: int = 1) -> dict[str, Signal]:
             raise WaveParseError(f"line {ln}: expected `name initial [times...]`")
         name = parts[0]
         if name in out:
-            raise WaveParseError(f"line {ln}: duplicate signal {name!r}")
+            raise WaveParseError(f"line {ln}: duplicate signal {shown(name)}")
         if parts[1] not in ("0", "1"):
             raise WaveParseError(f"line {ln}: initial value must be 0 or 1")
         times = _parse_times(parts[2] if len(parts) > 2 else "", resolution, ln)
@@ -261,8 +230,8 @@ def emit_waveforms(signals: dict[str, Signal]) -> str:
         writable_name(name)
         ticks = sig.switches  # increasing, so the ends bound every tick
         if ticks:
-            writable(ticks[0], f"net {name!r}: a tick")
-            writable(ticks[-1], f"net {name!r}: a tick")
+            writable(ticks[0], f"net {shown(name)}: a tick")
+            writable(ticks[-1], f"net {shown(name)}: a tick")
         parts = [name, str(sig.initial)] + [str(t) for t in ticks]
         lines.append(" ".join(parts))
     return "\n".join(lines) + ("\n" if lines else "")
@@ -303,7 +272,7 @@ def emit_vcd(signals: dict[str, Signal], cfg: RunConfig = RunConfig()) -> str:
         writable_name(name)
         ticks = signals[name].switches
         if ticks:
-            writable(ticks[-1] + offset, f"net {name!r}: a VCD timestamp")
+            writable(ticks[-1] + offset, f"net {shown(name)}: a VCD timestamp")
 
     lines = [f"$timescale {cfg.time_unit} $end"]
     if offset:

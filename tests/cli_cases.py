@@ -113,6 +113,7 @@ CUT = f"-{NINES[:39]}... (4300 digits)"  # -NINES as an error message shows it
 DEEP = "[" * 50_000 + "]" * 50_000
 XS = "x" * 3000  # a JSON string or an option value far past the 40 characters shown
 YS = "y" * 3000
+LONG_PATH = "w" * 195 + ".wave"  # a file name of 200 characters
 
 
 def netlist(inputs: list, outputs: list, *gates: tuple) -> dict:
@@ -613,6 +614,43 @@ CASES = [
     simulate("a_long_value_is_cut_short[missing-input]",
              netlist([XS], ["y"], ("y", [XS], [0, 1], FIXED_0)), 2,
              f"missing stimuli for inputs: '{XS[:40]}'... (3000 chars)"),
+    # waveform names, config keys and values, ticks and file paths
+    check_aic("a_long_value_is_cut_short[duplicate-signal]", f"{XS[:300]} 0\n{XS[:300]} 1\n", 2,
+              f"line 2: duplicate signal {XS[:40]!r}... (300 chars)"),
+    check_config("a_long_value_is_cut_short[config-key]", f"{XS[:300]} = 1\n", 2,
+                 f"config line 1: unknown key {XS[:40]!r}... (300 chars)"),
+    check_config("a_long_value_is_cut_short[config-time-unit]", f"time_unit = {XS[:300]}\n", 2,
+                 "time_unit must be 1, 10 or 100 followed by s, ms, us, ns, ps or fs, "
+                 f"got {XS[:40]!r}... (300 chars)"),
+    check_aic("a_long_value_is_cut_short[decreasing-ticks]", f"x 0 {NINES[:300]} {NINES[:299]}\n",
+              2, f"line 1: switch times must strictly increase ({NINES[:40]}... (300 digits) "
+              f"then {NINES[:40]}... (299 digits))"),
+    Case("a_long_value_is_cut_short[path-of-no-waveforms]",
+         ["check", "--cond", "aic", "--params", AIC, "--output", LONG_PATH], 2,
+         f"output file {LONG_PATH[:40]!r}... (200 chars) contains no waveforms",
+         files={LONG_PATH: "# none\n"}),
+    Case("a_long_value_is_cut_short[path-without-the-name]",
+         ["check", "--cond", "aic", "--params", AIC, "--output", LONG_PATH, "--output-name", "y"],
+         2, f"output file {LONG_PATH[:40]!r}... (200 chars) has no waveform named 'y'",
+         files={LONG_PATH: INT_WAVE}),
+    Case("a_long_value_is_cut_short[path-of-two-waveforms]",
+         ["check", "--cond", "aic", "--params", AIC, "--output", LONG_PATH], 2,
+         f"output file {LONG_PATH[:40]!r}... (200 chars) contains 2 waveforms; "
+         "name one with --output-name", files={LONG_PATH: INT_WAVE + "y 0\n"}),
+    Case("a_long_value_is_cut_short[missing-input-file]",
+         ["solve", "--cond", "bdc-min", "--params", BDC, "--input", XS[:250]], 2,
+         f"[Errno 2] No such file or directory: {XS[:40]!r}... (250 chars)"),
+    solve("a_long_value_is_cut_short[missing-output-directory]", BDC, INT_WAVE, 2,
+          f"[Errno 2] No such file or directory: {'nowhere/' + XS[:32]!r}... (250 chars)",
+          "-o", "nowhere/" + XS[:242]),
+    solve("a_long_value_is_cut_short[net-name-of-a-tick]", NINES_BDC, f"u 0 {NINES}\n", 2,
+          f"net {XS[:40]!r}... (3000 chars): a tick of 4301 digits, more than the 4300 "
+          "that can be written", "--name", XS),
+    simulate("a_long_value_is_cut_short[net-name-of-a-vcd-timestamp]",
+             netlist([XS], ["y"], ("y", [XS], [0, 1], FIXED_0)), 2,
+             f"net {XS[:40]!r}... (3000 chars): a VCD timestamp of 4301 digits, more than "
+             "the 4300 that can be written",
+             stim=f"{XS} 0 -{NINES[1:]} {NINES}\n", horizon=f"-{NINES}:{NINES}"),
     # argparse's own errors: one line, the value cut short
     Case("a_long_value_is_cut_short[option-choice]",
          ["check", "--cond", XS, "--params", AIC, "--output", "x.wave"], 2,

@@ -573,3 +573,12 @@ def test_parameter_sweeps_refuse_a_trial_count_or_seed(name, override, wrapped, 
             verify.THEOREM_CHECKS, "t14e", functools.wraps(draw)(lambda *a, **k: draw(*a, **k))
         )
     assert verify.run_check("t14e", **{"trials": 2, **override}).ok
+
+
+def test_an_unknown_suite_name_is_cut_short():
+    with pytest.raises(verify.SuiteError) as err:
+        verify.run_check("x" * 10**6)
+    assert str(err.value) == (
+        f"unknown theorem {'x' * 40!r}... (1000000 chars); choose from "
+        + ", ".join(sorted(verify.THEOREM_CHECKS))
+    )

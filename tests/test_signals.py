@@ -88,6 +88,22 @@ def test_switch_times_must_be_integers():
         Signal(0, (0.5,))
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: Signal(0, (10**5000, 1)),
+     "switch times must strictly increase (... (5001 digits) then 1)"),
+    (lambda: Signal(0, ("x" * 10**6,)),
+     f"switch times must be integers, got {'x' * 40!r}... (1000000 chars)"),
+    (lambda: window_and(Signal(0, ()), "y" * 10**6, 0),
+     f"window offset must be an integer, got {'y' * 40!r}... (1000000 chars)"),
+], ids=["a-decrease-from-5001-digits", "a-switch-of-10**6-chars", "an-offset-of-10**6-chars"])
+def test_an_error_cuts_a_long_value_short(make, message):
+    # str() cannot write an int of more than 4300 digits, and a message
+    # that echoes a value whole can run to megabytes
+    with pytest.raises(SignalError) as err:
+        make()
+    assert str(err.value) == message
+
+
 def test_equality_and_hash_are_semantic():
     a = Signal(0, (0, 5))
     b = Signal(0, [0, 5])

@@ -2,9 +2,9 @@
 
 Every record class shares one value base, so one table drives the whole
 contract: each row builds a record by keyword and by position, and its
-repr is pinned to the text the package has always printed.  Records of
-ints only keep their hash, which must then hold in a process of another
-hash seed.
+repr is pinned to the text the package has always printed.  No record
+stores its hash: each hashes its `_key` when asked, so a record of ints
+alone keeps its hash in a process of another hash seed.
 """
 
 import copy
@@ -125,25 +125,68 @@ def test_cond_expr_reach_is_derived_and_kept_by_copies():
     assert pickle.loads(pickle.dumps(expr)).reach == copy.copy(expr).reach == 5
 
 
+@pytest.mark.parametrize("atom, reach", [
+    (FdcParams(3), 3), (BdcParams(1, 2, 0, 4), 4), (AicParams(5, 6), 0), (RicParams(0, 3, 1, 2), 3),
+], ids=["fdc", "bdc", "aic", "ric"])
+def test_an_atom_reaches_back_to_its_largest_window_bound(atom, reach):
+    # a fixed delay is a window bound without a memory; hold times read no input
+    assert CondExpr((atom,)).reach == reach
+
+
+@pytest.mark.parametrize("value, shown", [
+    (3, "3"), ("x" * 10**6, f"{'x' * 40!r}... (1000000 chars)"),
+], ids=["int", "str-of-10**6-chars"])
+def test_a_condition_refuses_a_value_that_is_no_atom(value, shown):
+    with pytest.raises(TypeError) as err:
+        CondExpr((BDC, value))
+    assert str(err.value) == f"not a condition atom: {shown}"
+
+
 def _ints_only(value) -> bool:
     if isinstance(value, tuple):
         return all(map(_ints_only, value))
     return _ints_only(value._key) if hasattr(value, "_key") else type(value) is int
 
 
-@pytest.mark.parametrize("cls, fields, text", RECORDS, ids=[r[0].__name__ for r in RECORDS])
-def test_only_a_record_of_ints_keeps_its_hash(cls, fields, text):
-    # a string's hash changes with the hash seed, so a kept one would be
-    # wrong in another process; the oracle's caches hash the condition
-    # records on every lookup
+def _holds_a_str(value) -> bool:
+    if isinstance(value, tuple):
+        return any(map(_holds_a_str, value))
+    return _holds_a_str(value._key) if hasattr(value, "_key") else type(value) is str
+
+
+def _other_hash_seed_env() -> dict:
+    seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+    return {**os.environ, "PYTHONHASHSEED": seed}
+
+
+@pytest.fixture(scope="module")
+def hashes_elsewhere():
+    """The hash of each record of RECORDS in a process of another hash seed."""
+    values = [cls(**fields) for cls, fields, _ in RECORDS]
+    code = "import pickle, sys\nprint(*map(hash, pickle.loads(sys.stdin.buffer.read())))\n"
+    proc = subprocess.run([sys.executable, "-c", code], input=pickle.dumps(values),
+                          capture_output=True, env=_other_hash_seed_env())
+    assert proc.returncode == 0, proc.stderr
+    return [int(h) for h in proc.stdout.split()]
+
+
+@pytest.mark.parametrize("row", range(len(RECORDS)), ids=[r[0].__name__ for r in RECORDS])
+def test_only_a_record_of_ints_keeps_its_hash(row, hashes_elsewhere):
+    # no record stores a hash: it is its `_key`'s, computed when asked.  A
+    # string's hash changes with the hash seed, and None's may change from
+    # one process to the next, so only a record of ints keeps its hash
+    cls, fields, _ = RECORDS[row]
     value = cls(**fields)
-    keeps = cls in (FdcParams, BdcParams, AicParams, RicParams, CondExpr)
-    assert hasattr(value, "_hash") == keeps
-    assert not keeps or (_ints_only(value._key) and value._hash == hash(value._key))
+    assert not hasattr(value, "_hash") and hash(value) == hash(value._key)
+    if _ints_only(value._key):
+        assert hashes_elsewhere[row] == hash(value)
+    elif _holds_a_str(value._key):
+        assert hashes_elsewhere[row] != hash(value)
 
 
-def test_hashing_a_condition_does_not_rehash_its_atoms():
-    expr = CondExpr((BDC, RicParams(1, 2, 0, 3), AicParams(1, 1)))
+def test_building_a_condition_does_not_hash_its_atoms():
+    # a law suite builds tens of thousands of expressions and hashes none
+    atoms = (BDC, RicParams(1, 2, 0, 3), AicParams(1, 1))
     calls = []
 
     def count(frame, event, arg):
@@ -152,18 +195,16 @@ def test_hashing_a_condition_does_not_rehash_its_atoms():
 
     sys.setprofile(count)
     try:
-        for _ in range(10):
-            hash(expr)
+        expr = CondExpr(atoms)
     finally:
         sys.setprofile(None)
-    assert calls == [expr] * 10
+    assert calls == [] and hash(expr) == hash((atoms,))
 
 
 def test_a_kept_hash_holds_in_a_process_of_another_hash_seed():
     # the child looks up records pickled here in a dict keyed by equal
     # records of its own; that the name's hash differs shows the seeds do
     expr = CondExpr((BDC, RicParams(1, 2, 0, 3)))
-    seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
     code = (
         "import pickle, sys\n"
         "from inertia import BdcParams, BridcDelay, CondExpr, Gate, RicParams\n"
@@ -175,7 +216,7 @@ def test_a_kept_hash_holds_in_a_process_of_another_hash_seed():
     )
     proc = subprocess.run(
         [sys.executable, "-c", code], input=pickle.dumps((expr, AND, hash("y"))),
-        capture_output=True, env={**os.environ, "PYTHONHASHSEED": seed},
+        capture_output=True, env=_other_hash_seed_env(),
     )
     assert (proc.returncode, proc.stdout) == (0, b"expr gate True\n"), proc.stderr
 

@@ -23,6 +23,7 @@ from inertia.waveio import (
     parse_int,
     parse_waveforms,
     shown,
+    shown_int,
     writable,
 )
 
@@ -290,7 +291,9 @@ def reference_line(tokens, resolution):
         writable(times[-1], what)  # str() refuses more than 4300 digits
     for a, b in zip(times, times[1:]):
         if b <= a:
-            raise WaveParseError(f"line 1: switch times must strictly increase ({a} then {b})")
+            raise WaveParseError(
+                f"line 1: switch times must strictly increase ({shown_int(a)} then {shown_int(b)})"
+            )
     return tuple(times)
 
 
