@@ -4,9 +4,8 @@ Subcommands map one-to-one onto the library layers: `check` and `solve`
 work with a single condition and waveform files, `consistent` and
 `algebra` are pure parameter arithmetic, `simulate` runs a netlist to
 VCD, and `oracle` exposes the brute-force enumerator, the exact
-emptiness decider and the randomized law suites.  A suite's trial count
-and seed are set by `--trials` and `--seed` alone; the run config holds
-only I/O settings.
+emptiness decider and the randomized law suites.  A suite's seed is
+set by `--seed` alone; the run config holds only I/O settings.
 
 Exit codes: 0 when the queried property holds (or output was produced),
 1 when it fails, 2 on malformed input.
@@ -290,11 +289,7 @@ def _cmd_oracle_enumerate(args: argparse.Namespace) -> int:
     expr = _parse_atoms(args.atoms)
     u = _load_wave(args.input, cfg, "input", args.input_name)
     lo, hi = _parse_span(args.grid, "grid")
-    cap = args.max_switches
-    if cap is not None:
-        cap = parse_int(cap, "bad --max-switches")
-    grid = GridConfig(lo, hi, cap)
-    sols = enumerate_solutions(u, expr, grid)
+    sols = enumerate_solutions(u, expr, GridConfig(lo, hi))
     width = len(str(max(len(sols) - 1, 0)))
     named = {f"x{idx:0{width}d}": s for idx, s in enumerate(sols)}
     _write_out(emit_waveforms(named), args.out)
@@ -314,8 +309,7 @@ def _cmd_oracle_witness(args: argparse.Namespace) -> int:
 
 def _cmd_oracle_verify(args: argparse.Namespace) -> int:
     seed = None if args.seed is None else parse_int(args.seed, "bad --seed")
-    trials = None if args.trials is None else parse_int(args.trials, "bad --trials")
-    report = run_check(args.theorem, trials, seed)
+    report = run_check(args.theorem, seed=seed)
     print(report.summary())
     for failure in report.failures:
         print(f"  counterexample: {failure}")
@@ -409,9 +403,6 @@ def _build_parser() -> argparse.ArgumentParser:
     enum.add_argument("--input", required=True, help="input waveform file")
     enum.add_argument("--input-name", help="waveform name in the input file")
     enum.add_argument("--grid", required=True, help="LO:HI tick range")
-    # integer options stay strings here, as argparse's message would echo
-    # a value of any length; the commands read them with parse_int
-    enum.add_argument("--max-switches", help="cap on candidate switches")
     enum.add_argument("-o", "--out", help="write waveforms here instead of stdout")
     _add_config(enum)
     enum.set_defaults(func=_cmd_oracle_enumerate)
@@ -427,7 +418,8 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument(
         "--theorem", required=True, choices=sorted(THEOREM_CHECKS)
     )
-    verify.add_argument("--trials", help="override the default trial count")
+    # an integer option stays a string here, as argparse's message would
+    # echo a value of any length; the command reads it with parse_int
     verify.add_argument("--seed", help="override the RNG seed")
     verify.set_defaults(func=_cmd_oracle_verify)
 

@@ -6,8 +6,8 @@ carried from earlier ticks.  Two tables state these rules once.
 `_tick_rule`, per expression and kept on it once built, says what each
 window lets x(t) be and switch to: one byte per window, ANDed from each
 atom's `_atom_table`, a cache of at most 4096 keyed on kind and fields.
-`_Steps`, per pair of holds and switch cap, moves one output's state
-(its bit, forced ticks left and switch count) one tick under a byte.
+`_Steps`, per pair of holds, moves one output's state (its bit and
+forced ticks left) one tick under a byte.
 Exact procedures read them:
 
 * Grid enumeration.  Candidate outputs are bit vectors on a bounded tick
@@ -37,8 +37,7 @@ from functools import lru_cache
 from typing import Iterator
 
 from .conditions import CondExpr, _set_rule
-from .signals import Signal, Tick, Value, _set_key
-from .waveio import shown
+from .signals import Signal, Tick, Value, _set_key, shown
 
 MAX_SPAN = 80
 MAX_REACH = 12  # the tick tables have 2**(MAX_REACH + 1) entries
@@ -51,33 +50,24 @@ class HorizonError(ValueError):
 
 
 class GridConfig(Value):
-    """Enumeration window: candidate switches confined to (lo, hi].
+    """Enumeration window: candidate switches confined to (lo, hi]."""
 
-    max_switches, when set, drops candidates with more switches; leave it
-    None for completeness proofs and use it to keep searches tractable.
-    """
+    __slots__ = _fields = ("lo", "hi")
 
-    __slots__ = _fields = ("lo", "hi", "max_switches")
-
-    def __init__(self, lo: Tick, hi: Tick, max_switches: int | None = None):
+    def __init__(self, lo: Tick, hi: Tick):
         if type(lo) is not int or type(hi) is not int:
             name, value = ("hi", hi) if type(lo) is int else ("lo", lo)
             raise HorizonError(f"{name} must be an integer, got {shown(value)}")
-        if max_switches is not None and type(max_switches) is not int:
-            raise HorizonError(f"max_switches must be an integer, got {shown(max_switches)}")
         if lo >= hi:
             raise HorizonError("need lo < hi")
         if hi - lo > MAX_SPAN:  # not named: the span may be too long to write
             raise HorizonError(f"horizon spans more than the {MAX_SPAN}-tick limit")
-        if max_switches is not None and max_switches < 0:
-            raise HorizonError("max_switches must be >= 0 or None")
         _set_lo(self, lo)
         _set_hi(self, hi)
-        _set_max_switches(self, max_switches)
-        _set_key(self, (lo, hi, max_switches))
+        _set_key(self, (lo, hi))
 
 
-_set_lo, _set_hi, _set_max_switches = GridConfig._setters(*GridConfig._fields)
+_set_lo, _set_hi = GridConfig._setters(*GridConfig._fields)
 
 
 def _held(w: int, d: int, m: int, v: int) -> bool:
@@ -140,35 +130,30 @@ def _tick_rule(expr: CondExpr) -> tuple[int, bytes, int, int]:
 class _Steps(dict):
     """The output-hold rule, stated once: key state << 4 | byte maps to
     the states one output may take at the next tick under that
-    `_tick_rule` byte, bit 0 first.  A state packs (switches * span +
-    forced) << 1 | bit: the output's bit, the ticks it is still forced
-    to hold it and, under a cap, its switch count (0 without one).
+    `_tick_rule` byte, bit 0 first.  A state packs forced << 1 | bit:
+    the output's bit and the ticks it is still forced to hold it.
     Staying spends one forced tick.  A switch needs no forced tick left
-    and a licensed edge, then starts the new value's hold; a switch past
-    the cap is dropped.  A key is worked out on its first lookup."""
+    and a licensed edge, then starts the new value's hold.  A key is
+    worked out on its first lookup."""
 
-    def __init__(self, rise_hold: int, fall_hold: int, cap: int | None):
+    def __init__(self, rise_hold: int, fall_hold: int):
         self.hold = (fall_hold, rise_hold)  # by the bit switched to
-        self.span = max(self.hold) + 1
-        self.cap = cap
 
     def __missing__(self, key: int) -> tuple[int, ...]:
         m, state = key & 15, key >> 4
         b = state & 1
-        switches, forced = divmod(state >> 1, self.span)
+        forced = state >> 1
         nxt = [None, None]  # by the next bit
         if m >> b & 1:  # stay, one forced tick less
             nxt[b] = state - 2 if forced else state
-        if not forced and m >> 3 - b & 1 and (self.cap is None or switches < self.cap):
-            # switch to 1 - b, counted under a cap, and start its hold
-            switches += self.cap is not None
-            nxt[1 - b] = (switches * self.span + self.hold[1 - b]) << 1 | 1 - b
+        if not forced and m >> 3 - b & 1:  # switch to 1 - b and start its hold
+            nxt[1 - b] = self.hold[1 - b] << 1 | 1 - b
         self[key] = tuple(s for s in nxt if s is not None)
         return self[key]
 
 
 _steps = lru_cache(maxsize=64)(_Steps)
-# the states, free of holds and switches, of the values set in a 2-bit mask
+# the states, free of holds, of the values set in a 2-bit mask
 _STATES_AT = ((), (0,), (1,), (0, 1))
 
 
@@ -178,7 +163,7 @@ class _Prepared:
     moves[i] is the `_tick_rule` byte that applies at tick lo + i.
     head and tail set bit b when x may hold b at every tick before lo,
     and at every tick after hi.  first holds the `_Steps` states x may
-    take at tick lo, and steps the table for the holds and the cap.
+    take at tick lo, and steps the table for the holds.
     """
 
     __slots__ = ("steps", "head", "moves", "first", "tail")
@@ -192,7 +177,7 @@ class _Prepared:
             at = f" at tick {switches[i]}" if abs(switches[i]) < 10**40 else ""
             raise HorizonError(f"input switch {i + 1} of {len(switches)}{at} leaves the grid")
         r, rule, rise_hold, fall_hold = _tick_rule(expr)
-        self.steps = _steps(rise_hold, fall_hold, grid.max_switches)
+        self.steps = _steps(rise_hold, fall_hold)
 
         # One window per tick, straight from the switch list: u is
         # constant before lo, so the window of tick lo - 1 is that of
@@ -293,9 +278,9 @@ def free_tick_count(u: Signal, expr: CondExpr, grid: GridConfig) -> int:
 def pointwise_bounds(
     u: Signal, expr: CondExpr, grid: GridConfig
 ) -> tuple[Signal, Signal] | None:
-    """The least and greatest admissible outputs on an uncapped grid, or
-    None when none is admissible, for an expression that licenses every
-    edge and sets no holds (BDC and FDC atoms).
+    """The least and greatest admissible outputs on the grid, or None
+    when none is admissible, for an expression that licenses every edge
+    and sets no holds (BDC and FDC atoms).
 
     Such an expression only bounds x(t) tick by tick, so its solutions
     on the grid are exactly the outputs that take an allowed value at
@@ -306,8 +291,6 @@ def pointwise_bounds(
     _, rule, rise_hold, fall_hold = _tick_rule(expr)
     if any(m >> 2 != m & 3 for m in rule) or rise_hold or fall_hold:
         raise ValueError(f"{expr} licenses edges or holds the output")
-    if grid.max_switches is not None:
-        raise ValueError("pointwise bounds need a grid without a switch cap")
     ctx = _Prepared(u, expr, grid)
     allowed = [m & 3 for m in ctx.moves]
     allowed[0] &= ctx.head
@@ -327,13 +310,13 @@ class _HoldSteps(dict):
     """The decider's move on the hold counts under (rise_hold, fall_hold):
     key (k0 + 1 << width | k1 + 1) << 4 | byte maps to the next counts
     packed the same way, or to -1 when no output survives.  kb is the
-    least forced count of an output at b, taken from the uncapped
-    `_Steps` table, and kb + 1 is 0 when no output sits at b.  A key is
+    least forced count of an output at b, taken from the `_Steps`
+    table, and kb + 1 is 0 when no output sits at b.  A key is
     worked out on its first lookup: a search meets few of the 16 << 2 *
     width keys, and for long holds there are too many to list."""
 
     def __init__(self, rise_hold: int, fall_hold: int):
-        self.steps = _steps(rise_hold, fall_hold, None)
+        self.steps = _steps(rise_hold, fall_hold)
         self.width = (max(rise_hold, fall_hold) + 1).bit_length()
 
     def __missing__(self, key: int) -> int:

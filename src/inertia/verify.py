@@ -131,8 +131,9 @@ def _rand_bdc(rng: Random, pmax: int, cc: bool = True) -> BdcParams:
             return p
 
 
-def _rand_signal(rng: Random, max_switches: int, t0: int, t1: int) -> Signal:
-    k = min(rng.randint(0, max_switches), t1 - t0 + 1)
+def _rand_signal(rng: Random, most: int, t0: int, t1: int) -> Signal:
+    """A signal of at most `most` switches, drawn from ticks t0 .. t1."""
+    k = min(rng.randint(0, most), t1 - t0 + 1)
     times = tuple(sorted(rng.sample(range(t0, t1 + 1), k)))
     return Signal(rng.randint(0, 1), times)
 

@@ -426,9 +426,6 @@ CASES = [
               f"line 1: time {'9' * 40!r}... (5000 chars): a tick of 5000 digits, "
               "more than the 4300 that can be written"),
     # values out of range: the field is named and the value cut short
-    Case(f"{GROWN}[trials]",
-         [*VERIFY, "--trials", f"-{NINES}"], 2,
-         f"trials must be at least 1, got {CUT}"),
     check_config(f"{GROWN}[resolution]", f"resolution = -{NINES}\n", 2,
                  f"resolution must be >= 1, got {CUT}"),
     Case(f"{GROWN}[bdc-mr]",
@@ -452,11 +449,6 @@ CASES = [
     Case("an_integer_option_that_is_not_an_integer_exits_2[--seed]",
          [*VERIFY, "--seed", "x1"], 2,
          "bad --seed 'x1': expected an integer"),
-    Case("an_integer_option_that_is_not_an_integer_exits_2[--trials]",
-         [*VERIFY, "--trials", "1.5"], 2,
-         "bad --trials '1.5': expected an integer"),
-    enumerate_aic("an_integer_option_that_is_not_an_integer_exits_2[--max-switches]", "0:4", 2,
-                  "bad --max-switches 'two': expected an integer", "--max-switches", "two"),
     # oracle
     enumerate_aic("oracle_enumerate_names_one_input_switch_outside_the_grid", "0:10", 2,
                   "input switch 12 of 951 at tick 11 leaves the grid",
@@ -468,15 +460,15 @@ CASES = [
          ["oracle", "witness", "--atoms", '{"kind":"bdc","mr":0,"dr":13,"mf":0,"df":2}'], 2,
          "condition reads the input further back than the 12-tick limit"),
     Case("oracle_verify_reports_a_summary",
-         [*VERIFY, "--trials", "5"], 0,
-         stdout="t14e: PASS (5 trials, 0 failures, …"),
-    Case("oracle_verify_refuses_a_trial_count_below_one[-3]",
-         [*VERIFY, "--trials", "-3"], 2,
-         "trials must be at least 1, got -3"),
-    Case("oracle_verify_refuses_a_trial_count_below_one[0]",
-         [*VERIFY, "--trials", "0"], 2,
-         "trials must be at least 1, got 0"),
-    # a sweep of a fixed set reads neither a trial count nor a seed
+         VERIFY, 0,
+         stdout="t14e: PASS (100 trials, 0 failures, …"),
+    # neither a suite's size nor a listing's switch count is an option
+    Case("a_removed_option_exits_2[--trials]",
+         [*VERIFY, "--trials", "999999999999"], 2,
+         "unrecognized arguments: --trials 999999999999"),
+    enumerate_aic("a_removed_option_exits_2[--max-switches]", "0:4", 2,
+                  "unrecognized arguments: --max-switches 2", "--max-switches", "2"),
+    # a sweep of a fixed set reads no seed
     Case("oracle_verify_refuses_a_seed_for_a_sweep",
          ["oracle", "verify", "--theorem", "t45", "--seed", "1"], 2,
          "t45 sweeps a fixed set: it takes no trial count or seed"),
@@ -696,11 +688,6 @@ if hasattr(sys, "get_int_max_str_digits"):
         Case(f"{OPTION}[bad --seed]",
              [*VERIFY, "--seed", LONG], 2,
              f"bad --seed {READ}"),
-        Case(f"{OPTION}[bad --trials]",
-             [*VERIFY, "--trials", LONG], 2,
-             f"bad --trials {READ}"),
-        enumerate_aic(f"{OPTION}[bad --max-switches]", "0:4", 2,
-                      f"bad --max-switches {READ}", "--max-switches", LONG),
         check_config(f"{OPTION}[config line 1: resolution]", f"resolution = {LONG}\n", 2,
                      f"config line 1: resolution {READ}"),
     ]

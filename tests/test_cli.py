@@ -343,7 +343,7 @@ def test_oracle_witness_refuses_a_search_past_the_state_limit(capsys, monkeypatc
 
 def test_oracle_verify_seed_env(capsys, monkeypatch):
     # the seed is set by --seed alone: the variable once read is ignored
-    argv = ["oracle", "verify", "--theorem", "t14e", "--trials", "5"]
+    argv = ["oracle", "verify", "--theorem", "t14e"]
     code, out, _err = run(capsys, *argv)
     monkeypatch.setenv("INERTIA_SEED", "not-a-number")
     code_env, out_env, _err = run(capsys, *argv)

@@ -59,8 +59,6 @@ def test_grid_validation():
         GridConfig(5, 5)
     with pytest.raises(HorizonError):
         GridConfig(0, 200)
-    with pytest.raises(HorizonError):
-        GridConfig(0, 10, -1)
 
 
 HUGE = 10**5000  # more digits than str() writes
@@ -99,11 +97,6 @@ def test_switches_stay_inside_the_grid():
         assert all(GRID.lo < t <= GRID.hi for t in x.switches)
 
 
-def test_max_switches_cap():
-    assert solution_count(U, CondExpr((P,)), GridConfig(-4, 12, 0)) == 0
-    assert solution_count(U, CondExpr((P,)), GridConfig(-4, 12, 2)) == 4
-
-
 def test_deterministic_parameters_give_a_singleton():
     p = BdcParams(0, 2, 0, 2)
     sols = enumerate_solutions(U, CondExpr((p,)), GRID)
@@ -120,6 +113,7 @@ def test_deterministic_licensing_gives_a_singleton():
 def test_count_agrees_with_dfs_on_random_instances():
     rng = random.Random(20240217)
     seen = {"AicParams": 0, "RicParams": 0, "FdcParams": 0}  # nonempty sets per kind
+    grid = GridConfig(-3, 13)
     for _ in range(100):
         dr = rng.randint(0, 4)
         df = rng.randint(0, 4)
@@ -132,8 +126,6 @@ def test_count_agrees_with_dfs_on_random_instances():
         if rng.random() < 0.4:
             er, ef = rng.randint(0, 4), rng.randint(0, 4)
             atoms.append(RicParams(rng.randint(0, er), er, rng.randint(0, ef), ef))
-        cap = rng.choice([None, None, 2, 4])
-        grid = GridConfig(-3, 13, cap)
         expr = CondExpr(tuple(atoms))
         sols = enumerate_solutions(u, expr, grid)
         assert solution_count(u, expr, grid) == len(sols)
@@ -160,8 +152,7 @@ def test_pointwise_bounds_are_none_when_nothing_is_admissible():
 @pytest.mark.parametrize("atoms, grid, message", [
     ((P, RicParams(1, 2, 1, 2)), GRID, "licenses edges or holds the output"),
     ((P, AicParams(0, 1)), GRID, "licenses edges or holds the output"),
-    ((P,), GridConfig(-4, 12, 2), "without a switch cap"),
-], ids=["licensing", "holds", "cap"])
+], ids=["licensing", "holds"])
 def test_pointwise_bounds_refuse_what_is_not_a_product(atoms, grid, message):
     with pytest.raises(ValueError, match=message):
         pointwise_bounds(U, CondExpr(atoms), grid)
@@ -285,28 +276,23 @@ def test_dfs_and_count_list_exactly_the_members_on_small_grids():
     # order, and the DP must count them.
     rng = random.Random(20261020)
     vectors = 0
-    seen = {"AicParams": 0, "RicParams": 0, "capped": 0}  # cases with members
-    for case in range(60):
-        cap = (None, 1, 3)[case % 3]
+    seen = {"AicParams": 0, "RicParams": 0}  # cases with members
+    for _ in range(60):
         lo, n = rng.randint(-3, 0), rng.randint(5, 9)
-        grid = GridConfig(lo, lo + n - 1, cap)
+        grid = GridConfig(lo, lo + n - 1)
         expr = CondExpr(tuple(_random_atom(rng) for _ in range(rng.randint(1, 3))))
         times = sorted(rng.sample(range(lo, lo + n), rng.randint(0, 3)))
         u = Signal(rng.randint(0, 1), tuple(times))
-        members, capped = [], 0
+        members = []
         for bits in product((0, 1), repeat=n):
             x = Signal(bits[0], tuple(lo + j for j in range(1, n) if bits[j] != bits[j - 1]))
             if cond_member(u, x, expr):
-                if cap is None or len(x.switches) <= cap:
-                    members.append(x)
-                else:
-                    capped += 1
+                members.append(x)
         vectors += 2**n
         assert list(iter_solutions(u, expr, grid)) == members, (expr, u, grid)
         assert solution_count(u, expr, grid) == len(members), (expr, u, grid)
         for kind in {type(a).__name__ for a in expr.atoms} & seen.keys():
             seen[kind] += bool(members)
-        seen["capped"] += bool(members and capped)
     assert vectors > 10_000, vectors
     assert min(seen.values()) >= 3, seen
 

@@ -42,7 +42,7 @@ RECORDS = [
     (Signal, {"initial": 0, "switches": (1, 3)}, "Signal(0, [1, 3])"),
     (RunConfig, {"time_unit": "10ps", "resolution": 3},
      "RunConfig(time_unit='10ps', resolution=3)"),
-    (GridConfig, {"lo": 0, "hi": 4}, "GridConfig(lo=0, hi=4, max_switches=None)"),
+    (GridConfig, {"lo": 0, "hi": 4}, "GridConfig(lo=0, hi=4)"),
     (FdcParams, {"d": 3}, "FdcParams(d=3)"),
     (BdcParams, {"mr": 1, "dr": 2, "mf": 1, "df": 2}, BDC_TEXT),
     (AicParams, {"delta_r": 1, "delta_f": 2}, "AicParams(delta_r=1, delta_f=2)"),
@@ -96,12 +96,11 @@ def test_records_of_different_classes_differ_on_equal_fields():
     # the oracle's per-atom table cache is keyed on the atom itself
     assert BdcParams(1, 2, 1, 2) != RicParams(1, 2, 1, 2)
     assert FixedDelay(2) != BridcDelay(BdcParams(0, 2, 0, 2))
-    assert GridConfig(0, 4) != (0, 4, None)
+    assert GridConfig(0, 4) != (0, 4)
 
 
 NOT_INTS = [
     (GridConfig, (0.5, 3), "lo"), (GridConfig, (True, 3), "lo"), (GridConfig, (0, "3"), "hi"),
-    (GridConfig, (0, 3, 1.5), "max_switches"), (GridConfig, (0, 3, False), "max_switches"),
     (FdcParams, (2.0,), "d"), (BdcParams, (0.5, 1, 0, 1), "mr"), (BdcParams, (0, 1, 0, True), "df"),
     (AicParams, (1, None), "delta_f"), (RicParams, (0, "1", 0, 1), "delta_r"),
 ]
