@@ -482,6 +482,9 @@ def simulate(
     on where the horizon or the first stimulus lies.
     """
     lo, hi = horizon
+    if type(lo) is not int or type(hi) is not int:
+        name, value = ("hi", hi) if type(lo) is int else ("lo", lo)
+        raise NetlistError(f"{name} must be an integer, got {shown(value)}")
     if lo > hi:
         raise NetlistError("empty horizon: need lo <= hi")
     _check_inputs(n, inputs, "stimuli")

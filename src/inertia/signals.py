@@ -114,7 +114,7 @@ class Signal(Value):
     __slots__ = _fields = ("initial", "switches")
 
     def __init__(self, initial: int, switches: tuple[Tick, ...] = ()):
-        if initial not in (0, 1):
+        if type(initial) is not int or initial not in (0, 1):  # a bool writes as True
             raise SignalError(f"initial value must be 0 or 1, got {shown(initial)}")
         switches = tuple(switches)  # tuple() returns a tuple as it is
         prev = None

@@ -29,9 +29,8 @@ to 4, which the tests repeat on every 11th pair.  The bracket law (t1) is checke
 every draw, and the DFS lists only samples.  A chained set (t14g) is not
 a box, but its draws are small enough to list it whole.
 
-Suites are run through `run_check`, which times every suite into the
-report's `seconds` and applies its defaults: a trial count or seed left
-at None takes the suite's own signature default.
+Suites are run through `run_check`, at the size each states once in its
+body, and timed into the report's `seconds`.
 """
 
 import time
@@ -184,7 +183,7 @@ def _atoms(expr: CondExpr) -> str:
 # -- existence and canonical bounds ------------------------------------------
 
 
-def check_existence_bounds(trials: int = 200, seed: int = 0) -> CheckReport:
+def check_existence_bounds(seed: int = 0) -> CheckReport:
     """Consistent parameters admit solutions, and on the grid these are
     exactly the outputs between the canonical min and max.  The oracle's
     per-tick tables give the least and greatest admissible outputs, which
@@ -194,10 +193,10 @@ def check_existence_bounds(trials: int = 200, seed: int = 0) -> CheckReport:
     the DFS, least first and greatest last.  For inconsistent parameters
     the decider finds an input with no solution."""
     rng = Random(seed)
-    rep = CheckReport("t1", trials)
+    rep = CheckReport("t1", 200)
     grid = GridConfig(-2, 22)
     enumerated = max_free = 0
-    for trial in range(trials):
+    for trial in range(rep.trials):
         p = _rand_bdc(rng, 6, cc=True)
         u = _rand_signal(rng, 6, 0, 12)
         expr = CondExpr((p,))
@@ -230,11 +229,10 @@ def check_existence_bounds(trials: int = 200, seed: int = 0) -> CheckReport:
                     f"trial {trial}: the DFS lists {len(sols)} outputs, not the "
                     f"2**{free} from {least} to {greatest}, p={p}, u={u}"
                 )
-    converse = max(50, trials // 4)
-    for trial in range(converse):
+    for _ in range(50):  # the converse: inconsistent parameters
+        rep.trials += 1
         p = _rand_bdc(rng, 6, cc=False)
         _check_decider(rep, CondExpr((p,)), cc_holds(p))
-    rep.trials = trials + converse
     rep.info["enumerated"] = enumerated
     rep.info["max_free"] = max_free
     return rep
@@ -259,14 +257,14 @@ def _escaping(a, b) -> int:
     return _count(a) - _count(a, b)
 
 
-def check_intersection(trials: int = 100, seed: int = 1) -> CheckReport:
+def check_intersection(seed: int = 1) -> CheckReport:
     """Returned parameters realize the conjunction exactly.  When the
     merge is refused, the oracle confirms why: either some input has no
     common output at all, or the joint bounds match no single tuple."""
     rng = Random(seed)
-    rep = CheckReport("t14a", trials)
+    rep = CheckReport("t14a", 100)
     u = EVERY_WINDOW
-    for trial in range(trials):
+    for trial in range(rep.trials):
         p, q = _draw_pair(rng)
         r = bdc_intersection(p, q)
         if r is not None:
@@ -301,12 +299,12 @@ def check_intersection(trials: int = 100, seed: int = 1) -> CheckReport:
     return rep
 
 
-def check_union_envelope(trials: int = 100, seed: int = 2) -> CheckReport:
+def check_union_envelope(seed: int = 2) -> CheckReport:
     """The envelope is consistent, contains both families, and is exactly
     the union iff one family already includes the other."""
     rng = Random(seed)
-    rep = CheckReport("t14b", trials)
-    for trial in range(trials):
+    rep = CheckReport("t14b", 100)
+    for trial in range(rep.trials):
         p, q = _draw_pair(rng)
         env = bdc_union_envelope(p, q)
         if not cc_holds(env):
@@ -358,11 +356,11 @@ def check_determinism() -> CheckReport:
     return rep
 
 
-def check_inclusion(trials: int = 100, seed: int = 4) -> CheckReport:
+def check_inclusion(seed: int = 4) -> CheckReport:
     """The parameter chains decide set inclusion, witnessed both ways."""
     rng = Random(seed)
-    rep = CheckReport("t14d", trials)
-    for trial in range(trials):
+    rep = CheckReport("t14d", 100)
+    for trial in range(rep.trials):
         p, q = _draw_pair(rng)
         n = _escaping(p, q)
         if bdc_includes(p, q):
@@ -376,13 +374,13 @@ def check_inclusion(trials: int = 100, seed: int = 4) -> CheckReport:
     return rep
 
 
-def check_time_invariance(trials: int = 100, seed: int = 5) -> CheckReport:
+def check_time_invariance(seed: int = 5) -> CheckReport:
     """Membership commutes with translating input and output together:
     the bounds of the box shift with the input."""
     rng = Random(seed)
-    rep = CheckReport("t14e", trials)
+    rep = CheckReport("t14e", 100)
     u = EVERY_WINDOW
-    for trial in range(trials):
+    for trial in range(rep.trials):
         p = _rand_bdc(rng, 4)
         k = rng.randint(-4, 4)
         uk = u.translate(k)
@@ -430,7 +428,7 @@ def check_symmetry() -> CheckReport:
     return rep
 
 
-def check_composition(trials: int = 100, seed: int = 7) -> CheckReport:
+def check_composition(seed: int = 7) -> CheckReport:
     """Chained solutions satisfy the summed parameters, the summed
     condition's extremal solutions factor back through the stages, and a
     memoryless stage makes the containment an equality.  The containment
@@ -439,11 +437,11 @@ def check_composition(trials: int = 100, seed: int = 7) -> CheckReport:
     With parameters up to 2 and inputs of at most 3 switches, p leaves at
     most 6 ticks free, so the chained set is listed whole."""
     rng = Random(seed)
-    rep = CheckReport("t14g", trials)
+    rep = CheckReport("t14g", 100)
     grid = GridConfig(-2, 16)
     equal_seen = 0
     strict_seen = 0
-    for trial in range(trials):
+    for trial in range(rep.trials):
         p = _rand_bdc(rng, 2)
         q = _rand_bdc(rng, 2)
         if trial % 5 == 4:
@@ -507,13 +505,13 @@ def check_hold_consistency() -> CheckReport:
     return rep
 
 
-def check_hold_serial(trials: int = 50, seed: int = 9) -> CheckReport:
+def check_hold_serial(seed: int = 9) -> CheckReport:
     """A chain of two held bounded delays satisfies the summed bounded
     delay with the second stage's holds."""
     rng = Random(seed)
-    rep = CheckReport("baidc-serial", trials)
+    rep = CheckReport("baidc-serial", 50)
     grid = GridConfig(-3, 18)
-    for trial in range(trials):
+    for trial in range(rep.trials):
         while True:
             p = _rand_bdc(rng, 3)
             a = AicParams(rng.randint(0, 3), rng.randint(0, 3))
@@ -543,14 +541,12 @@ def check_hold_serial(trials: int = 50, seed: int = 9) -> CheckReport:
 # -- relative inertia ---------------------------------------------------------
 
 
-def check_relative_implies_absolute(
-    trials: int = 100, seed: int = 10
-) -> CheckReport:
+def check_relative_implies_absolute(seed: int = 10) -> CheckReport:
     """Edge-licensing windows force the mapped output holds."""
     rng = Random(seed)
-    rep = CheckReport("t42", trials)
+    rep = CheckReport("t42", 100)
     grid = GridConfig(-3, 9)
-    for trial in range(trials):
+    for trial in range(rep.trials):
         while True:
             er, ef = rng.randint(0, 3), rng.randint(0, 3)
             r = RicParams(rng.randint(0, er), er, rng.randint(0, ef), ef)
@@ -588,14 +584,14 @@ def check_relative_consistency() -> CheckReport:
     return rep
 
 
-def check_det_transfer(trials: int = 200, seed: int = 12) -> CheckReport:
+def check_det_transfer(seed: int = 12) -> CheckReport:
     """With windows equal to memories the condition has exactly one
     solution: the recurrence output.  Zero memory reproduces the pure
     shift; short pulses are swallowed."""
     rng = Random(seed)
-    rep = CheckReport("t47", trials)
+    rep = CheckReport("t47", 200)
     grid = GridConfig(-3, 21)
-    for trial in range(trials):
+    for trial in range(rep.trials):
         if trial % 5 == 4:
             d = rng.randint(0, 5)
             p = BdcParams(0, d, 0, d)
@@ -612,8 +608,8 @@ def check_det_transfer(trials: int = 200, seed: int = 12) -> CheckReport:
             )
         if p.mr == 0 and p.mf == 0 and det != u.translate(p.dr):
             rep.fail(f"trial {trial}: zero-memory output is not the shift (p={p})")
-    pulses = max(100, trials // 2)
-    for trial in range(pulses):
+    for trial in range(100):  # pulses
+        rep.trials += 1
         p = _rand_bdc(rng, 5)
         w = rng.randint(1, 8)
         u = Signal(0, (0, w))
@@ -626,7 +622,6 @@ def check_det_transfer(trials: int = 200, seed: int = 12) -> CheckReport:
             )
         if det.final != 0:
             rep.fail(f"pulse trial {trial}: output stuck high for p={p}")
-    rep.trials = trials + pulses
     return rep
 
 
@@ -649,24 +644,28 @@ THEOREM_CHECKS = {
 }
 
 
-def run_check(name: str, trials: int | None = None, seed: int | None = None) -> CheckReport:
-    """Run one suite, timed; `trials` or `seed` left at None takes the
-    suite's own default.  An unknown name, a trial count below 1, or
-    either for a suite whose function takes neither raises SuiteError."""
+def run_check(name: str, trials: None = None, seed: int | None = None) -> CheckReport:
+    """Run one suite at its fixed size, timed; a seed left at None takes
+    the suite's own default.  An unknown name, any trial count, a seed for
+    a suite that takes none, or one that is not an integer >= 0 raises
+    SuiteError.  `trials` takes only None: the benchmark's smoke test
+    passes it positionally, so it goes with the next benchmark change."""
     try:
         fn = THEOREM_CHECKS[name]
     except KeyError:
         raise SuiteError(
             f"unknown theorem {shown(name)}; choose from {', '.join(sorted(THEOREM_CHECKS))}"
         ) from None
-    if trials is not None and trials < 1:
-        raise SuiteError(f"trials must be at least 1, got {shown_int(trials)}")
-    given = {k: v for k, v in (("trials", trials), ("seed", seed)) if v is not None}
-    if given:
+    if trials is not None:
+        raise SuiteError(f"{name} runs at a fixed size: it takes no trial count")
+    if seed is not None:
         from inspect import signature  # here: at module level it slows every CLI start
-        if not given.keys() <= signature(fn).parameters.keys():
+        if "seed" not in signature(fn).parameters:
             raise SuiteError(f"{name} sweeps a fixed set: it takes no trial count or seed")
+        if type(seed) is not int or seed < 0:
+            got = shown_int(seed) if type(seed) is int else shown(seed)
+            raise SuiteError(f"seed must be an integer >= 0, got {got}")
     t0 = time.monotonic()
-    rep = fn(**given)
+    rep = fn() if seed is None else fn(seed=seed)
     rep.seconds = time.monotonic() - t0
     return rep

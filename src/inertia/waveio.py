@@ -49,14 +49,21 @@ class RunConfig(Value):
     __slots__ = _fields = ("time_unit", "resolution")
 
     def __init__(self, time_unit: str = "1ns", resolution: int = 1):
-        if not _TIME_UNIT.fullmatch(time_unit):
+        if type(time_unit) is not str or not _TIME_UNIT.fullmatch(time_unit):
             raise WaveParseError(
                 f"time_unit must be 1, 10 or 100 followed by s, ms, us, ns, ps "
                 f"or fs, got {shown(time_unit)}"
             )
-        if resolution < 1:
-            raise WaveParseError(f"resolution must be >= 1, got {shown_int(resolution)}")
-        self._set(time_unit, resolution)
+        self._set(time_unit, _resolution(resolution))
+
+
+def _resolution(value) -> int:
+    """value, when it is a resolution: an int >= 1, not a bool."""
+    if type(value) is not int:
+        raise WaveParseError(f"resolution must be an integer, got {shown(value)}")
+    if value < 1:
+        raise WaveParseError(f"resolution must be >= 1, got {shown_int(value)}")
+    return value
 
 
 def parse_int(text: str, what: str) -> int:
@@ -203,6 +210,7 @@ def _parse_times(text: str, resolution: int, ln: int) -> tuple[Tick, ...]:
 
 def parse_waveforms(text: str, resolution: int = 1) -> dict[str, Signal]:
     """Parse waveform lines into an ordered name -> Signal map."""
+    _resolution(resolution)
     out: dict[str, Signal] = {}
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()

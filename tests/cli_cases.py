@@ -472,6 +472,13 @@ CASES = [
     Case("oracle_verify_refuses_a_seed_for_a_sweep",
          ["oracle", "verify", "--theorem", "t45", "--seed", "1"], 2,
          "t45 sweeps a fixed set: it takes no trial count or seed"),
+    # Random seeds with abs(n), so a negative seed would rerun another's draws
+    *(Case(f"oracle_verify_refuses_a_negative_seed[{tag}]", [*VERIFY, "--seed", seed], 2,
+           f"seed must be an integer >= 0, got {shown}")
+      for tag, seed, shown in [
+          ("-1", "-1", "-1"),
+          ("-4000-digits", "-" + NINES[:4000], f"-{NINES[:39]}... (4000 digits)"),
+      ]),
     # a suite's seed is set by --seed alone
     Case("oracle_verify_takes_no_config",
          [*VERIFY, "--config", "run.cfg"], 2,

@@ -350,6 +350,19 @@ def test_simulation_input_checks():
         simulate(n, {"a": Signal.const(0)}, (5, 0))
 
 
+@pytest.mark.parametrize("horizon, field, value", [
+    ((0, 20.5), "hi", "20.5"), ((0, float("inf")), "hi", "inf"),
+    ((0.5, 20), "lo", "0.5"), ((True, 20), "lo", "True"),
+], ids=["float-hi", "inf-hi", "float-lo", "bool-lo"])
+def test_a_horizon_bound_must_be_an_integer(horizon, field, value):
+    # a ring oscillating up to a float hi failed inside islice; a float or
+    # bool lo simulated without a word
+    ring = Netlist(("s",), (Gate("q", ("s", "q"), NAND, FixedDelay(1)),), ("q",))
+    assert has_loop(ring)
+    with pytest.raises(NetlistError, match=f"^{field} must be an integer, got {value}$"):
+        simulate(ring, {"s": Signal(0, (3,))}, horizon)
+
+
 def test_many_stimuli_are_checked_in_linear_time():
     ins = tuple(f"i{k}" for k in range(20000))
     n = Netlist(ins, (Gate("y", ("i0",), BUF, FixedDelay(1)),), ("y",))

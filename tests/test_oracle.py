@@ -19,6 +19,7 @@ import functools
 import hashlib
 import operator
 import random
+import time
 from itertools import combinations, islice, product
 
 import pytest
@@ -519,7 +520,7 @@ def test_decider_check_names_a_missed_witness(monkeypatch):
 
 
 def test_run_check_applies_the_suite_defaults_and_times_the_suite():
-    default, explicit = verify.run_check("t14e"), verify.run_check("t14e", 100, 5)
+    default, explicit = verify.run_check("t14e"), verify.run_check("t14e", seed=5)
     assert (default.trials, default.failures, default.info) == (
         explicit.trials, explicit.failures, explicit.info
     )
@@ -527,10 +528,34 @@ def test_run_check_applies_the_suite_defaults_and_times_the_suite():
     assert default.seconds > 0
 
 
-@pytest.mark.parametrize("trials", [-3, 0])
-def test_run_check_refuses_a_trial_count_below_one(trials):
-    with pytest.raises(ValueError, match=f"trials must be at least 1, got {trials}"):
-        verify.run_check("t14e", trials)
+@pytest.mark.parametrize("trials", [-3, 0, 2, True, 10**12])
+def test_run_check_refuses_any_trial_count(trials):
+    # each suite states its size: a count, even one that would run for
+    # ever, is refused before anything runs
+    for name in verify.THEOREM_CHECKS:
+        t0 = time.monotonic()
+        with pytest.raises(
+            verify.SuiteError, match=f"^{name} runs at a fixed size: it takes no trial count$"
+        ):
+            verify.run_check(name, trials)
+        assert time.monotonic() - t0 < 0.1
+
+
+@pytest.mark.parametrize("seed, shown", [
+    (-1, "-1"), (True, "True"), (1.5, "1.5"), ("1", "'1'"),
+    (-int("9" * 4000), f"-{'9' * 39}... (4000 digits)"),
+], ids=["negative", "bool", "float", "str", "4000-digit"])
+def test_run_check_refuses_a_seed_that_is_not_an_integer_of_at_least_0(seed, shown):
+    # Random seeds with abs(n) and takes True as 1, so each would rerun
+    # another seed's draws
+    with pytest.raises(verify.SuiteError) as err:
+        verify.run_check("t14e", seed=seed)
+    assert str(err.value) == f"seed must be an integer >= 0, got {shown}"
+    # a trial count is refused first, then a seed for a sweep
+    with pytest.raises(verify.SuiteError, match="takes no trial count$"):
+        verify.run_check("t45", 2, seed)
+    with pytest.raises(verify.SuiteError, match="^t45 sweeps a fixed set"):
+        verify.run_check("t45", seed=seed)
 
 
 @pytest.mark.parametrize("name", ["t14c", "t14f"])
@@ -538,27 +563,32 @@ def test_a_bounded_delay_sweep_counts_every_consistent_parameter(name):
     assert verify.run_check(name).trials == 155  # every consistent combination up to 4
 
 
-@pytest.mark.parametrize("name", ["t14c", "t14f", "baidc", "t45"])
-@pytest.mark.parametrize("override", [{"trials": 5}, {"seed": 1}], ids=["trials", "seed"])
+SWEEPS = ["t14c", "t14f", "baidc", "t45"]
+
+
+def _wrapped(fn):
+    return functools.wraps(fn)(lambda *a, **k: fn(*a, **k))
+
+
+@pytest.mark.parametrize("override, name", [
+    *((("trials", 5), name) for name in verify.THEOREM_CHECKS),
+    *((("seed", 1), name) for name in SWEEPS),
+], ids=lambda v: v if isinstance(v, str) else v[0])
 @pytest.mark.parametrize("wrapped", [False, True], ids=["plain", "wrapped"])
-def test_parameter_sweeps_refuse_a_trial_count_or_seed(name, override, wrapped, monkeypatch):
+def test_parameter_sweeps_refuse_a_trial_count_or_seed(override, name, wrapped, monkeypatch):
     # a wrapper that sets __wrapped__, as a tracer does, keeps the signature
-    fn = verify.THEOREM_CHECKS[name]
     if wrapped:
-        monkeypatch.setitem(
-            verify.THEOREM_CHECKS, name, functools.wraps(fn)(lambda *a, **k: fn(*a, **k))
-        )
-    with pytest.raises(
-        verify.SuiteError, match=f"^{name} sweeps a fixed set: it takes no trial count or seed$"
-    ):
-        verify.run_check(name, **override)
-    # a drawn suite takes both, wrapped or not
-    if wrapped:
-        draw = verify.THEOREM_CHECKS["t14e"]
-        monkeypatch.setitem(
-            verify.THEOREM_CHECKS, "t14e", functools.wraps(draw)(lambda *a, **k: draw(*a, **k))
-        )
-    assert verify.run_check("t14e", **{"trials": 2, **override}).ok
+        for suite, fn in list(verify.THEOREM_CHECKS.items()):
+            monkeypatch.setitem(verify.THEOREM_CHECKS, suite, _wrapped(fn))
+    key, value = override
+    message = (
+        f"^{name} runs at a fixed size: it takes no trial count$" if key == "trials"
+        else f"^{name} sweeps a fixed set: it takes no trial count or seed$"
+    )
+    with pytest.raises(verify.SuiteError, match=message):
+        verify.run_check(name, **{key: value})
+    # a drawn suite takes a seed, wrapped or not
+    assert verify.run_check("t14e", seed=value).ok
 
 
 def test_an_unknown_suite_name_is_cut_short():

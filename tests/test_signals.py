@@ -81,6 +81,13 @@ def test_initial_must_be_a_bit():
         Signal(2, ())
 
 
+@pytest.mark.parametrize("initial", [True, False, 1.0], ids=["True", "False", "float"])
+def test_initial_must_be_an_int_bit_so_the_text_round_trip_holds(initial):
+    # `Signal(True, (1,))` would write `s True 1`, which no parser reads
+    with pytest.raises(SignalError, match=f"initial value must be 0 or 1, got {initial!r}$"):
+        Signal(initial, (1,))
+
+
 def test_switch_times_must_be_integers():
     with pytest.raises(SignalError):
         Signal(0, (1, True))

@@ -66,6 +66,24 @@ def test_resolution_scales_times():
     assert waves == {"u": Signal(0, (2, 5))}
 
 
+@pytest.mark.parametrize("resolution, message", [
+    (1.5, "resolution must be an integer, got 1.5"),
+    (True, "resolution must be an integer, got True"),
+    ("2", "resolution must be an integer, got '2'"),
+    (0, "resolution must be >= 1, got 0"),
+    (-1, "resolution must be >= 1, got -1"),
+], ids=["float", "bool", "str", "zero", "negative"])
+def test_a_resolution_must_be_an_integer_of_at_least_1(resolution, message):
+    # one check in both places: a float scaled times into float ticks, and
+    # 0 or -1 was blamed on the times not increasing
+    for make in (lambda: RunConfig("1ns", resolution),
+                 lambda: parse_waveforms("u 0 1 2\n", resolution)):
+        with pytest.raises(WaveParseError, match=f"^{re.escape(message)}$"):
+            make()
+    with pytest.raises(WaveParseError, match="^time_unit must be 1, 10 or 100 .*, got 5$"):
+        RunConfig(5)
+
+
 def test_resolution_rejects_off_grid_times():
     with pytest.raises(WaveParseError):
         parse_waveforms("u 0 0.3\n", resolution=2)
