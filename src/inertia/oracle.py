@@ -11,9 +11,13 @@ forced ticks left) one tick under a byte.
 Exact procedures read them:
 
 * Grid enumeration.  Candidate outputs are bit vectors on a bounded tick
-  horizon, constant outside it (extending their two end bits).  The DFS
-  enumerator and the counting DP slide the window over the input's
-  sampled values and walk the step table.  Beyond the horizon plus
+  horizon, constant outside it (extending their two end bits).  `_walk`
+  packs the input's values on the horizon, widened by reach + 1 ticks
+  each side, into one int, so the window of any tick is a shift and a
+  mask.  The counting DP streams it: it reads each tick's byte as it
+  steps the output states, and returns 0 at the first tick where none
+  survives, with no list of moves built.  The DFS enumerator and the
+  bounds read the same walk listed by `_listed`.  Beyond the horizon plus
   reach + 1 ticks both the input and any candidate are constant, so the
   constraints repeat verbatim and checking that range decides them for
   all time; edge-triggered constraints are vacuous outside the horizon
@@ -157,56 +161,46 @@ _steps = lru_cache(maxsize=64)(_Steps)
 _STATES_AT = ((), (0,), (1,), (0, 1))
 
 
-class _Prepared:
-    """Per-(input, expression, grid) constraint tables for the DFS and DP.
+def _walk(
+    u: Signal, expr: CondExpr, grid: GridConfig
+) -> tuple[_Steps, int, bytes, int, int, int]:
+    """The window walk that the grid procedures read: (steps, head, rule,
+    bits, full, top).  steps is the `_Steps` table of expr's holds and
+    rule its `_tick_rule` bytes.  bits holds u on ticks lo - reach - 1 ..
+    top = hi + reach + 1 in one int, tick top - s at bit s, so the window
+    of tick t is bits >> top - t & full.  u is constant outside the grid,
+    so the window of tick lo - 1 is that of every earlier tick, where x
+    may hold the values set in head, and the window of top is that of
+    every later one.  An input switch off the grid is refused here,
+    before anything is read."""
+    lo, hi = grid.lo, grid.hi
+    switches = u.switches
+    if switches and not (lo <= switches[0] and switches[-1] <= hi):
+        i = 0 if switches[0] < lo else bisect_right(switches, hi)
+        # the tick is named only when short enough to write
+        at = f" at tick {switches[i]}" if abs(switches[i]) < 10**40 else ""
+        raise HorizonError(f"input switch {i + 1} of {len(switches)}{at} leaves the grid")
+    r, rule, rise_hold, fall_hold = _tick_rule(expr)
+    top = hi + r + 1
+    bits = ((1 << top - lo + r + 2) - 1) * u.initial
+    for t in switches:  # u flips on ticks t .. top
+        bits ^= (1 << top - t + 1) - 1
+    full = (1 << r + 1) - 1
+    head = rule[bits >> top - lo + 1 & full] & 3
+    return _steps(rise_hold, fall_hold), head, rule, bits, full, top
 
-    moves[i] is the `_tick_rule` byte that applies at tick lo + i.
+
+def _listed(u: Signal, expr: CondExpr, grid: GridConfig) -> tuple[_Steps, int, list[int], int]:
+    """The walk as a list for the DFS and the bounds: (steps, head,
+    moves, tail).  moves[i] is the `_tick_rule` byte of tick lo + i.
     head and tail set bit b when x may hold b at every tick before lo,
-    and at every tick after hi.  first holds the `_Steps` states x may
-    take at tick lo, and steps the table for the holds.
-    """
-
-    __slots__ = ("steps", "head", "moves", "first", "tail")
-
-    def __init__(self, u: Signal, expr: CondExpr, grid: GridConfig):
-        lo, hi = grid.lo, grid.hi
-        switches = u.switches
-        if switches and not (lo <= switches[0] and switches[-1] <= hi):
-            i = 0 if switches[0] < lo else bisect_right(switches, hi)
-            # the tick is named only when short enough to write
-            at = f" at tick {switches[i]}" if abs(switches[i]) < 10**40 else ""
-            raise HorizonError(f"input switch {i + 1} of {len(switches)}{at} leaves the grid")
-        r, rule, rise_hold, fall_hold = _tick_rule(expr)
-        self.steps = _steps(rise_hold, fall_hold)
-
-        # One window per tick, straight from the switch list: u is
-        # constant before lo, so the window of tick lo - 1 is that of
-        # every earlier tick, and a window stops changing reach + 1 ticks
-        # into a run of u.
-        full = (1 << (r + 1)) - 1
-        v = u.initial
-        w = full * v
-        self.head = head = rule[w] & 3
-        moves: list[int] = []
-        t = lo
-        for end in (*switches, hi + 1):  # u is v on ticks t .. end - 1
-            k = end - t
-            for _ in range(k if k <= r else r + 1):
-                w = (w << 1 | v) & full
-                moves.append(rule[w])
-            if k > r + 1:
-                moves += [rule[w]] * (k - r - 1)
-            t, v = end, v ^ 1
-        self.moves = moves
-        self.first = _STATES_AT[head & moves[0]]
-        # ticks hi + 1 .. hi + r + 1, where u holds its final value (v before
-        # the loop's last flip); the last window is that of every later tick
-        v ^= 1
-        tail = 3
-        for _ in range(r + 1):
-            w = (w << 1 | v) & full
-            tail &= rule[w]
-        self.tail = tail
+    and at every tick after hi."""
+    steps, head, rule, bits, full, top = _walk(u, expr, grid)
+    moves = [rule[bits >> top - t & full] for t in range(grid.lo, grid.hi + 1)]
+    tail = 3
+    for t in range(grid.hi + 1, top + 1):
+        tail &= rule[bits >> top - t & full]
+    return steps, head, moves, tail
 
 
 def _bits_signal(lo: Tick, bits: list[int]) -> Signal:
@@ -219,10 +213,8 @@ def _bits_signal(lo: Tick, bits: list[int]) -> Signal:
 def iter_solutions(u: Signal, expr: CondExpr, grid: GridConfig) -> Iterator[Signal]:
     """Yield every admissible output on the grid in lexicographic order
     of its bit vector (tick lo first, 0 before 1)."""
-    ctx = _Prepared(u, expr, grid)
-    moves = ctx.moves
+    steps, head, moves, tail = _listed(u, expr, grid)
     n = len(moves)
-    steps = ctx.steps
     bits = [0] * n
 
     def rec(i: int, states: tuple[int, ...]) -> Iterator[Signal]:
@@ -230,10 +222,10 @@ def iter_solutions(u: Signal, expr: CondExpr, grid: GridConfig) -> Iterator[Sign
             bits[i] = state & 1
             if i + 1 < n:
                 yield from rec(i + 1, steps[state << 4 | moves[i + 1]])
-            elif ctx.tail >> (state & 1) & 1:
+            elif tail >> (state & 1) & 1:
                 yield _bits_signal(grid.lo, bits)
 
-    return rec(0, ctx.first)
+    return rec(0, _STATES_AT[head & moves[0]])
 
 
 def enumerate_solutions(u: Signal, expr: CondExpr, grid: GridConfig) -> list[Signal]:
@@ -253,12 +245,16 @@ def solution_count(u: Signal, expr: CondExpr, grid: GridConfig) -> int:
     Dynamic program over the states of the step table: it walks the same
     steps as the DFS, but counts the outputs in each state instead of
     listing them, which makes emptiness checks cheap inside sweeps and
-    witness confirmations.
+    witness confirmations.  It reads the walk tick by tick as it goes
+    and returns 0 at the first tick where no output survives: a witness
+    confirmation lists no moves and reads no tick past the empty one.
     """
-    ctx = _Prepared(u, expr, grid)
-    steps = ctx.steps
-    states = dict.fromkeys(ctx.first, 1)  # state -> outputs in it
-    for m in ctx.moves[1:]:
+    steps, head, rule, bits, full, top = _walk(u, expr, grid)
+    lo, hi = grid.lo, grid.hi
+    # state -> outputs in it; x cannot switch at lo
+    states = dict.fromkeys(_STATES_AT[head & rule[bits >> top - lo & full]], 1)
+    for t in range(lo + 1, hi + 1):
+        m = rule[bits >> top - t & full]
         nxt: dict[int, int] = {}
         for state, cnt in states.items():
             for k in steps[state << 4 | m]:
@@ -266,13 +262,16 @@ def solution_count(u: Signal, expr: CondExpr, grid: GridConfig) -> int:
         states = nxt
         if not states:
             return 0
-    return sum(cnt for state, cnt in states.items() if ctx.tail >> (state & 1) & 1)
+    tail = 3
+    for t in range(hi + 1, top + 1):
+        tail &= rule[bits >> top - t & full]
+    return sum(cnt for state, cnt in states.items() if tail >> (state & 1) & 1)
 
 
 def free_tick_count(u: Signal, expr: CondExpr, grid: GridConfig) -> int:
     """Ticks the pointwise bounds leave undetermined; 2**result bounds the
     solution count for purely pointwise (BDC/FDC) expressions."""
-    return sum(1 for m in _Prepared(u, expr, grid).moves if m & 3 == 3)
+    return sum(1 for m in _listed(u, expr, grid)[2] if m & 3 == 3)
 
 
 def pointwise_bounds(
@@ -291,10 +290,10 @@ def pointwise_bounds(
     _, rule, rise_hold, fall_hold = _tick_rule(expr)
     if any(m >> 2 != m & 3 for m in rule) or rise_hold or fall_hold:
         raise ValueError(f"{expr} licenses edges or holds the output")
-    ctx = _Prepared(u, expr, grid)
-    allowed = [m & 3 for m in ctx.moves]
-    allowed[0] &= ctx.head
-    allowed[-1] &= ctx.tail
+    _, head, moves, tail = _listed(u, expr, grid)
+    allowed = [m & 3 for m in moves]
+    allowed[0] &= head
+    allowed[-1] &= tail
     if not all(allowed):
         return None
     return (

@@ -145,11 +145,14 @@ class Signal(Value):
     # -- pointwise evaluation -------------------------------------------
 
     def value_at(self, t: Tick) -> int:
+        _require_int(t, "tick")
         flips = bisect.bisect_right(self.switches, t)
         return self.initial ^ (flips & 1)
 
     def values_on(self, lo: Tick, hi: Tick) -> list[int]:
         """Dense values at every tick lo..hi inclusive."""
+        _require_int(lo, "lo")
+        _require_int(hi, "hi")
         if lo > hi:
             raise SignalError(f"empty tick range {shown_int(lo)}..{shown_int(hi)}")
         out = []

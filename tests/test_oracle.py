@@ -223,6 +223,22 @@ def test_witness_found_for_inconsistent_windows():
     assert solution_count(w, expr, GridConfig(-2, 14)) == 0
 
 
+@pytest.mark.parametrize("procedure", [
+    solution_count, iter_solutions, enumerate_solutions, free_tick_count, pointwise_bounds,
+])
+def test_a_grid_that_empties_early_still_refuses_a_switch_past_it(procedure):
+    # At tick 2 this input asks x(2) = 1 (u(-1) = 1, three ticks back) and
+    # x(2) = 0 (u(0) = 0, two ticks back), so the count stops there.  A
+    # switch past hi is still refused first, at the call, with the same
+    # text.  The two random count tests hold the count to the listing on
+    # grids that empty mid-walk and on runs longer than reach + 1.
+    expr = CondExpr((BdcParams(0, 3, 0, 2),))
+    assert solution_count(Signal(1, (0,)), expr, GridConfig(-2, 14)) == 0
+    with pytest.raises(HorizonError) as err:
+        procedure(Signal(1, (0, 20)), expr, GridConfig(-2, 14))
+    assert str(err.value) == "input switch 2 of 2 at tick 20 leaves the grid"
+
+
 def test_no_witness_for_consistent_windows():
     assert find_empty_witness(CondExpr((BdcParams(1, 2, 1, 2),))) is None
 

@@ -138,6 +138,21 @@ def test_values_on_matches_value_at():
         s.values_on(3, 2)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda s: s.value_at(1.5), "tick must be an integer, got 1.5"),
+    (lambda s: s.value_at(True), "tick must be an integer, got True"),
+    (lambda s: s.value_at("3"), "tick must be an integer, got '3'"),
+    (lambda s: s.values_on(0.5, 3), "lo must be an integer, got 0.5"),
+    (lambda s: s.values_on(0, True), "hi must be an integer, got True"),
+], ids=["value_at-float", "value_at-bool", "value_at-str", "values_on-float", "values_on-bool"])
+def test_evaluation_refuses_a_tick_that_is_no_integer(call, message):
+    # as `translate` and the window kernels do: a float used to read the
+    # value at the tick below it, and a bool to pass as 0 or 1
+    with pytest.raises(SignalError) as err:
+        call(Signal(0, (1, 4)))
+    assert str(err.value) == message
+
+
 def test_final_and_constants():
     assert Signal(0, (0, 5)).final == 0
     assert Signal(0, (0,)).final == 1
