@@ -56,6 +56,7 @@ from .oracle import (
     HorizonError,
     enumerate_solutions,
     find_empty_witness,
+    find_empty_witnesses,
     pointwise_bounds,
     solution_count,
 )

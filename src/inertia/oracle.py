@@ -25,11 +25,14 @@ Exact procedures read them:
   every edge and holds nothing, the ticks are independent and
   `pointwise_bounds` reads the least and greatest solutions straight
   off the tick rule.
-* The emptiness decider `find_empty_witness`, a breadth-first search
-  over all inputs that either returns a shortest input admitting no
-  output or proves that every input admits one.  It moves each output
-  value's least hold count by one lookup in `_HoldSteps`, a table
-  derived from the step table.
+* The emptiness decider `find_empty_witnesses`, one breadth-first
+  search for all expressions of a list that share reach and holds, each
+  one bit ("lane") of the ints that carry lane sets.  Per expression it
+  returns the first input, by emptying tick, then prehistory, then bits
+  from tick 0, that admits no output, or proves that every input admits
+  one.  It moves each output value's least hold count by one lookup in
+  `_HoldSteps`, a table derived from the step table, and refuses a group
+  past MAX_SEARCH_STATES states; sweeps pass it slices of their lists.
 
 This module deliberately shares none of the run-based window code it is
 used to cross-check: only Signal plumbing (construction and pointwise
@@ -334,77 +337,118 @@ class _HoldSteps(dict):
 _hold_steps = lru_cache(maxsize=32)(_HoldSteps)
 
 
-def find_empty_witness(expr: CondExpr) -> Signal | None:
-    """A shortest input that admits no output, or None when every input
-    admits one.
+# by byte m, a table that writes "1" for m, "0" for any other byte: a lane
+# column so translated and reversed reads as the int of lanes that hold m
+_LANE_BIT = [bytes(49 if b == m else 48 for b in range(256)) for m in range(16)]
 
-    Breadth-first search over all inputs, one tick at a time from tick 0,
-    after either constant prehistory.  A search state pairs the last
-    `reach` input bits with the outputs still possible after them: for
-    each output value, the fewest ticks it is still forced to hold, or
-    -1 when no admissible output sits at that value.  An output with
-    fewer forced ticks can do whatever one with more can, so the least
-    count stands for all.  The states are finite, so the search either
-    reaches an empty output set, whose input is returned, or closes,
-    which proves that none is reachable.  A set that never empties
-    leaves an output for every input: once the input settles, some
-    surviving output can hold its value for good.  Shortest means that
-    no input empties the set at an earlier tick.  A step looks up the
-    window's byte of the `_tick_rule` rule, then the counts' move under
-    it in the `_HoldSteps` table of the expression's holds.
+
+def find_empty_witnesses(exprs: list[CondExpr]) -> list[Signal | None]:
+    """For each expression, its first input that admits no output, or None
+    when every input admits one: first by the tick at which the output set
+    empties, then by prehistory value, then by the bits at ticks 0, 1, ...
+
+    One breadth-first search, tick by tick after either constant
+    prehistory, decides the expressions sharing (reach, rise_hold,
+    fall_hold), each one bit ("lane") of the ints that carry lane sets.  A
+    state pairs the last `reach` input bits with, per output value, the
+    fewest ticks an output at it is still forced to hold (it can do all
+    that one with more can), or -1 for none.  Entries (state, lanes, parent
+    entry, input bit) are expanded in list order, bit 0 first, and a lane
+    enters a state once, so each lane meets its entries in its own
+    breadth-first order, and its first emptying entry traces back to its
+    witness.  A lane that closes has no emptying input: once an input
+    settles, some surviving output holds its value for good.  A group whose
+    distinct states pass MAX_SEARCH_STATES (for one expression, its own)
+    is refused.  Memory grows with the list: a sweep passes slices of it.
     """
-    reach, rule, rise_hold, fall_hold = _tick_rule(expr)
+    rules = [_tick_rule(expr) for expr in exprs]
+    found: list[Signal | None] = [None] * len(rules)
+    groups: dict[tuple[int, int, int], list[int]] = {}
+    for i, (reach, _, rise_hold, fall_hold) in enumerate(rules):
+        groups.setdefault((reach, rise_hold, fall_hold), []).append(i)
+    for key, members in groups.items():
+        joined = b"".join([rules[i][1] for i in members])
+        for lane, w in _lane_search(*key, joined, len(members)):
+            found[members[lane]] = w
+    return found
+
+
+def find_empty_witness(expr: CondExpr) -> Signal | None:
+    """`find_empty_witnesses` of this expression alone."""
+    return find_empty_witnesses([expr])[0]
+
+
+def _lane_search(reach: int, rise_hold: int, fall_hold: int, joined: bytes, n: int) -> list:
+    """(lane, witness) for each of the n lanes, their `_tick_rule` bytes
+    `joined`, that an input empties.  A step takes the lanes holding each
+    byte of the window's column and moves their counts by one `_HoldSteps`
+    lookup."""
     steps = _hold_steps(rise_hold, fall_hold)
+    size = 2 << reach
     keep = (1 << reach) - 1
     # a state packs (window bits, k0 + 1, k1 + 1) into one int, with
     # `width` bits for each count
     width = steps.width
     shift = 2 * width
     counts = (1 << shift) - 1
-    # state -> link << 1 | the input bit that led to it: link is the state
-    # it was first reached from, or -1 for a prehistory
-    parent: dict[int, int] = {}
-    frontier = []
-    for c in (0, 1):
-        m = rule[(keep << 1 | 1) * c]
-        if not m & 3:
-            return Signal(c, ())
-        root = (keep * c << width | m & 1) << width | m >> 1 & 1
-        if root not in parent:
-            parent[root] = -1 << 1 | c
-            frontier.append(root)
-    while frontier:
-        if len(parent) > MAX_SEARCH_STATES:
+    columns: list = [None] * size  # by window, [(byte, lanes)], cut when first read
+    # state -> [(next state, lanes, input bit)], bit 0 first after the lanes
+    # emptied (next state -1) by either bit
+    moves: dict[int, list[tuple[int, int, int]]] = {}
+    live = (1 << n) - 1
+    # (state, lanes, parent entry, input bit); entry c is the prehistory c,
+    # after which both outputs are free, and reads c alone
+    entries = [(keep * c << shift | 1 << width | 1, live, -1, c) for c in (0, 1)]
+    seen: dict[int, int] = {}  # state -> the lanes that entered it
+    emptied: list[tuple[int, Signal]] = []
+
+    def move(state: int) -> list[tuple[int, int, int]]:
+        held = (state & counts) << 4
+        empty, kids = [], []
+        for b in (0, 1):
+            w = state >> shift << 1 | b
+            if (col := columns[w]) is None:
+                cut = joined[w::size]
+                col = [(m, int(cut.translate(_LANE_BIT[m])[::-1], 2)) for m in set(cut)]
+                columns[w] = col
+            out: dict[int, int] = {}  # next counts -> lanes
+            for m, at in col:
+                nxt = steps[held | m]
+                out[nxt] = out.get(nxt, 0) | at
+            empty.append((-1, out.pop(-1, 0), b))
+            kids += [((w & keep) << shift | k, at, b) for k, at in out.items()]
+        moves[state] = empty + kids
+        return moves[state]
+
+    def emptying(e: int, b: int, lanes: int) -> None:
+        path = [b]  # the input bits back from the one read after entry e
+        while e > 1:
+            _, _, e, bit = entries[e]
+            path.append(bit)
+        path.reverse()  # the prehistory, then the value at tick t in path[t + 1]
+        w = Signal._trusted(path[0], tuple([t for t, b in enumerate(path[1:]) if b != path[t]]))
+        while lanes:
+            low = lanes & -lanes
+            emptied.append((low.bit_length() - 1, w))
+            lanes ^= low
+
+    start = 0
+    while start < len(entries) and live:
+        if len(seen) > MAX_SEARCH_STATES:
             raise HorizonError(
                 f"emptiness search passed {MAX_SEARCH_STATES} states; "
                 f"the condition's reach or holds are too large"
             )
-        nxt = []
-        for state in frontier:  # input bits 0 and 1 written out: a loop costs more
-            win = state >> shift << 1
-            held = (state & counts) << 4
-            s0 = steps[held | rule[win]]
-            s1 = steps[held | rule[win | 1]]
-            if s0 < 0 or s1 < 0:
-                return _witness(parent, state << 1 | (s0 >= 0))
-            child = (win & keep) << shift | s0
-            if child not in parent:
-                parent[child] = state << 1
-                nxt.append(child)
-            child = ((win | 1) & keep) << shift | s1
-            if child not in parent:
-                parent[child] = state << 1 | 1
-                nxt.append(child)
-        frontier = nxt
-    return None
-
-
-def _witness(parent: dict[int, int], link: int) -> Signal:
-    """The input that ends with `link`, a state << 1 | the bit read next,
-    traced back through `parent`: its prehistory value, then ticks 0, 1, ..."""
-    path = [link & 1]
-    while link >= 0:
-        link = parent[link >> 1]
-        path.append(link & 1)
-    path.reverse()  # the value at tick t is path[t + 1]
-    return Signal._trusted(path[0], tuple([t for t, b in enumerate(path[1:]) if b != path[t]]))
+        end = len(entries)
+        for e in range(start, end):
+            state, lanes, _, _ = entries[e]
+            for child, at, b in moves.get(state) or move(state):
+                if (at := at & lanes & live) and (e > 1 or b == e):
+                    if child < 0:
+                        emptying(e, b, at)
+                        live &= ~at
+                    elif at := at & ~seen.get(child, 0):
+                        seen[child] = seen.get(child, 0) | at
+                        entries.append((child, at, e, b))
+        start = end
+    return emptied

@@ -36,6 +36,7 @@ body, and timed into the report's `seconds`.
 import time
 from itertools import islice, product
 from random import Random
+from typing import Iterable
 
 from .conditions import (
     AicParams,
@@ -66,7 +67,7 @@ from .conditions import (
 )
 from .oracle import (
     GridConfig,
-    find_empty_witness,
+    find_empty_witnesses,
     iter_solutions,
     pointwise_bounds,
     solution_count,
@@ -80,6 +81,7 @@ ENUMERATED_FREE = 10
 # bits once, and the grid covers every tick whose window reads them.
 EVERY_WINDOW = Signal(0, (5, 10, 11, 14, 16, 18, 19, 20, 21, 23, 26, 27, 28, 29, 31, 32))
 WINDOW_GRID = GridConfig(-2, 40)
+DECIDED_AT_ONCE = 1024  # the decider's slice: memory grows with it; t45 is no faster past it
 
 
 class SuiteError(ValueError):
@@ -156,24 +158,33 @@ def _sweep_ric(pmax: int):
         yield RicParams(ur, er, uf, ef)
 
 
-def _check_decider(rep: CheckReport, expr: CondExpr, solvable: bool, prefix: str = "") -> None:
-    """The exact decider agrees with the closed form `solvable`, and the
-    counting DP finds no output for any witness it returns.  A failure
-    names the expression's atoms after `prefix`."""
-    w = find_empty_witness(expr)
-    if w is None:
-        if not solvable:
-            rep.fail(
-                f"{prefix}{_atoms(expr)}: closed form says unsolvable, "
-                f"yet every input has an output"
-            )
-        return
-    if solvable:
-        rep.fail(f"{prefix}{_atoms(expr)}: closed form says solvable, yet u={w} admits no output")
-    first, last = (w.switches[0], w.switches[-1]) if w.switches else (0, 0)
-    grid = GridConfig(first - 1, last + expr.reach + 1)
-    if solution_count(w, expr, grid) != 0:
-        rep.fail(f"{prefix}{_atoms(expr)}: witness u={w} has outputs on [{grid.lo}, {grid.hi}]")
+def _check_decider(rep: CheckReport, cases: Iterable, prefix: str = "") -> None:
+    """The exact decider agrees with the closed form on each (expression,
+    solvable) of cases, decided DECIDED_AT_ONCE at a time, and the counting
+    DP finds no output for any witness it returns.  A failure names the
+    expression's atoms after `prefix`."""
+    cases = iter(cases)
+    while batch := list(islice(cases, DECIDED_AT_ONCE)):
+        witnesses = find_empty_witnesses([expr for expr, _ in batch])
+        for (expr, solvable), w in zip(batch, witnesses):
+            if w is None:
+                if not solvable:
+                    rep.fail(
+                        f"{prefix}{_atoms(expr)}: closed form says unsolvable, "
+                        f"yet every input has an output"
+                    )
+                continue
+            if solvable:
+                rep.fail(
+                    f"{prefix}{_atoms(expr)}: closed form says solvable, "
+                    f"yet u={w} admits no output"
+                )
+            first, last = (w.switches[0], w.switches[-1]) if w.switches else (0, 0)
+            grid = GridConfig(first - 1, last + expr.reach + 1)
+            if solution_count(w, expr, grid) != 0:
+                rep.fail(
+                    f"{prefix}{_atoms(expr)}: witness u={w} has outputs on [{grid.lo}, {grid.hi}]"
+                )
 
 
 def _atoms(expr: CondExpr) -> str:
@@ -229,10 +240,9 @@ def check_existence_bounds(seed: int = 0) -> CheckReport:
                     f"trial {trial}: the DFS lists {len(sols)} outputs, not the "
                     f"2**{free} from {least} to {greatest}, p={p}, u={u}"
                 )
-    for _ in range(50):  # the converse: inconsistent parameters
-        rep.trials += 1
-        p = _rand_bdc(rng, 6, cc=False)
-        _check_decider(rep, CondExpr((p,)), cc_holds(p))
+    converse = [_rand_bdc(rng, 6, cc=False) for _ in range(50)]  # inconsistent parameters
+    rep.trials += len(converse)
+    _check_decider(rep, [(CondExpr((p,)), cc_holds(p)) for p in converse])
     rep.info["enumerated"] = enumerated
     rep.info["max_free"] = max_free
     return rep
@@ -277,7 +287,7 @@ def check_intersection(seed: int = 1) -> CheckReport:
             elif not joint:
                 rep.fail(f"trial {trial}: merged {r} admits nothing")
         elif not bdc_jointly_solvable(p, q):
-            _check_decider(rep, CondExpr((p, q)), False, f"trial {trial}: ")
+            _check_decider(rep, [(CondExpr((p, q)), False)], f"trial {trial}: ")
         else:
             # Solvable everywhere, yet refused: the candidate bounds must
             # genuinely disagree with the joint bounds on some window.
@@ -497,11 +507,10 @@ def check_hold_consistency() -> CheckReport:
     """Bounded delay plus output holds is solvable iff the holds fit the
     memories, decided exactly on every combination with parameters up
     to 4."""
-    rep = CheckReport("baidc", 0)
-    for p, er, ef in product(_sweep_bdc(4), range(5), range(5)):
-        a = AicParams(er, ef)
-        rep.trials += 1
-        _check_decider(rep, CondExpr((p, a)), baidc_consistent(p, a))
+    holds = [AicParams(er, ef) for er, ef in product(range(5), repeat=2)]
+    pairs = list(product(_sweep_bdc(4), holds))
+    rep = CheckReport("baidc", len(pairs))
+    _check_decider(rep, ((CondExpr(pair), baidc_consistent(*pair)) for pair in pairs))
     return rep
 
 
@@ -567,16 +576,20 @@ def check_relative_consistency() -> CheckReport:
     parameters up to 4; sweeps must exercise every regime."""
     rep = CheckReport("t45", 0)
     fired = {"b.i": 0, "b.ii": 0, "b.iii": 0, "b.iv": 0}
-    for p, r in product(_sweep_bdc(4, cc=None), _sweep_ric(4)):
-        rep.trials += 1
-        cases = bridc_consistency_cases(p, r)
-        for c in cases:
-            fired[c] += 1
-        solvable = bridc_consistent(p, r)
-        if cases and not solvable:
-            rep.fail(f"regime fired outside the criterion: p={p}, r={r}")
-            continue
-        _check_decider(rep, CondExpr((p, r)), solvable)
+
+    def decided():  # the pairs whose regimes fit the criterion
+        for p, r in product(_sweep_bdc(4, cc=None), _sweep_ric(4)):
+            rep.trials += 1
+            cases = bridc_consistency_cases(p, r)
+            for c in cases:
+                fired[c] += 1
+            solvable = bridc_consistent(p, r)
+            if cases and not solvable:
+                rep.fail(f"regime fired outside the criterion: p={p}, r={r}")
+                continue
+            yield CondExpr((p, r)), solvable
+
+    _check_decider(rep, decided())
     for c, n in fired.items():
         if n == 0:
             rep.fail(f"regime {c} never fired in the sweep")

@@ -453,6 +453,12 @@ CASES = [
     enumerate_aic("oracle_enumerate_names_one_input_switch_outside_the_grid", "0:10", 2,
                   "input switch 12 of 951 at tick 11 leaves the grid",
                   wave="u 0 " + " ".join(map(str, range(951))) + "\n"),
+    # the decider on one expression, through the console script: the
+    # prehistory 1, a fall held one tick, then a rise it cannot follow
+    Case("oracle_witness_names_the_first_emptying_input",
+         ["oracle", "witness", "--atoms",
+          '[{"kind":"bdc","mr":0,"dr":0,"mf":0,"df":0},{"kind":"aic","deltar":0,"deltaf":1}]'],
+         0, stdout="u 1 0 1\n"),
     Case("oracle_witness_not_found",
          ["oracle", "witness", "--atoms", '{"kind":"bdc","mr":1,"dr":2,"mf":1,"df":2}'], 1,
          stdout="no witness found: every input admits an output\n"),

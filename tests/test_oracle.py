@@ -12,7 +12,10 @@ DP on random expressions: every witness it returns must have no
 solution, and when it returns None every small input must have one.  Its
 witnesses on the baidc sweep and on every 9th pair of the t45 sweep are
 pinned by digest, and checked to be shortest against every input that
-switches early enough.
+switches early enough.  The order that fixes each witness (emptying
+tick, prehistory, bits from tick 0) is held to a brute-force enumeration
+of inputs in that order, and a list decided in one call, sliced any way,
+must give each expression the witness it gets alone.
 """
 
 import functools
@@ -42,6 +45,7 @@ from inertia.oracle import (
     HorizonError,
     enumerate_solutions,
     find_empty_witness,
+    find_empty_witnesses,
     free_tick_count,
     iter_solutions,
     pointwise_bounds,
@@ -264,16 +268,17 @@ def test_witness_at_the_hold_boundary_needs_a_pulse_train():
             assert solution_count(Signal(init, times), expr, grid) > 0, times
 
 
-def _random_atom(rng: random.Random):
+def _random_atom(rng: random.Random, most: int = 3):
+    """An atom of any kind, its windows and holds up to `most`."""
     kind = rng.randrange(4)
     if kind == 0:
-        return FdcParams(rng.randint(0, 3))
+        return FdcParams(rng.randint(0, most))
     if kind == 1:
-        dr, df = rng.randint(0, 3), rng.randint(0, 3)
+        dr, df = rng.randint(0, most), rng.randint(0, most)
         return BdcParams(rng.randint(0, dr), dr, rng.randint(0, df), df)
     if kind == 2:
-        return AicParams(rng.randint(0, 3), rng.randint(0, 3))
-    er, ef = rng.randint(0, 3), rng.randint(0, 3)
+        return AicParams(rng.randint(0, most), rng.randint(0, most))
+    er, ef = rng.randint(0, most), rng.randint(0, most)
     return RicParams(rng.randint(0, er), er, rng.randint(0, ef), ef)
 
 
@@ -340,12 +345,13 @@ def test_decider_agrees_with_the_counting_dp():
 
 def witness_digest(exprs) -> tuple[int, str]:
     """How many of exprs have a witness, and the first 16 hex digits of a
-    digest of every witness in order; any change to the search order or
-    to its tables shows as another digest."""
+    digest of every witness in order, all decided in one call.  The witness
+    is fixed by its order (emptying tick, prehistory, bits from tick 0), not
+    by how a search reaches it, so another digest shows that some witness
+    changed, not the search order."""
     digest = hashlib.sha256()
     found = 0
-    for expr in exprs:
-        w = find_empty_witness(expr)
+    for w in find_empty_witnesses(list(exprs)):
         found += w is not None
         digest.update(b"none\n" if w is None else f"{w.initial} {list(w.switches)}\n".encode())
     return found, digest.hexdigest()[:16]
@@ -377,8 +383,7 @@ def test_a_decider_check_builds_one_rule_and_compares_no_record(monkeypatch):
     rep = verify.CheckReport("t45", 0)
     sweep = product(verify._sweep_bdc(4, cc=None), verify._sweep_ric(4))
     exprs = [CondExpr(pair) for pair in islice(sweep, 0, None, 9)]
-    for expr in exprs:
-        verify._check_decider(rep, expr, bridc_consistent(*expr.atoms))
+    verify._check_decider(rep, [(expr, bridc_consistent(*expr.atoms)) for expr in exprs])
     assert compared == []
     assert rep.ok and len(exprs) == 5625
     assert len(built) == len(exprs) and all(map(operator.is_, built, exprs))
@@ -405,6 +410,123 @@ def test_decider_witnesses_are_shortest():
             inputs += 1
             assert solution_count(u, expr, grid) > 0, (expr, w, u)
     assert inputs >= 400, inputs
+
+
+def first_emptying_input(expr: CondExpr, last: int) -> tuple[Signal, int] | None:
+    """The first input, in the order (emptying tick, prehistory value, bits
+    at ticks 0, 1, ...), whose output set empties by tick `last`, with that
+    tick (-1 for the prehistory), or None.  Every prefix of every length is
+    enumerated in that order, each with the whole set of `_Steps` output
+    states after its last tick, and is judged empty when none survives it;
+    no two prefixes are merged, and no least hold count stands for others."""
+    reach, rule, rise_hold, fall_hold = oracle._tick_rule(expr)
+    steps = oracle._steps(rise_hold, fall_hold)
+    full = (1 << reach + 1) - 1
+    # (prehistory, bits from tick 0, window of the last tick, output states)
+    level = []
+    for c in (0, 1):  # a constant prehistory leaves each allowed output free
+        states = oracle._STATES_AT[rule[full * c] & 3]
+        if not states:
+            return Signal(c, ()), -1
+        level.append((c, (), full * c, states))
+    for t in range(last + 1):
+        grown = []
+        for c, bits, window, states in level:
+            for b in (0, 1):
+                win = (window << 1 | b) & full
+                after = {s for state in states for s in steps[state << 4 | rule[win]]}
+                path = (c, *bits, b)
+                if not after:
+                    return Signal(c, tuple(i for i in range(t + 1) if path[i + 1] != path[i])), t
+                grown.append((c, bits + (b,), win, tuple(after)))
+        level = grown
+    return None
+
+
+def test_the_witness_is_the_first_emptying_input_in_its_order():
+    # The contract that pins the witness: a brute-force enumeration in the
+    # order (emptying tick, prehistory, bits at ticks 0, 1, ...) finds the
+    # same input as the decider, alone and in one call on every draw, for
+    # windows and holds up to 3 and witnesses that empty by tick 8.  On
+    # these draws no input empties later, so the rest have no witness.
+    rng = random.Random(20261022)
+    exprs = [
+        CondExpr(tuple(_random_atom(rng) for _ in range(rng.randint(1, 3)))) for _ in range(200)
+    ]
+    batched = find_empty_witnesses(exprs)
+    matched = 0
+    for expr, w in zip(exprs, batched):
+        assert find_empty_witness(expr) == w, expr
+        first = first_emptying_input(expr, 8)
+        matched += first is not None
+        assert w == (first and first[0]), (expr, w, first)
+    assert matched >= 90, matched
+
+
+@pytest.mark.parametrize("size", [1, 2, 5, 64, 400])
+def test_a_batch_gives_each_expression_its_own_witness_under_any_slicing(size):
+    # one list mixes kinds, reaches and holds, so its slices hold many groups
+    rng = random.Random(20261023)
+    exprs = [CondExpr(tuple(_random_atom(rng, 5) for _ in range(rng.randint(1, 3))))
+             for _ in range(400)]
+    singles = [find_empty_witness(expr) for expr in exprs]
+    batched = []
+    for i in range(0, len(exprs), size):
+        batched += find_empty_witnesses(exprs[i:i + size])
+    assert batched == singles
+    assert 100 <= sum(w is None for w in singles) <= 300
+    assert len({(e.reach, *oracle._tick_rule(e)[2:]) for e in exprs}) >= 40
+
+
+def test_reach_zero_prehistories_that_share_a_window_keep_their_own_roots():
+    # x(t) = u(t) with a fall held for k ticks: after the prehistory 0 the
+    # output sits at 0, after 1 at 1, and the window is empty in both.  A
+    # search that kept one root per window state would answer Signal(0, (1,)),
+    # which has an output; the witness is the pulse down and straight up.
+    exprs = [CondExpr((BdcParams(0, 0, 0, 0), AicParams(0, k))) for k in range(1, 5)]
+    want = [Signal(1, (0, 1))] * 4
+    assert [find_empty_witness(expr) for expr in exprs] == want
+    assert find_empty_witnesses(exprs + [CondExpr((BdcParams(0, 0, 0, 0),))]) == want + [None]
+    for w, expr in zip(want, exprs):
+        assert solution_count(w, expr, witness_grid(w, expr)) == 0
+
+
+def test_lanes_emptied_at_the_prehistory_sit_beside_lanes_that_go_on():
+    # No atom empties a constant input, so two expressions are given tick
+    # rules by hand: reach 0, where window 0 reads u = 0 and window 1 u = 1
+    def ruled(rule: bytes) -> CondExpr:
+        expr = CondExpr((FdcParams(0),))
+        oracle._set_rule(expr, (0, rule, 0, 0))
+        return expr
+
+    exprs = [
+        ruled(b"\x00\x0f"),  # nothing at u = 0
+        CondExpr((BdcParams(0, 0, 0, 0),)),
+        ruled(b"\x0f\x00"),  # nothing at u = 1, checked before any tick
+        CondExpr((RicParams(0, 0, 0, 0),)),
+        ruled(b"\x05\x0a"),  # x(t) = 1 - u(t), licensed by holds of 0
+    ]
+    want = [Signal(0, ()), None, Signal(1, ()), None, None]
+    assert find_empty_witnesses(exprs) == want
+    assert [find_empty_witness(expr) for expr in exprs] == want
+
+
+HELD_TOO_LONG = CondExpr((BdcParams(12, 12, 12, 12), RicParams(0, 12, 0, 12), AicParams(12, 12)))
+CAP_TEXT = (
+    "emptiness search passed 100000 states; the condition's reach or holds are too large"
+)
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: find_empty_witness(HELD_TOO_LONG), id="alone"),
+    pytest.param(lambda: find_empty_witnesses([CondExpr((BdcParams(1, 2, 1, 2),)),
+                                               HELD_TOO_LONG, CondExpr((FdcParams(3),))]),
+                 id="in-a-batch"),
+])
+def test_a_search_past_the_state_cap_is_refused_alone_and_in_a_batch(call):
+    with pytest.raises(HorizonError) as err:
+        call()
+    assert str(err.value) == CAP_TEXT
 
 
 # -- law suites -----------------------------------------------------------------------
@@ -512,9 +634,9 @@ UNSOLVABLE = CondExpr((BdcParams(0, 3, 0, 2),))  # CC fails on a single fall
 
 
 def test_decider_check_names_a_witness_that_has_outputs(monkeypatch):
-    monkeypatch.setattr(verify, "find_empty_witness", lambda expr: Signal(0, ()))
+    monkeypatch.setattr(verify, "find_empty_witnesses", lambda exprs: [Signal(0, ())] * len(exprs))
     rep = verify.CheckReport("t", 1)
-    verify._check_decider(rep, UNSOLVABLE, False, "trial 4: ")
+    verify._check_decider(rep, [(UNSOLVABLE, False)], "trial 4: ")
     assert rep.failures == [
         "trial 4: BdcParams(mr=0, dr=3, mf=0, df=2): witness u=Signal(0, []) "
         "has outputs on [-1, 4]"
@@ -522,9 +644,9 @@ def test_decider_check_names_a_witness_that_has_outputs(monkeypatch):
 
 
 def test_decider_check_names_a_missed_witness(monkeypatch):
-    monkeypatch.setattr(verify, "find_empty_witness", lambda expr: None)
+    monkeypatch.setattr(verify, "find_empty_witnesses", lambda exprs: [None] * len(exprs))
     rep = verify.CheckReport("t", 1)
-    verify._check_decider(rep, UNSOLVABLE, False)
+    verify._check_decider(rep, [(UNSOLVABLE, False)])
     assert rep.failures == [
         "BdcParams(mr=0, dr=3, mf=0, df=2): closed form says unsolvable, "
         "yet every input has an output"
