@@ -59,6 +59,7 @@ from .oracle import (
     find_empty_witnesses,
     pointwise_bounds,
     solution_count,
+    solution_counts,
 )
 from .signals import (
     Signal,

@@ -13,18 +13,20 @@ Exact procedures read them:
 * Grid enumeration.  Candidate outputs are bit vectors on a bounded tick
   horizon, constant outside it (extending their two end bits).  `_walk`
   packs the input's values on the horizon, widened by reach + 1 ticks
-  each side, into one int, so the window of any tick is a shift and a
-  mask.  The counting DP streams it: it reads each tick's byte as it
-  steps the output states, and returns 0 at the first tick where none
-  survives, with no list of moves built.  The DFS enumerator and the
-  bounds read the same walk listed by `_listed`.  Beyond the horizon plus
-  reach + 1 ticks both the input and any candidate are constant, so the
-  constraints repeat verbatim and checking that range decides them for
-  all time; edge-triggered constraints are vacuous outside the horizon
-  because candidates cannot switch there.  When the expression licenses
-  every edge and holds nothing, the ticks are independent and
-  `pointwise_bounds` reads the least and greatest solutions straight
-  off the tick rule.
+  each side, into one int and reads each tick's window off it with a
+  shift and a mask, once per input of the last 256.  The counting DP
+  counts a list of expressions on one input: it reads each tick's byte
+  as it steps the output states, once for the expressions that share
+  holds and have read the same bytes so far, and gives 0 at the first
+  tick where none survives, with no list of moves built.  The DFS
+  enumerator and the bounds read the same walk listed by `_listed`.
+  Beyond the horizon plus reach + 1 ticks both the input and any
+  candidate are constant, so the constraints repeat verbatim and
+  checking that range decides them for all time; edge-triggered
+  constraints are vacuous outside the horizon because candidates cannot
+  switch there.  When the expression licenses every edge and holds
+  nothing, the ticks are independent and `pointwise_bounds` reads the
+  least and greatest solutions straight off the tick rule.
 * The emptiness decider `find_empty_witnesses`, one breadth-first
   search for all expressions of a list that share reach and holds, each
   one bit ("lane") of the ints that carry lane sets.  Per expression it
@@ -165,16 +167,15 @@ _STATES_AT = ((), (0,), (1,), (0, 1))
 
 
 def _walk(
-    u: Signal, expr: CondExpr, grid: GridConfig
-) -> tuple[_Steps, int, bytes, int, int, int]:
-    """The window walk that the grid procedures read: (steps, head, rule,
-    bits, full, top).  steps is the `_Steps` table of expr's holds and
-    rule its `_tick_rule` bytes.  bits holds u on ticks lo - reach - 1 ..
-    top = hi + reach + 1 in one int, tick top - s at bit s, so the window
-    of tick t is bits >> top - t & full.  u is constant outside the grid,
-    so the window of tick lo - 1 is that of every earlier tick, where x
-    may hold the values set in head, and the window of top is that of
-    every later one.  An input switch off the grid is refused here,
+    u: Signal, exprs: list[CondExpr], grid: GridConfig
+) -> tuple[list[tuple[int, bytes, int, int]], tuple[int, ...]]:
+    """The window walk that the grid procedures read: (rules, windows).
+    rules are the expressions' `_tick_rule`s, and windows[j] is the window
+    of tick lo - 1 + j for the largest reach R among them, through tick hi
+    + R + 1: bit k holds u(t - k), so its low r + 1 bits are the window of
+    reach r.  u is constant outside the grid, so the first window is that
+    of every earlier tick, where x holds its first value, and the last that
+    of every later one.  An input switch off the grid is refused here,
     before anything is read."""
     lo, hi = grid.lo, grid.hi
     switches = u.switches
@@ -183,14 +184,21 @@ def _walk(
         # the tick is named only when short enough to write
         at = f" at tick {switches[i]}" if abs(switches[i]) < 10**40 else ""
         raise HorizonError(f"input switch {i + 1} of {len(switches)}{at} leaves the grid")
-    r, rule, rise_hold, fall_hold = _tick_rule(expr)
+    rules = [_tick_rule(expr) for expr in exprs]
+    r = max(rules)[0] if rules else 0  # the largest reach
+    return rules, _windows(u.initial, switches, lo, hi, r)
+
+
+@lru_cache(maxsize=256)
+def _windows(initial: int, switches: tuple[int, ...], lo: int, hi: int, r: int) -> tuple[int, ...]:
+    """`_walk`'s windows of reach r, read off the input's values on ticks
+    lo - r - 1 .. top = hi + r + 1 in one int, tick top - s at bit s."""
     top = hi + r + 1
-    bits = ((1 << top - lo + r + 2) - 1) * u.initial
+    bits = ((1 << top - lo + r + 2) - 1) * initial
     for t in switches:  # u flips on ticks t .. top
         bits ^= (1 << top - t + 1) - 1
     full = (1 << r + 1) - 1
-    head = rule[bits >> top - lo + 1 & full] & 3
-    return _steps(rise_hold, fall_hold), head, rule, bits, full, top
+    return tuple([bits >> s & full for s in range(top - lo + 1, -1, -1)])
 
 
 def _listed(u: Signal, expr: CondExpr, grid: GridConfig) -> tuple[_Steps, int, list[int], int]:
@@ -198,12 +206,13 @@ def _listed(u: Signal, expr: CondExpr, grid: GridConfig) -> tuple[_Steps, int, l
     moves, tail).  moves[i] is the `_tick_rule` byte of tick lo + i.
     head and tail set bit b when x may hold b at every tick before lo,
     and at every tick after hi."""
-    steps, head, rule, bits, full, top = _walk(u, expr, grid)
-    moves = [rule[bits >> top - t & full] for t in range(grid.lo, grid.hi + 1)]
+    [(_, rule, rise_hold, fall_hold)], windows = _walk(u, [expr], grid)
+    n = grid.hi - grid.lo + 2  # windows[1:n] are the grid's ticks
     tail = 3
-    for t in range(grid.hi + 1, top + 1):
-        tail &= rule[bits >> top - t & full]
-    return steps, head, moves, tail
+    for w in windows[n:]:
+        tail &= rule[w]
+    moves = [rule[w] for w in windows[1:n]]
+    return _steps(rise_hold, fall_hold), rule[windows[0]] & 3, moves, tail
 
 
 def _bits_signal(lo: Tick, bits: list[int]) -> Signal:
@@ -242,33 +251,63 @@ def enumerate_solutions(u: Signal, expr: CondExpr, grid: GridConfig) -> list[Sig
     return list(iter_solutions(u, expr, grid))
 
 
-def solution_count(u: Signal, expr: CondExpr, grid: GridConfig) -> int:
-    """Exact |solutions| on the grid, in time linear in the horizon.
+def solution_counts(u: Signal, exprs: list[CondExpr], grid: GridConfig) -> list[int]:
+    """Exact |solutions| on the grid of each expression, in time linear in
+    the horizon: a dynamic program that walks the DFS's steps, counting
+    the outputs in each state.  The expressions that share holds and have
+    read the same `_tick_rule` bytes so far step as one group, which splits
+    where its members read different bytes and gives them all 0 at the
+    first tick where no output survives; each member reads its own bytes
+    past the grid."""
+    rules, windows = _walk(u, exprs, grid)
+    n = grid.hi - grid.lo + 2  # windows[1:n] are the grid's ticks
+    reach = len(windows) - n - 1  # the largest
+    wide: list[bytes] = []
+    groups: dict[tuple[int, int, int], list[int]] = {}
+    todo = []  # (index of the next window, state -> outputs in it, members, steps)
+    for i, (r, rule, rise_hold, fall_hold) in enumerate(rules):
+        # the rule read through the widest window repeats every 2 << r bytes
+        wide.append(rule := rule * (1 << reach - r))
+        # x cannot switch at lo: it holds a value allowed there and before
+        key = rise_hold, fall_hold, rule[windows[0]] & rule[windows[1]] & 3
+        if (members := groups.get(key)) is None:
+            groups[key] = members = []
+            states = dict.fromkeys(_STATES_AT[key[2]], 1)
+            todo.append((2, states, members, _steps(rise_hold, fall_hold)))
+        members.append(i)
+    counts = [0] * len(rules)
+    while todo:
+        j, states, members, steps = todo.pop()
+        rule, many = wide[members[0]], len(members) > 1
+        for j in range(j, n):
+            m = rule[w := windows[j]]
+            if many and (read := [wide[i][w] for i in members]).count(m) < len(read):
+                split: dict[int, list[int]] = {}
+                for i, b in zip(members, read):
+                    split.setdefault(b, []).append(i)
+                todo += [(j, states, part, steps) for part in split.values()]
+                break
+            nxt: dict[int, int] = {}
+            for state, cnt in states.items():
+                for k in steps[state << 4 | m]:
+                    nxt[k] = nxt.get(k, 0) + cnt
+            if not (states := nxt):
+                break
+        else:
+            ends = [0, 0]  # outputs that end at 0, at 1
+            for state, cnt in states.items():
+                ends[state & 1] += cnt
+            for i in members:
+                tail = 3
+                for w in windows[n:]:
+                    tail &= wide[i][w]
+                counts[i] = ends[0] * (tail & 1) + ends[1] * (tail >> 1)
+    return counts
 
-    Dynamic program over the states of the step table: it walks the same
-    steps as the DFS, but counts the outputs in each state instead of
-    listing them, which makes emptiness checks cheap inside sweeps and
-    witness confirmations.  It reads the walk tick by tick as it goes
-    and returns 0 at the first tick where no output survives: a witness
-    confirmation lists no moves and reads no tick past the empty one.
-    """
-    steps, head, rule, bits, full, top = _walk(u, expr, grid)
-    lo, hi = grid.lo, grid.hi
-    # state -> outputs in it; x cannot switch at lo
-    states = dict.fromkeys(_STATES_AT[head & rule[bits >> top - lo & full]], 1)
-    for t in range(lo + 1, hi + 1):
-        m = rule[bits >> top - t & full]
-        nxt: dict[int, int] = {}
-        for state, cnt in states.items():
-            for k in steps[state << 4 | m]:
-                nxt[k] = nxt.get(k, 0) + cnt
-        states = nxt
-        if not states:
-            return 0
-    tail = 3
-    for t in range(hi + 1, top + 1):
-        tail &= rule[bits >> top - t & full]
-    return sum(cnt for state, cnt in states.items() if tail >> (state & 1) & 1)
+
+def solution_count(u: Signal, expr: CondExpr, grid: GridConfig) -> int:
+    """`solution_counts` of this expression alone."""
+    return solution_counts(u, [expr], grid)[0]
 
 
 def free_tick_count(u: Signal, expr: CondExpr, grid: GridConfig) -> int:

@@ -5,9 +5,10 @@ decision procedures must agree with the oracle's solution sets in both
 directions.  Consistency criteria (CC, joint solvability, the hold and
 licensing criteria) are checked against the oracle's exact emptiness
 decider, and every input it names as admitting no output is confirmed
-empty by the counting DP.  Checks are deterministic for a given seed and
-return a CheckReport with one entry per failure; nothing is ever sampled
-from the code under test.
+empty by the counting DP, which runs once per distinct walk of the
+expressions that share the input.  Checks are deterministic for a given
+seed and return a CheckReport with one entry per failure; nothing is
+ever sampled from the code under test.
 
 A bounded delay fixes each output tick x(t) from the input window
 u(t - d .. t - d + m) alone, so its solution set on a grid is a box
@@ -34,7 +35,7 @@ body, and timed into the report's `seconds`.
 """
 
 import time
-from itertools import islice, product
+from itertools import compress, islice, product
 from random import Random
 from typing import Iterable
 
@@ -71,6 +72,7 @@ from .oracle import (
     iter_solutions,
     pointwise_bounds,
     solution_count,
+    solution_counts,
 )
 from .signals import Signal, shown, shown_int
 
@@ -81,7 +83,7 @@ ENUMERATED_FREE = 10
 # bits once, and the grid covers every tick whose window reads them.
 EVERY_WINDOW = Signal(0, (5, 10, 11, 14, 16, 18, 19, 20, 21, 23, 26, 27, 28, 29, 31, 32))
 WINDOW_GRID = GridConfig(-2, 40)
-DECIDED_AT_ONCE = 1024  # the decider's slice: memory grows with it; t45 is no faster past it
+DECIDED_AT_ONCE = 1024  # a slice to decide and confirm: memory grows with it, speed does not
 
 
 class SuiteError(ValueError):
@@ -161,12 +163,29 @@ def _sweep_ric(pmax: int):
 def _check_decider(rep: CheckReport, cases: Iterable, prefix: str = "") -> None:
     """The exact decider agrees with the closed form on each (expression,
     solvable) of cases, decided DECIDED_AT_ONCE at a time, and the counting
-    DP finds no output for any witness it returns.  A failure names the
-    expression's atoms after `prefix`."""
+    DP finds no output for any witness it returns.  The expressions of a
+    slice that share a witness and a reach are counted in one call, which
+    runs the DP once per distinct walk.  A failure names the expression's
+    atoms after `prefix`; rep.info["witnesses"] adds up the confirmed
+    witnesses."""
     cases = iter(cases)
+    confirmed = rep.info.get("witnesses", 0)
     while batch := list(islice(cases, DECIDED_AT_ONCE)):
         witnesses = find_empty_witnesses([expr for expr, _ in batch])
-        for (expr, solvable), w in zip(batch, witnesses):
+        shared: dict[tuple, list[int]] = {}  # (witness key, reach) -> indices
+        for i, ((expr, _), w) in enumerate(zip(batch, witnesses)):
+            if w is not None:
+                shared.setdefault((w._key, expr.reach), []).append(i)
+        grids: list = [None] * len(batch)  # the grid of a witness that has outputs
+        for (_, reach), members in shared.items():
+            w = witnesses[members[0]]
+            first, last = (w.switches[0], w.switches[-1]) if w.switches else (0, 0)
+            grid = GridConfig(first - 1, last + reach + 1)
+            counts = solution_counts(w, [batch[i][0] for i in members], grid)
+            confirmed += counts.count(0)
+            for i in compress(members, counts):
+                grids[i] = grid
+        for (expr, solvable), w, grid in zip(batch, witnesses, grids):
             if w is None:
                 if not solvable:
                     rep.fail(
@@ -179,12 +198,11 @@ def _check_decider(rep: CheckReport, cases: Iterable, prefix: str = "") -> None:
                     f"{prefix}{_atoms(expr)}: closed form says solvable, "
                     f"yet u={w} admits no output"
                 )
-            first, last = (w.switches[0], w.switches[-1]) if w.switches else (0, 0)
-            grid = GridConfig(first - 1, last + expr.reach + 1)
-            if solution_count(w, expr, grid) != 0:
+            if grid is not None:
                 rep.fail(
                     f"{prefix}{_atoms(expr)}: witness u={w} has outputs on [{grid.lo}, {grid.hi}]"
                 )
+    rep.info["witnesses"] = confirmed
 
 
 def _atoms(expr: CondExpr) -> str:
@@ -506,11 +524,12 @@ def check_composition(seed: int = 7) -> CheckReport:
 def check_hold_consistency() -> CheckReport:
     """Bounded delay plus output holds is solvable iff the holds fit the
     memories, decided exactly on every combination with parameters up
-    to 4."""
+    to 4.  The holds are swept outermost, so a slice of the decider meets
+    few of them."""
     holds = [AicParams(er, ef) for er, ef in product(range(5), repeat=2)]
-    pairs = list(product(_sweep_bdc(4), holds))
+    pairs = list(product(holds, _sweep_bdc(4)))
     rep = CheckReport("baidc", len(pairs))
-    _check_decider(rep, ((CondExpr(pair), baidc_consistent(*pair)) for pair in pairs))
+    _check_decider(rep, ((CondExpr((p, a)), baidc_consistent(p, a)) for a, p in pairs))
     return rep
 
 

@@ -492,13 +492,14 @@ CASES = [
     check_config("a_run_config_refuses_the_key_seed", "# run\nseed = 7\n", 2,
                  "config line 2: unknown key 'seed'"),
     *(Case(f"oracle_verify_passes[{suite}]", ["oracle", "verify", "--theorem", suite], 0,
-           stdout=f"{suite}: PASS (…", twin=f"tests/test_acceptance.py::{twin}")
-      for suite, twin in [
-          ("t1", "test_criterion_1_solution_existence_and_bounds"),
-          ("t14b", "test_criterion_2_window_algebra_set_laws"),
-          ("baidc", "test_criterion_5_hold_consistency_and_serial_composition"),
-          ("baidc-serial", "test_criterion_5_hold_consistency_and_serial_composition"),
-          ("t45", "test_criterion_7_licensed_window_consistency"),
+           stdout=f"{suite}: PASS (…{tail}", twin=f"tests/test_acceptance.py::{twin}")
+      for suite, tail, twin in [
+          ("t1", "", "test_criterion_1_solution_existence_and_bounds"),
+          ("t14b", "", "test_criterion_2_window_algebra_set_laws"),
+          ("baidc", "[witnesses=2048]\n",
+           "test_criterion_5_hold_consistency_and_serial_composition"),
+          ("baidc-serial", "", "test_criterion_5_hold_consistency_and_serial_composition"),
+          ("t45", ", witnesses=42078]\n", "test_criterion_7_licensed_window_consistency"),
       ]),
     # malformed input
     solve("a_net_name_the_text_cannot_carry_exits_2[space]", BDC, INT_WAVE, 2,

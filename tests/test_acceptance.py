@@ -33,6 +33,7 @@ def _gate(num, reports, budget=None):
 def test_criterion_1_solution_existence_and_bounds():
     (rep,) = _gate(1, [run_check("t1")], budget=120)
     assert rep.trials == 250
+    assert rep.info["witnesses"] == 50  # every inconsistent draw, confirmed empty
 
 
 def test_criterion_2_window_algebra_set_laws():
@@ -42,6 +43,7 @@ def test_criterion_2_window_algebra_set_laws():
         budget=300,
     )
     assert [r.trials for r in reports] == [100, 100, 100, 100]
+    assert reports[0].info["witnesses"] == 51  # t14a's pairs with no joint output
 
 
 def test_criterion_3_determinism_sweep():
@@ -58,6 +60,7 @@ def test_criterion_4_translation_and_duality():
 def test_criterion_5_hold_consistency_and_serial_composition():
     sweep, serial = _gate(5, [run_check("baidc"), run_check("baidc-serial")])
     assert sweep.trials == 3_875  # parameters <= 4 crossed with holds <= 4
+    assert sweep.info["witnesses"] == 2_048
     assert serial.trials == 50
 
 
@@ -69,6 +72,7 @@ def test_criterion_6_licensing_implies_hold():
 def test_criterion_7_licensed_window_consistency():
     (rep,) = _gate(7, [run_check("t45")])
     assert rep.trials == 50_625  # 225 bounded delays <= 4 crossed with 225 licences <= 4
+    assert rep.info["witnesses"] == 42_078
     regimes = rep.info["regimes"]
     print(f"criterion 7 regimes: {regimes}")
     assert set(regimes) == {"b.i", "b.ii", "b.iii", "b.iv"}

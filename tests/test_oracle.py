@@ -15,7 +15,8 @@ pinned by digest, and checked to be shortest against every input that
 switches early enough.  The order that fixes each witness (emptying
 tick, prehistory, bits from tick 0) is held to a brute-force enumeration
 of inputs in that order, and a list decided in one call, sliced any way,
-must give each expression the witness it gets alone.
+must give each expression the witness it gets alone.  Likewise a list
+counted in one call must give each expression its own count.
 """
 
 import functools
@@ -50,6 +51,7 @@ from inertia.oracle import (
     iter_solutions,
     pointwise_bounds,
     solution_count,
+    solution_counts,
 )
 from inertia.signals import Signal, Value
 from inertia import oracle, verify
@@ -229,13 +231,16 @@ def test_witness_found_for_inconsistent_windows():
 
 @pytest.mark.parametrize("procedure", [
     solution_count, iter_solutions, enumerate_solutions, free_tick_count, pointwise_bounds,
+    pytest.param(lambda u, expr, grid: solution_counts(u, [expr] * 3, grid), id="solution_counts"),
+    pytest.param(lambda u, expr, grid: solution_counts(u, [], grid), id="solution_counts-none"),
 ])
 def test_a_grid_that_empties_early_still_refuses_a_switch_past_it(procedure):
     # At tick 2 this input asks x(2) = 1 (u(-1) = 1, three ticks back) and
     # x(2) = 0 (u(0) = 0, two ticks back), so the count stops there.  A
     # switch past hi is still refused first, at the call, with the same
-    # text.  The two random count tests hold the count to the listing on
-    # grids that empty mid-walk and on runs longer than reach + 1.
+    # text, also by a list count, even of no expressions.  The two random
+    # count tests hold the count to the listing on grids that empty
+    # mid-walk and on runs longer than reach + 1.
     expr = CondExpr((BdcParams(0, 3, 0, 2),))
     assert solution_count(Signal(1, (0,)), expr, GridConfig(-2, 14)) == 0
     with pytest.raises(HorizonError) as err:
@@ -319,6 +324,73 @@ def test_dfs_and_count_list_exactly_the_members_on_small_grids():
     assert min(seen.values()) >= 3, seen
 
 
+def _count_list(rng: random.Random) -> list[CondExpr]:
+    """Expressions of 1-3 atoms of every kind (windows up to 6, holds up to
+    5), some repeated, as the same object or an equal one, and some copied
+    with one more hold atom: the same bytes under other holds."""
+    exprs = []
+    for _ in range(rng.randint(1, 5)):
+        atoms = tuple(
+            AicParams(min(a.delta_r, 5), min(a.delta_f, 5)) if isinstance(a, AicParams) else a
+            for a in (_random_atom(rng, 6) for _ in range(rng.randint(1, 3)))
+        )
+        exprs.append(CondExpr(atoms))
+        if rng.random() < 0.4:
+            exprs.append(exprs[-1] if rng.random() < 0.5 else CondExpr(atoms))
+        if rng.random() < 0.6:
+            exprs.append(CondExpr(atoms + (AicParams(rng.randint(0, 5), rng.randint(0, 5)),)))
+    rng.shuffle(exprs)
+    return exprs
+
+
+def test_a_list_counts_as_its_expressions_one_by_one():
+    # A list mixes kinds, reaches and holds, so its expressions part at
+    # different ticks, and some share bytes under other holds.  Its counts,
+    # whole and in slices of 1, 2 and 7, are the counts one by one: on
+    # random inputs, over grids that end at a switch or well past the last
+    # one, and on the first expression's decider witness, where the counts
+    # stop early.  The one-by-one counts are held to the DFS and to brute
+    # force by the tests above.
+    rng = random.Random(20261024)
+    seen = {"zero": 0, "nonzero": 0, "witness": 0, "mixed": 0}
+    for trial in range(160):
+        exprs = _count_list(rng)
+        w = find_empty_witness(exprs[0]) if trial % 4 == 0 else None
+        if w is not None:
+            u, grid = w, witness_grid(w, exprs[0])
+            seen["witness"] += 1
+        else:
+            lo = rng.randint(-3, 0)
+            hi = lo + rng.randint(1, 12)
+            times = rng.sample(range(lo, hi + 1), min(rng.randint(0, 4), hi - lo + 1))
+            if trial % 2 and hi not in times:
+                times[-1:] = [hi]  # a switch on the grid's last tick
+            u, grid = Signal(rng.randint(0, 1), tuple(sorted(times))), GridConfig(lo, hi)
+        singles = [solution_count(u, expr, grid) for expr in exprs]
+        assert solution_counts(u, exprs, grid) == singles, (exprs, u, grid)
+        for size in (1, 2, 7):
+            parts = [solution_counts(u, exprs[i:i + size], grid)
+                     for i in range(0, len(exprs), size)]
+            assert sum(parts, []) == singles, (size, exprs, u, grid)
+        seen["zero"] += singles.count(0)
+        seen["nonzero"] += len(singles) - singles.count(0)
+        seen["mixed"] += len({e.reach for e in exprs}) > 1 and len(set(singles)) > 1
+    assert solution_counts(U, [], GRID) == []
+    assert min(seen.values()) >= 20, seen
+
+
+def test_members_that_part_only_past_the_grid_keep_their_own_tails():
+    # On a one-tick pulse at the grid's end both expressions read the same
+    # bytes through hi, so they are stepped as one group; only after hi
+    # does BdcParams(0, 2, 0, 0) see the pulse, two ticks late, and ask for
+    # a rise that an output constant past the grid cannot make.
+    u, grid = Signal(0, (0, 1)), GridConfig(-1, 1)
+    exprs = [CondExpr((BdcParams(1, 1, 0, 0),)), CondExpr((BdcParams(0, 2, 0, 0),))]
+    (_, *walk, tail), (_, *other, other_tail) = (oracle._listed(u, e, grid) for e in exprs)
+    assert walk == other and tail != other_tail
+    assert solution_counts(u, exprs, grid) == [solution_count(u, e, grid) for e in exprs] == [2, 0]
+
+
 def _most_hold(expr: CondExpr) -> int:
     return max(
         (max(a.delta_r, a.delta_f) for a in expr.atoms if isinstance(a, AicParams)),
@@ -358,7 +430,7 @@ def witness_digest(exprs) -> tuple[int, str]:
 
 
 def test_decider_witnesses_on_the_hold_sweep_are_pinned():
-    # the baidc suite's sweep, in its order
+    # the baidc suite's pairs, bounded delays outermost
     sweep = product(verify._sweep_bdc(4), range(5), range(5))
     exprs = (CondExpr((p, AicParams(a, b))) for p, a, b in sweep)
     assert witness_digest(exprs) == (2048, "7db56cd26c1b3174")
@@ -641,6 +713,24 @@ def test_decider_check_names_a_witness_that_has_outputs(monkeypatch):
         "trial 4: BdcParams(mr=0, dr=3, mf=0, df=2): witness u=Signal(0, []) "
         "has outputs on [-1, 4]"
     ]
+
+
+def test_decider_check_names_failures_in_the_order_of_its_cases(monkeypatch):
+    # one witness for all, counted per reach on its own grid: the
+    # expression of reach 3 has no output there, the two of reach 2 have
+    w = Signal(0, (0,))
+    monkeypatch.setattr(verify, "find_empty_witnesses", lambda exprs: [w] * len(exprs))
+    solvable, empty = CondExpr((BdcParams(1, 2, 1, 2),)), CondExpr((BdcParams(0, 2, 0, 3),))
+    rep = verify.CheckReport("t", 3)
+    verify._check_decider(rep, [(solvable, True), (empty, False), (solvable, True)])
+    named = f"{solvable.atoms[0]!r}: "
+    assert rep.failures == [
+        named + "closed form says solvable, yet u=Signal(0, [0]) admits no output",
+        named + "witness u=Signal(0, [0]) has outputs on [-1, 3]",
+        named + "closed form says solvable, yet u=Signal(0, [0]) admits no output",
+        named + "witness u=Signal(0, [0]) has outputs on [-1, 3]",
+    ]
+    assert rep.info["witnesses"] == 1
 
 
 def test_decider_check_names_a_missed_witness(monkeypatch):
